@@ -1,7 +1,7 @@
 """Command-line surface: coefficients with cross-checks, expansions, verification suites.
 
 Exit codes: 0 success, 1 usage or precondition error, 2 cross-check or cached-value
-disagreement, 3 internal invariant violation.
+disagreement or a malformed cache record, 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .coefficients import (
 from .equivalence import nonrect_counterexample
 from .formats import (
     CacheConflictError,
+    CacheFormatError,
     CacheRecord,
     ParseError,
     cache_append,
@@ -371,6 +372,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     except (CrossCheckError, CacheConflictError) as exc:
         print(f"disagreement: {exc}", file=sys.stderr)
+        return EXIT_DISAGREEMENT
+    except CacheFormatError as exc:
+        print(f"cache error: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     except InternalInvariantError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)

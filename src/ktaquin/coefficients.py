@@ -45,7 +45,7 @@ from .tableaux import (
     reading_word,
     superstandard,
 )
-from .jdt import krect
+from .jdt import _infuse, _label_groups_desc, krect
 from . import schur
 
 Kind = str  # one of "C", "D", "E", "F", "c"
@@ -85,11 +85,17 @@ def rect_tally(
         order = superstandard(inner)
     else:
         order = IncreasingTableau(inner, (), order_cells)
+    groups = _label_groups_desc(order.cells)
+    # the enumerator's fillings are valid by construction, so each one is
+    # rectified as a raw entries dict; each distinct result is validated once
     tally: dict[TableauKey, int] = {}
     for cells in iter_increasing_cells(outer, inner, alphabet, surjective=True):
-        result = krect(IncreasingTableau(outer, inner, cells), order)
-        k = _key(result)
+        entries = {(r, c): v for r, c, v in cells}
+        _, rect_outer, _ = _infuse(entries, inner, outer, groups)
+        k = (rect_outer, tuple(sorted((r, c, v) for (r, c), v in entries.items())))
         tally[k] = tally.get(k, 0) + 1
+    for rect_outer, rect_cells in tally:
+        IncreasingTableau(rect_outer, (), rect_cells)
     return tally
 
 
@@ -98,11 +104,6 @@ def _initial_alphabet(m: int) -> frozenset[int]:
 
 
 _store: dict[tuple, int] = {}
-
-
-def cached_coefficients() -> dict[tuple, int]:
-    """Snapshot of every coefficient computed so far, keyed by (kind, lam, mu, nu)."""
-    return dict(_store)
 
 
 def _remember(kind: Kind, lam: Part, mu: Part, nu: Part, value: int) -> int:

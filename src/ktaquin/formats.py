@@ -195,6 +195,9 @@ def format_trace(trace: SwitchTrace) -> str:
     return "\n\n".join(blocks)
 
 
+_REQUIRED_FIELDS = ("kind", "lambda", "mu", "nu", "value")
+
+
 @dataclass(frozen=True)
 class CacheRecord:
     """A coefficient record plus provenance metadata, one JSON line each."""
@@ -226,7 +229,13 @@ class CacheRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "CacheRecord":
+        """Parse one line; a malformed or incomplete record raises ValueError."""
         doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise ValueError("record is not a JSON object")
+        for name in _REQUIRED_FIELDS:
+            if name not in doc:
+                raise ValueError(f"missing field {name!r}")
         record = CoefficientRecord(
             doc["kind"],
             partition(doc["lambda"]),
@@ -247,24 +256,43 @@ class CacheConflictError(RuntimeError):
     """Two cached records disagree on the value of one coefficient key."""
 
 
+class CacheFormatError(RuntimeError):
+    """A cache line is not a complete record; the message starts with path:line."""
+
+
 def cache_append(path: str, record: CacheRecord) -> None:
-    """Append one record as a single atomic write."""
+    """Append one record as a single atomic write.
+
+    If the file does not end in a newline (a torn earlier write), the record
+    starts a line of its own instead of extending the torn one.
+    """
     line = record.to_json() + "\n"
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+    fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
+        size = os.fstat(fd).st_size
+        if size and os.pread(fd, 1, size - 1) != b"\n":
+            line = "\n" + line
         os.write(fd, line.encode())
     finally:
         os.close(fd)
 
 
 def cache_load(path: str) -> dict[tuple, CacheRecord]:
-    """Merge records by key; conflicting values are a hard error naming the key."""
+    """Merge records by key; conflicting values are a hard error naming the key.
+
+    A malformed or incomplete line raises CacheFormatError naming its file and line.
+    """
     table: dict[tuple, CacheRecord] = {}
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            rec = CacheRecord.from_json(line)
+            try:
+                rec = CacheRecord.from_json(line)
+            except json.JSONDecodeError as exc:
+                raise CacheFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+            except (TypeError, ValueError) as exc:
+                raise CacheFormatError(f"{path}:{lineno}: {exc}") from None
             key = rec.key()
             if key in table and table[key].record.value != rec.record.value:
                 raise CacheConflictError(

@@ -1,10 +1,21 @@
 """Switch/slide machinery: slides, reverse slides, rectification, infusion, traces.
 
-A slide places bullets on chosen corners and runs label stages; within a stage
-the union of boxes holding the stage label or a bullet decomposes into
-alternating short ribbons, each of which is switched (single-box components are
-left alone).  Forward slides process labels upward and push bullets southeast;
-reverse slides process labels downward and push bullets northwest.
+A slide places bullets on chosen corners and then runs label stages.  A stage
+applies the local switch rule for one label i, all at once:
+
+* every bullet with an i-neighbour takes the value i;
+* every i-box with a bullet neighbour becomes a bullet.
+
+The next stage is the nearest label past i that sits next to a bullet: the
+next larger one in a forward slide, which pushes bullets southeast, and the
+next smaller one in a reverse slide, which pushes them northwest.  Labels that
+touch no bullet are never visited.  This is the Thomas-Yong switch: the
+bullets and i-boxes that move together form alternating short ribbons, and
+swapping bullets with labels along each ribbon is exactly the rule above.
+
+The kernel raises InternalInvariantError on every state the theory forbids:
+two adjacent bullets, two adjacent equal labels, a 2x2 block of bullets and
+stage labels, and a ribbon with more than two boxes in one row or column.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ from .shapes import (
     SkewShape,
     add_boxes,
     addable_corners,
-    contains,
     partition,
     psize,
     remove_boxes,
@@ -30,91 +40,109 @@ from .tableaux import Cells, IncreasingTableau, enumerate_increasing, superstand
 
 Direction = Literal["forward", "reverse"]
 
+_INF = float("inf")
+
+# each bullet a stage fills -> the stage-label boxes next to it
+Moves = dict[Box, list[Box]]
+
 
 class InternalInvariantError(RuntimeError):
     """The engine reached a state the theory forbids; indicates a bug."""
 
 
-_NEIGHBORS = ((0, 1), (0, -1), (1, 0), (-1, 0))
+def _check_blocks(moves: Moves, bullets: set[Box]) -> None:
+    """No bullet forms a 2x2 block with two of its label neighbours and a bullet."""
+    for (r, c), hits in moves.items():
+        for i, (r1, c1) in enumerate(hits):
+            for r2, c2 in hits[i + 1:]:
+                if r1 != r2 and c1 != c2 and (r1 + r2 - r, c1 + c2 - c) in bullets:
+                    raise InternalInvariantError(f"ribbon contains a 2x2 block at {(r, c)}")
 
 
-def _stage_components(
-    entries: dict[Box, int], bullets: set[Box], label: int
-) -> list[tuple[list[Box], list[Box]]]:
-    """Connected components of {bullets, label boxes} that contain both kinds.
-
-    Components are grown outward from bullets only: a component without a
-    bullet cannot move, and one without a label box is a lone bullet.  Each
-    returned component is checked to be an alternating short ribbon.
-    """
-    comps: list[tuple[list[Box], list[Box]]] = []
-    unvisited = set(bullets)
+def _check_ribbons(moves: Moves) -> None:
+    """No ribbon of one stage has more than two boxes in a row or a column."""
+    link: dict[Box, list[Box]] = {}
+    for b, hits in moves.items():
+        link.setdefault(b, []).extend(hits)
+        for x in hits:
+            link.setdefault(x, []).append(b)
+    unvisited = set(link)
     while unvisited:
-        start = unvisited.pop()
-        comp_bullets = [start]
-        comp_labels: list[Box] = []
-        seen = {start}
-        frontier = [start]
+        frontier = [unvisited.pop()]
+        comp = list(frontier)
         while frontier:
-            r, c = frontier.pop()
-            here_bullet = (r, c) in bullets
-            for dr, dc in _NEIGHBORS:
-                nb = (r + dr, c + dc)
-                if nb in seen:
-                    continue
-                if nb in bullets:
-                    if here_bullet:
-                        raise InternalInvariantError(f"adjacent bullets at {(r, c)}, {nb}")
-                    seen.add(nb)
+            for nb in link[frontier.pop()]:
+                if nb in unvisited:
                     unvisited.discard(nb)
-                    comp_bullets.append(nb)
+                    comp.append(nb)
                     frontier.append(nb)
-                elif entries.get(nb) == label:
-                    if not here_bullet:
-                        raise InternalInvariantError(f"adjacent equal labels at {(r, c)}, {nb}")
-                    seen.add(nb)
-                    comp_labels.append(nb)
-                    frontier.append(nb)
-        if comp_labels:
-            _check_short_ribbon(seen)
-            comps.append((comp_bullets, comp_labels))
-    return comps
-
-
-def _check_short_ribbon(comp: set[Box]) -> None:
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    for r, c in comp:
-        rows[r] = rows.get(r, 0) + 1
-        cols[c] = cols.get(c, 0) + 1
-        if (r, c + 1) in comp and (r + 1, c) in comp and (r + 1, c + 1) in comp:
-            raise InternalInvariantError(f"ribbon contains a 2x2 block at {(r, c)}")
-    if any(k > 2 for k in rows.values()) or any(k > 2 for k in cols.values()):
-        raise InternalInvariantError("ribbon has more than two boxes in a row or column")
+        rows = [r for r, _ in comp]
+        cols = [c for _, c in comp]
+        if any(rows.count(r) > 2 for r in rows) or any(cols.count(c) > 2 for c in cols):
+            raise InternalInvariantError("ribbon has more than two boxes in a row or column")
 
 
 def _run_switches(
     entries: dict[Box, int],
     bullets: set[Box],
     reverse: bool,
-    on_switch: Callable[[int, list[tuple[list[Box], list[Box]]]], None] | None = None,
+    on_switch: Callable[[int | None, Moves, set[Box]], None] | None = None,
 ) -> set[Box]:
-    """Mutate entries/bullets through all label stages of one slide."""
-    labels = sorted(set(entries.values()), reverse=reverse)
-    for label in labels:
-        comps = _stage_components(entries, bullets, label)
-        if not comps:
-            continue
+    """Mutate entries and bullets through every stage of one slide; returns the bullets.
+
+    on_switch(label, moves, bullets), when given, is called once after the
+    bullets are placed (label None, no moves) and once after each stage.
+    Within a stage the order of bullets does not matter: the rule is local.
+    """
+    for r, c in bullets:
+        for nb in ((r, c + 1), (r + 1, c)):
+            if nb in bullets:
+                raise InternalInvariantError(f"adjacent bullets at {(r, c)}, {nb}")
+    # A stage never makes two bullets adjacent: two freed boxes are equal labels,
+    # and a bullet next to a freed box is a bullet that the stage filled.
+    if on_switch is not None:
+        on_switch(None, {}, bullets)
+    get = entries.get
+    sign = -1 if reverse else 1
+    done = -_INF  # sign * the label of the last stage
+    while True:
+        # one pass finds the nearest label past the last stage next to a
+        # bullet, with every (bullet, box) pair that holds it
+        nearest = _INF
+        pairs: list[tuple[Box, Box]] = []
+        for box in bullets:
+            r, c = box
+            for nb in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
+                v = get(nb)
+                if v is not None and done < sign * v <= nearest:
+                    if sign * v < nearest:
+                        nearest = sign * v
+                        pairs = []
+                    pairs.append((box, nb))
+        if not pairs:
+            return bullets
+        done = nearest
+        label = sign * nearest
+        moves: Moves = {}
+        for box, nb in pairs:
+            moves.setdefault(box, []).append(nb)
+        freed = {nb for _, nb in pairs}
+        for r, c in freed:
+            for nb in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
+                if get(nb) == label:
+                    raise InternalInvariantError(f"adjacent equal labels at {(r, c)}, {nb}")
+        if len(pairs) > len(moves):
+            _check_blocks(moves, bullets)
+        if len(moves) + len(freed) > 2:
+            _check_ribbons(moves)
+        for box in moves:
+            entries[box] = label
+            bullets.discard(box)
+        for x in freed:
+            del entries[x]
+        bullets |= freed
         if on_switch is not None:
-            on_switch(label, comps)
-        for comp_bullets, comp_labels in comps:
-            for b in comp_bullets:
-                entries[b] = label
-                bullets.discard(b)
-            for x in comp_labels:
-                del entries[x]
-                bullets.add(x)
-    return bullets
+            on_switch(label, moves, bullets)
 
 
 def _forward_slide(
@@ -130,10 +158,9 @@ def _forward_slide(
     legal = set(removable_corners(inner))
     if not set(corners) <= legal:
         raise ShapeFitError(f"{sorted(set(corners) - legal)} are not inner corners of {inner}")
-    bullets = set(corners)
-    final = _run_switches(entries, bullets, reverse=False, on_switch=on_switch)
+    new_inner = remove_boxes(inner, corners)
+    final = _run_switches(entries, set(corners), reverse=False, on_switch=on_switch)
     try:
-        new_inner = remove_boxes(inner, corners)
         new_outer = remove_boxes(outer, final)
     except ShapeFitError as exc:  # pragma: no cover - theory forbids this
         raise InternalInvariantError(f"slide left a non-partition shape: {exc}") from exc
@@ -158,8 +185,7 @@ def _reverse_slide(
             f"{sorted(set(corners) - legal)} are not outer corners of {outer} in the ambient"
         )
     new_outer = add_boxes(outer, corners)
-    bullets = set(corners)
-    final = _run_switches(entries, bullets, reverse=True, on_switch=on_switch)
+    final = _run_switches(entries, set(corners), reverse=True, on_switch=on_switch)
     try:
         new_inner = add_boxes(inner, final)
     except ShapeFitError as exc:  # pragma: no cover - theory forbids this
@@ -190,6 +216,22 @@ def _label_groups_desc(cells: Cells) -> list[tuple[int, frozenset[Box]]]:
     return [(v, frozenset(groups[v])) for v in sorted(groups, reverse=True)]
 
 
+def _infuse(
+    entries: dict[Box, int], inner: Part, outer: Part, groups: list[tuple[int, frozenset[Box]]]
+) -> tuple[Part, Part, dict[Box, int]]:
+    """Slide the filling in entries, in place, into each corner group in turn.
+
+    Returns the final inner and outer shapes, and the vacated boxes labelled
+    by the group that vacated them.
+    """
+    record: dict[Box, int] = {}
+    for label, boxes in groups:
+        inner, outer, vacated = _forward_slide(entries, inner, outer, boxes)
+        for box in vacated:
+            record[box] = label
+    return inner, outer, record
+
+
 def kinfusion(a: IncreasingTableau, b: IncreasingTableau) -> tuple[IncreasingTableau, IncreasingTableau]:
     """Slide b through a, largest label of a first; an involution on nested pairs.
 
@@ -200,18 +242,10 @@ def kinfusion(a: IncreasingTableau, b: IncreasingTableau) -> tuple[IncreasingTab
     if b.inner != a.outer:
         raise ShapeFitError(f"inner shape of second tableau {b.inner} must equal outer of first {a.outer}")
     entries = b.entries
-    inner, outer = b.inner, b.outer
-    record: dict[Box, int] = {}
-    original_outer = outer
-    for label, boxes in _label_groups_desc(a.cells):
-        inner, outer, vacated = _forward_slide(entries, inner, outer, boxes)
-        for box in vacated:
-            record[box] = label
+    inner, outer, record = _infuse(entries, b.inner, b.outer, _label_groups_desc(a.cells))
     if inner != a.inner:  # pragma: no cover - theory forbids this
         raise InternalInvariantError("infusion did not consume the inner tableau's shape")
-    first = IncreasingTableau.make(outer, inner, entries)
-    second = IncreasingTableau.make(original_outer, outer, record)
-    return first, second
+    return IncreasingTableau.make(outer, inner, entries), IncreasingTableau.make(b.outer, outer, record)
 
 
 def krect(t: IncreasingTableau, order: IncreasingTableau | None = None) -> IncreasingTableau:
@@ -224,7 +258,9 @@ def krect(t: IncreasingTableau, order: IncreasingTableau | None = None) -> Incre
         order = superstandard(t.inner)
     if order.inner != () or order.outer != t.inner:
         raise ShapeFitError(f"order must be a straight tableau of shape {t.inner}")
-    return kinfusion(order, t)[0]
+    entries = t.entries
+    _, outer, _ = _infuse(entries, t.inner, t.outer, _label_groups_desc(order.cells))
+    return IncreasingTableau.make(outer, (), entries)
 
 
 def rectification_orders(inner: Part) -> Iterator[IncreasingTableau]:
@@ -314,86 +350,6 @@ class SlideStepError(ValueError):
         self.index = index
 
 
-def _traced_slide(
-    entries: dict[Box, int],
-    inner: Part,
-    outer: Part,
-    step: SlideStep,
-    ambient: AmbientRectangle,
-    origins: dict[Box, Box] | None,
-) -> tuple[Part, Part, dict[Box, Box] | None, list[SwitchState], list[bool], list[dict[Box, Box] | None]]:
-    states: list[SwitchState] = []
-    flags: list[bool] = []
-    origin_seq: list[dict[Box, Box] | None] = []
-
-    if step.direction == "forward":
-        legal = set(removable_corners(inner))
-        if not step.corners <= legal:
-            raise ShapeFitError(f"{sorted(step.corners - legal)} are not inner corners of {inner}")
-        inner = remove_boxes(inner, step.corners)
-        labels = sorted(set(entries.values()))
-    else:
-        ambient.require_fit(outer)
-        legal = set(addable_corners(outer, max_rows=ambient.rows, max_cols=ambient.cols))
-        if not step.corners <= legal:
-            raise ShapeFitError(f"{sorted(step.corners - legal)} are not outer corners of {outer}")
-        outer = add_boxes(outer, step.corners)
-        labels = sorted(set(entries.values()), reverse=True)
-    bullets = set(step.corners)
-
-    def snapshot(stage: int | None, uniform: bool) -> None:
-        states.append(
-            SwitchState(
-                outer,
-                inner,
-                tuple((r, c, v) for (r, c), v in sorted(entries.items())),
-                frozenset(bullets),
-                stage,
-                step.direction,
-            )
-        )
-        flags.append(uniform)
-        origin_seq.append(dict(origins) if origins is not None else None)
-
-    snapshot(None, origins is not None)
-
-    for label in labels:
-        comps = _stage_components(entries, bullets, label)
-        if not comps:
-            continue
-        uniform = origins is not None
-        if origins is not None:
-            updates: dict[Box, Box] = {}
-            for comp_bullets, comp_labels in comps:
-                sources = {origins[x] for x in comp_labels}
-                if len(sources) != 1:
-                    uniform = False
-                    break
-                src = next(iter(sources))
-                updates.update((bbox, src) for bbox in comp_bullets)
-            if uniform:
-                for _, comp_labels in comps:
-                    for x in comp_labels:
-                        del origins[x]
-                origins.update(updates)
-            else:
-                origins = None
-        for comp_bullets, comp_labels in comps:
-            for b in comp_bullets:
-                entries[b] = label
-                bullets.discard(b)
-            for x in comp_labels:
-                del entries[x]
-                bullets.add(x)
-        snapshot(label, uniform)
-
-    if step.direction == "forward":
-        outer = remove_boxes(outer, bullets)
-    else:
-        inner = add_boxes(inner, bullets)
-    return inner, outer, origins, states, flags, origin_seq
-
-
 def switch_trace(
     t: IncreasingTableau, slides: Sequence[SlideStep], ambient: AmbientRectangle
 ) -> SwitchTrace:
@@ -405,15 +361,45 @@ def switch_trace(
     flags: list[bool] = []
     origin_seq: list[dict[Box, Box] | None] = []
     for i, step in enumerate(slides):
+        shape: tuple[Part, Part] = (outer, inner)
+
+        def on_switch(label: int | None, moves: Moves, bullets: set[Box]) -> None:
+            nonlocal origins, shape
+            if label is None:  # bullets placed: the corners leave inner or join outer
+                if step.direction == "forward":
+                    shape = (outer, remove_boxes(inner, step.corners))
+                else:
+                    shape = (add_boxes(outer, step.corners), inner)
+            elif origins is not None:
+                # origins stay uniform when every bullet's label neighbours share
+                # one origin: the bullets connect the label boxes of each ribbon
+                sources = {b: {origins[x] for x in hits} for b, hits in moves.items()}
+                if all(len(src) == 1 for src in sources.values()):
+                    for hits in moves.values():
+                        for x in hits:
+                            origins.pop(x, None)
+                    for b, (src,) in sources.items():
+                        origins[b] = src
+                else:
+                    origins = None
+            states.append(SwitchState(
+                shape[0],
+                shape[1],
+                tuple((r, c, v) for (r, c), v in sorted(entries.items())),
+                frozenset(bullets),
+                label,
+                step.direction,
+            ))
+            flags.append(origins is not None)
+            origin_seq.append(dict(origins) if origins is not None else None)
+
         try:
-            inner, outer, origins, st, fl, hs = _traced_slide(
-                entries, inner, outer, step, ambient, origins
-            )
+            if step.direction == "forward":
+                inner, outer, _ = _forward_slide(entries, inner, outer, step.corners, on_switch)
+            else:
+                inner, outer, _ = _reverse_slide(entries, inner, outer, step.corners, ambient, on_switch)
         except ShapeFitError as exc:
             raise SlideStepError(i, str(exc)) from exc
-        states.extend(st)
-        flags.extend(fl)
-        origin_seq.extend(hs)
     return SwitchTrace(t, tuple(states), tuple(flags), tuple(origin_seq))
 
 

@@ -95,7 +95,13 @@ def remove_boxes(lam: Part, boxes: Iterable[Box]) -> Part:
         if not (1 <= r <= len(rows)) or rows[r - 1] != c:
             raise ShapeFitError(f"box {(r, c)} is not a removable corner of {lam}")
         rows[r - 1] -= 1
-    return partition(rows)
+    # only a shortened row can now be shorter than the row below it
+    for r in seen_rows:
+        if r < len(rows) and rows[r - 1] < rows[r]:
+            raise ShapeFitError(f"rows must be weakly decreasing: {tuple(rows)}")
+    while rows and rows[-1] == 0:
+        rows.pop()
+    return tuple(rows)
 
 
 def add_boxes(lam: Part, boxes: Iterable[Box]) -> Part:
@@ -111,7 +117,11 @@ def add_boxes(lam: Part, boxes: Iterable[Box]) -> Part:
         if rows[r - 1] + 1 != c:
             raise ShapeFitError(f"box {(r, c)} is not addable to {lam}")
         rows[r - 1] += 1
-    return partition(rows)
+    # only a lengthened row can now be longer than the row above it
+    for r in seen_rows:
+        if r > 1 and rows[r - 2] < rows[r - 1]:
+            raise ShapeFitError(f"rows must be weakly decreasing: {tuple(rows)}")
+    return tuple(rows)
 
 
 def partitions_in_rectangle(rows: int, cols: int) -> Iterator[Part]:

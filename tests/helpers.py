@@ -2,7 +2,7 @@
 
 import random
 
-from ktaquin.shapes import SkewShape, partition
+from ktaquin.shapes import SkewShape, add_boxes, boxes_of, partition, remove_boxes
 from ktaquin.tableaux import IncreasingTableau
 
 
@@ -52,3 +52,125 @@ def random_increasing(rng: random.Random, shape: SkewShape, slack: int = 2) -> I
         lo = max(entries.get((r, c - 1), 0), entries.get((r - 1, c), 0))
         entries[(r, c)] = lo + rng.randint(1, slack)
     return IncreasingTableau.make(shape.outer, shape.inner, entries)
+
+
+# ---------------------------------------------------------------------------
+# Reference slide engine: the component-search switch that the local-rule
+# kernel in ktaquin.jdt replaced.  Every label is a stage; a stage grows the
+# connected components of {bullets, label boxes} from the bullets and swaps
+# bullets and labels in each component that holds both.  Test-only.
+
+
+def _ref_components(entries, bullets, label):
+    comps = []
+    unvisited = set(bullets)
+    while unvisited:
+        start = unvisited.pop()
+        comp_bullets, comp_labels, frontier, seen = [start], [], [start], {start}
+        while frontier:
+            r, c = frontier.pop()
+            for nb in ((r, c + 1), (r, c - 1), (r + 1, c), (r - 1, c)):
+                if nb in seen:
+                    continue
+                if nb in bullets:
+                    unvisited.discard(nb)
+                    comp_bullets.append(nb)
+                elif entries.get(nb) == label:
+                    comp_labels.append(nb)
+                else:
+                    continue
+                seen.add(nb)
+                frontier.append(nb)
+        if comp_labels:
+            comps.append((comp_bullets, comp_labels))
+    return comps
+
+
+def reference_switches(entries, bullets, reverse, on_stage=None):
+    """Run every label stage of one slide on entries/bullets in place.
+
+    on_stage(label, components) is called after each stage that moved boxes.
+    """
+    for label in sorted(set(entries.values()), reverse=reverse):
+        comps = _ref_components(entries, bullets, label)
+        if not comps:
+            continue
+        for comp_bullets, comp_labels in comps:
+            for b in comp_bullets:
+                entries[b] = label
+                bullets.discard(b)
+            for x in comp_labels:
+                del entries[x]
+                bullets.add(x)
+        if on_stage is not None:
+            on_stage(label, comps)
+    return bullets
+
+
+def _ref_slide(entries, inner, outer, corners, direction, on_stage=None):
+    bullets = set(corners)
+    if direction == "forward":
+        inner = remove_boxes(inner, corners)
+        reference_switches(entries, bullets, False, on_stage)
+        return inner, remove_boxes(outer, bullets)
+    outer = add_boxes(outer, corners)
+    reference_switches(entries, bullets, True, on_stage)
+    return add_boxes(inner, bullets), outer
+
+
+def reference_slide(t, corners, direction="forward"):
+    entries = t.entries
+    inner, outer = _ref_slide(entries, t.inner, t.outer, corners, direction)
+    return IncreasingTableau.make(outer, inner, entries)
+
+
+def reference_kinfusion(a, b):
+    entries, inner, outer, record = b.entries, b.inner, b.outer, {}
+    groups = {}
+    for r, c, v in a.cells:
+        groups.setdefault(v, set()).add((r, c))
+    for label in sorted(groups, reverse=True):
+        before = outer
+        inner, outer = _ref_slide(entries, inner, outer, groups[label], "forward")
+        record.update((box, label) for box in set(boxes_of(before)) - set(boxes_of(outer)))
+    return IncreasingTableau.make(outer, inner, entries), IncreasingTableau.make(b.outer, outer, record)
+
+
+def reference_trace(t, steps):
+    """(states, uniform flags, origins) of a slide sequence, states as plain tuples."""
+    entries, inner, outer = t.entries, t.inner, t.outer
+    origins = {box: box for box in entries}
+    states, flags, history = [], [], []
+    for step in steps:
+        bullets = set(step.corners)
+        if step.direction == "forward":
+            mid = (outer, remove_boxes(inner, step.corners))
+        else:
+            mid = (add_boxes(outer, step.corners), inner)
+
+        def snapshot(stage):
+            cells = tuple((r, c, v) for (r, c), v in sorted(entries.items()))
+            states.append((*mid, cells, frozenset(bullets), stage, step.direction))
+            flags.append(origins is not None)
+            history.append(None if origins is None else dict(origins))
+
+        def on_stage(label, comps):
+            nonlocal origins
+            if origins is not None:
+                sources = [{origins[x] for x in labels} for _, labels in comps]
+                if all(len(src) == 1 for src in sources):
+                    for (comp_bullets, labels), (src,) in zip(comps, sources):
+                        for x in labels:
+                            del origins[x]
+                        origins.update((b, src) for b in comp_bullets)
+                else:
+                    origins = None
+            snapshot(label)
+
+        snapshot(None)
+        reference_switches(entries, bullets, step.direction == "reverse", on_stage)
+        if step.direction == "forward":
+            inner, outer = mid[1], remove_boxes(outer, bullets)
+        else:
+            inner, outer = add_boxes(inner, bullets), mid[0]
+    return states, flags, history

@@ -21,7 +21,6 @@ from ktaquin.shapes import (
 from ktaquin.tableaux import enumerate_increasing
 from ktaquin.jdt import krect
 from ktaquin.coefficients import (
-    cached_coefficients,
     coeff_D,
     coeff_D_buch,
     coeff_D_via_identity,
@@ -141,14 +140,7 @@ def test_criterion_10_classical_degeneration():
 
 
 def test_criterion_11_sign_invariant():
-    store = cached_coefficients()
-    seen = 0
-    ok = True
-    for (kind, lam, mu, nu), value in store.items():
-        if kind not in ("C", "D", "E", "F") or value == 0:
-            continue
-        seen += 1
-        expected = -1 if (psize(nu) - psize(lam) - psize(mu)) % 2 else 1
-        ok = ok and (value > 0) == (expected > 0)
-    # the earlier criteria populate the store with thousands of coefficients
-    _report(11, "sign pattern", ok and seen >= 100, f"{seen} nonzero coefficients")
+    # the suite computes its own fixed sweep and fails below its floor of 100
+    # nonzero coefficients, so the criterion holds on its own in any test order
+    result = suites.sign_invariant_suite()
+    _report(11, "sign pattern", result.ok, result.summary)

@@ -63,6 +63,30 @@ class TestCoeffCommand:
         assert "disagreement" in err
 
 
+    def test_cache_torn_final_line(self, capsys, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        argv = ("coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path)
+        assert run(capsys, *argv)[0] == EXIT_OK
+        with open(path, "a") as fh:
+            fh.write('{"kind": "C", "lambda"')
+        code, _, err = run(capsys, *argv)
+        assert code == EXIT_DISAGREEMENT
+        assert f"{path}:2: malformed JSON" in err and "Traceback" not in err
+        with open(path) as fh:
+            last = fh.read().splitlines()[-1]
+        assert json.loads(last)["kind"] == "C"  # the new record is on a line of its own
+
+    def test_cache_missing_field(self, capsys, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        with open(path, "w") as fh:
+            fh.write(json.dumps({"kind": "C", "lambda": [1], "mu": [1], "value": 1}) + "\n")
+        code, _, err = run(
+            capsys, "coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path
+        )
+        assert code == EXIT_DISAGREEMENT
+        assert f"{path}:1: missing field 'nu'" in err and "Traceback" not in err
+
+
 class TestCacheEnvVar:
     def test_env_default_path(self, capsys, tmp_path, monkeypatch):
         path = str(tmp_path / "env-cache.jsonl")

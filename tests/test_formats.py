@@ -16,6 +16,7 @@ from ktaquin.jdt import SlideStep, switch_trace
 from ktaquin.coefficients import CoefficientRecord
 from ktaquin.formats import (
     CacheConflictError,
+    CacheFormatError,
     CacheRecord,
     ParseError,
     cache_append,
@@ -159,3 +160,33 @@ class TestCache:
         with pytest.raises(CacheConflictError) as err:
             cache_load(path)
         assert "(1,)" in str(err.value)
+
+    def test_torn_final_line_is_reported_and_not_extended(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        rec = CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1, "jdt"))
+        cache_append(path, rec)
+        with open(path, "a") as fh:
+            fh.write('{"kind": "C", "lambda": [1], "mu"')  # a write cut short
+        cache_append(path, rec)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        assert len(lines) == 3 and CacheRecord.from_json(lines[2]).key() == rec.key()
+        with pytest.raises(CacheFormatError) as err:
+            cache_load(path)
+        assert str(err.value).startswith(f"{path}:2: malformed JSON")
+
+    def test_missing_field_names_line_and_field(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        cache_append(path, CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1, "jdt")))
+        with open(path, "a") as fh:
+            fh.write(json.dumps({"kind": "C", "lambda": [1], "mu": [1], "nu": [2]}) + "\n")
+        with pytest.raises(CacheFormatError) as err:
+            cache_load(path)
+        assert str(err.value) == f"{path}:2: missing field 'value'"
+
+    def test_non_object_line(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        with open(path, "w") as fh:
+            fh.write("[1, 2]\n")
+        with pytest.raises(CacheFormatError, match=":1: record is not a JSON object"):
+            cache_load(path)

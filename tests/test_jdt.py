@@ -1,14 +1,26 @@
 """Slide engine against the worked switch sequences and structural properties."""
 
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ktaquin.shapes import AmbientRectangle, ShapeFitError, SkewShape, psize
+from ktaquin.coefficients import _key, rect_tally
+from ktaquin.shapes import (
+    AmbientRectangle,
+    ShapeFitError,
+    SkewShape,
+    addable_corners,
+    psize,
+    removable_corners,
+)
 from ktaquin.tableaux import IncreasingTableau, enumerate_increasing, superstandard
 from ktaquin.jdt import (
+    InternalInvariantError,
     SlideStep,
     SlideStepError,
+    _run_switches,
     kinfusion,
     kjdt_slide,
     krect,
@@ -18,7 +30,13 @@ from ktaquin.jdt import (
     switch_trace,
 )
 
-from helpers import random_increasing, random_skew
+from helpers import (
+    random_increasing,
+    random_skew,
+    reference_kinfusion,
+    reference_slide,
+    reference_trace,
+)
 
 T = IncreasingTableau.make
 
@@ -330,3 +348,117 @@ class TestRevKrectInAmbient:
         t = tab((2, 1), (), {(1, 1): 1, (1, 2): 2, (2, 1): 3})
         with pytest.raises(ShapeFitError):
             rev_krect_in_ambient(t, AmbientRectangle(3, 6))
+
+
+class TestKernelInvariants:
+    """The kernel refuses every state the theory forbids, in either direction."""
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_adjacent_bullets(self, reverse):
+        with pytest.raises(InternalInvariantError, match="adjacent bullets"):
+            _run_switches({(1, 3): 1}, {(1, 1), (1, 2)}, reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_adjacent_equal_labels(self, reverse):
+        with pytest.raises(InternalInvariantError, match="adjacent equal labels"):
+            _run_switches({(1, 2): 1, (1, 3): 1}, {(1, 1)}, reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_two_by_two_block(self, reverse):
+        with pytest.raises(InternalInvariantError, match="2x2 block"):
+            _run_switches({(1, 2): 1, (2, 1): 1}, {(1, 1), (2, 2)}, reverse)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_three_ribbon_boxes_in_a_row(self, reverse):
+        with pytest.raises(InternalInvariantError, match="two boxes in a row or column"):
+            _run_switches({(1, 2): 1}, {(1, 1), (1, 3)}, reverse)
+
+    def test_three_ribbon_boxes_in_a_column(self):
+        with pytest.raises(InternalInvariantError, match="two boxes in a row or column"):
+            _run_switches({(2, 1): 1}, {(1, 1), (3, 1)}, False)
+
+    def test_legal_duplication_passes(self):
+        # one bullet, two neighbours of the same label: a short ribbon of three
+        entries = {(1, 2): 1, (2, 1): 1, (2, 2): 2}
+        bullets = _run_switches(entries, {(1, 1)}, False)
+        assert entries == {(1, 1): 1, (1, 2): 2, (2, 1): 2}
+        assert bullets == {(2, 2)}
+
+    def test_labels_touching_no_bullet_are_skipped(self):
+        stages = []
+        entries = {(1, 2): 1, (1, 3): 5, (2, 1): 3, (3, 1): 4}
+        _run_switches(entries, {(1, 1)}, False, lambda label, *_: stages.append(label))
+        assert stages == [None, 1, 5]
+
+
+def _random_tableau(rng):
+    return random_increasing(rng, random_skew(rng, 9), slack=rng.randint(1, 3))
+
+
+def _subset(rng, boxes):
+    return frozenset(rng.sample(boxes, rng.randint(1, len(boxes))))
+
+
+def _ambient(t):
+    return AmbientRectangle(len(t.outer) + 2, len(t.outer) + t.outer[0] + 4)
+
+
+class TestAgainstReferenceKernel:
+    """The local rule against the component-search switch it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_slides(self, rng):
+        t = _random_tableau(rng)
+        if t.inner:
+            corners = _subset(rng, removable_corners(t.inner))
+            assert kjdt_slide(t, corners) == reference_slide(t, corners)
+        ambient = _ambient(t)
+        corners = _subset(rng, addable_corners(t.outer, max_rows=ambient.rows, max_cols=ambient.cols))
+        assert rev_kjdt_slide(t, corners, ambient) == reference_slide(t, corners, "reverse")
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_kinfusion(self, rng):
+        t = _random_tableau(rng)
+        order = random_increasing(rng, SkewShape.straight(t.inner), slack=rng.randint(1, 2))
+        assert kinfusion(order, t) == reference_kinfusion(order, t)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_switch_trace(self, rng):
+        t = _random_tableau(rng)
+        ambient = _ambient(t)
+        steps, current = [], t
+        for _ in range(rng.randint(1, 3)):
+            inner_corners = removable_corners(current.inner)
+            outer_corners = addable_corners(current.outer, max_rows=ambient.rows, max_cols=ambient.cols)
+            if inner_corners and (not outer_corners or rng.random() < 0.5):
+                step = SlideStep("forward", _subset(rng, inner_corners))
+            elif outer_corners:
+                step = SlideStep("reverse", _subset(rng, outer_corners))
+            else:
+                break
+            steps.append(step)
+            current = reference_slide(current, step.corners, step.direction)
+        trace = switch_trace(t, steps, ambient)
+        states, flags, origins = reference_trace(t, steps)
+        assert [
+            (s.outer, s.inner, s.cells, s.bullets, s.stage, s.direction) for s in trace.states
+        ] == states
+        assert list(trace.uniform_flags) == flags
+        assert list(trace.origins) == origins
+        assert trace.final_tableau() == current
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_rect_tally_histogram(self, rng):
+        shape = random_skew(rng, 6)
+        size = psize(shape.outer) - psize(shape.inner)
+        alphabet = frozenset(range(1, rng.randint(1, size) + 1))
+        order = superstandard(shape.inner)
+        expected = Counter(
+            _key(reference_kinfusion(order, t)[0])
+            for t in enumerate_increasing(shape, alphabet, surjective=True)
+        )
+        assert rect_tally(shape.outer, shape.inner, alphabet) == dict(expected)

@@ -11,6 +11,7 @@ from ktaquin.shapes import (
     DirectSumFrame,
     ShapeFitError,
     SkewShape,
+    add_boxes,
     addable_corners,
     boundary_word,
     contains,
@@ -28,6 +29,7 @@ from ktaquin.shapes import (
     partitions_in_rectangle,
     partitions_of,
     psize,
+    remove_boxes,
     removable_corners,
     rook_strip_contractions,
     star,
@@ -209,3 +211,37 @@ class TestCorners:
     def test_corner_helpers(self):
         assert removable_corners((5, 3, 2)) == [(1, 5), (2, 3), (3, 2)]
         assert addable_corners((2, 2), max_rows=2, max_cols=3) == [(1, 3)]
+
+
+def _renormalized(lam, boxes, step):
+    """remove_boxes/add_boxes by full re-normalization through partition()."""
+    rows = list(lam)
+    if len({r for r, _ in boxes}) != len(boxes):
+        raise ShapeFitError("two boxes share a row")
+    for r, c in sorted(boxes):
+        rows += [0] * (r - len(rows))
+        if rows[r - 1] != (c if step < 0 else c - 1):
+            raise ShapeFitError(f"box {(r, c)} does not fit")
+        rows[r - 1] += step
+    return partition(rows)
+
+
+class TestBoxMoves:
+    """Every box set within reach of a small partition, against re-normalization."""
+
+    @pytest.mark.parametrize("move, step", [(remove_boxes, -1), (add_boxes, 1)])
+    def test_against_renormalization(self, move, step):
+        checked = 0
+        for lam in partitions_in_rectangle(3, 3):
+            near = [(r, c) for r in range(1, 5) for c in range(1, 5)]
+            for k in (1, 2, 3):
+                for boxes in itertools.combinations(near, k):
+                    try:
+                        expected = _renormalized(lam, boxes, step)
+                    except ShapeFitError:
+                        with pytest.raises(ShapeFitError):
+                            move(lam, boxes)
+                        continue
+                    assert move(lam, boxes) == expected
+                    checked += 1
+        assert checked >= 60

@@ -39,3 +39,10 @@ def test_suite_registry_runs():
     }
     for name in ("star-groups", "products", "augmented-witnesses"):
         assert suites.SUITES[name]().ok
+
+
+def test_sign_invariant_fails_below_floor(monkeypatch):
+    # a sweep that sees almost nothing must fail rather than pass vacuously
+    monkeypatch.setattr(suites, "partitions_in_rectangle", lambda rows, cols: iter([()]))
+    result = suites.sign_invariant_suite()
+    assert not result.ok and "need 100" in result.summary
