@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 
 from .shapes import (
     AmbientRectangle,
@@ -29,7 +30,6 @@ from .tableaux import (
 )
 from .jdt import InternalInvariantError, krect
 from .coefficients import (
-    CrossCheckError,
     compute_with_checks,
     expand_coproduct,
     expand_product,
@@ -104,7 +104,7 @@ def cmd_coeff(args) -> int:
         record = compute_with_checks(args.kind, lam, mu, nu, frame)
     else:
         plain = {"C": coeff_C, "D": coeff_D, "E": coeff_E, "F": coeff_F, "c": coeff_c_classical}
-        record = CoefficientRecord(args.kind, lam, mu, nu, plain[args.kind](lam, mu, nu), "jdt", ())
+        record = CoefficientRecord(args.kind, lam, mu, nu, plain[args.kind](lam, mu, nu))
     checks_text = " ".join(f"{name}:{'ok' if ok else 'DISAGREE'}" for name, ok in record.checks)
     payload = {
         "kind": record.kind,
@@ -125,35 +125,27 @@ def cmd_coeff(args) -> int:
     return EXIT_OK
 
 
-def _product_cell(item) -> tuple:
-    from .coefficients import coeff_C, coeff_E
-
-    lam, mu, nu, basis = item
-    fn = coeff_C if basis == "structure-sheaf" else coeff_E
-    return nu, fn(lam, mu, nu)
-
-
-def _coproduct_cell(item) -> int:
-    from .coefficients import coeff_D
-
-    lam, mu, nu = item
-    return coeff_D(lam, mu, nu)
+@contextmanager
+def _mapper(workers: int):
+    """The builtin ``map`` for one worker, else a process pool's ``map``."""
+    if workers == 1:
+        yield map
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield pool.map
 
 
 def cmd_expand(args) -> int:
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.workers <= cpus:
+        raise UsageError(f"--workers must be between 1 and {cpus} (the CPU count), got {args.workers}")
     if args.op == "product":
         if not args.ambient:
             raise UsageError("product expansion needs --ambient k,n")
         lam, mu = parse_partition(args.lam), parse_partition(args.mu)
         ambient = _ambient(args.ambient)
-        if args.workers > 1:
-            from .shapes import partitions_in_rectangle
-
-            keys = [(lam, mu, nu, args.basis) for nu in partitions_in_rectangle(ambient.rows, ambient.cols)]
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                table = {nu: v for nu, v in pool.map(_product_cell, keys) if v}
-        else:
-            table = expand_product(lam, mu, ambient, args.basis)
+        with _mapper(args.workers) as mapper:
+            table = expand_product(lam, mu, ambient, args.basis, mapper)
         payload = {format_partition(nu): v for nu, v in sorted(table.items())}
         lines = [f"{format_partition(nu)}: {v}" for nu, v in sorted(table.items())]
         _emit(args, payload, "\n".join(lines) if lines else "(zero)")
@@ -162,19 +154,8 @@ def cmd_expand(args) -> int:
             raise UsageError("coproduct expansion needs --frame k1,n1,k2,n2")
         nu = parse_partition(args.nu)
         frame = _frame(args.frame)
-        if args.workers > 1:
-            from .shapes import partitions_in_rectangle
-
-            keys = [
-                (lam, mu, nu)
-                for lam in partitions_in_rectangle(frame.k1, frame.n1 - frame.k1)
-                for mu in partitions_in_rectangle(frame.k2, frame.n2 - frame.k2)
-            ]
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
-                values = pool.map(_coproduct_cell, keys)
-            table = {(lam, mu): v for (lam, mu, _), v in zip(keys, values) if v}
-        else:
-            table = expand_coproduct(nu, frame)
+        with _mapper(args.workers) as mapper:
+            table = expand_coproduct(nu, frame, mapper)
         payload = {
             f"{format_partition(lam)}|{format_partition(mu)}": v
             for (lam, mu), v in sorted(table.items())
@@ -324,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", help="k,n rectangle bound (product)")
     p.add_argument("--frame", help="k1,n1,k2,n2 (coproduct)")
     p.add_argument("--basis", choices=["structure-sheaf", "ideal-sheaf"], default="structure-sheaf")
-    p.add_argument("--workers", type=int, default=1, help="parallel workers for batch keys")
+    p.add_argument("--workers", type=int, default=1, help="parallel worker processes, 1 to the CPU count")
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("verify", help="run a named verification suite")
@@ -370,7 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ParseError, ShapeFitError, TableauError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (CrossCheckError, CacheConflictError) as exc:
+    except CacheConflictError as exc:
         print(f"disagreement: {exc}", file=sys.stderr)
         return EXIT_DISAGREEMENT
     except CacheFormatError as exc:

@@ -9,20 +9,31 @@ cross-check:
   the set-valued-tableau rule and against C through the direct-sum identity.
 * E: count X-augmented fillings whose erased part rectifies to the target;
   cross-checked against the alternating rook-strip sum of C values.
-* F: equal to D by definition of the dual-basis splitting.
-* c: the classical limit, cross-checked against a Schur polynomial oracle.
+* F: equal to D by definition of the dual-basis splitting; cross-checked
+  through D's two independent routes.
+* c: the classical limit (the unsigned D count), cross-checked against a Schur
+  polynomial oracle.
 
-Counts are memoized per (shape, alphabet) through a rectification tally so
-batch expansions and cross-checks reuse work.
+One module-level dict, ``_memo``, holds everything that is reused, under these
+keys:
+
+* ``(kind, lam, mu, nu)`` for kind "C", "E" and "D-buch", and for "D" with the
+  superstandard target (a D count for any other target is not memoized);
+* ``(outer, inner, alphabet)`` for a rectification tally, shared by the C and D
+  counts over one shape and alphabet;
+* ``("superstandard", mu)`` for the key of a superstandard target.
+
+It is never evicted; ``_memo.clear()`` returns to a cold start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import repeat
+from typing import Callable
+
 from .shapes import (
     AmbientRectangle,
-    Box,
     DirectSumFrame,
     Part,
     ShapeFitError,
@@ -51,9 +62,15 @@ from . import schur
 Kind = str  # one of "C", "D", "E", "F", "c"
 TableauKey = tuple[Part, tuple[tuple[int, int, int], ...]]
 
+_memo: dict[tuple, object] = {}
 
-class CrossCheckError(RuntimeError):
-    """Two independent routes to one coefficient disagreed."""
+
+def _memoized(key: tuple, compute: Callable, *args):
+    """The memo's one lookup: ``compute(*args)`` runs only when ``key`` is absent."""
+    value = _memo.get(key)
+    if value is None:
+        value = _memo[key] = compute(*args)
+    return value
 
 
 def _sign(exponent: int) -> int:
@@ -64,28 +81,28 @@ def _key(t: IncreasingTableau) -> TableauKey:
     return (t.outer, t.cells)
 
 
-@lru_cache(maxsize=None)
 def _superstandard_key(mu: Part) -> TableauKey:
+    return _memoized(("superstandard", mu), _key_of_superstandard, mu)
+
+
+def _key_of_superstandard(mu: Part) -> TableauKey:
     return _key(superstandard(mu))
 
 
-@lru_cache(maxsize=None)
-def rect_tally(
-    outer: Part, inner: Part, alphabet: frozenset[int], order_cells: tuple | None = None
-) -> dict[TableauKey, int]:
+def rect_tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[TableauKey, int]:
     """Histogram of rectification targets over all surjective fillings of a shape.
 
     The alphabet is the exact value set of the enumerated fillings.  The
-    rectification order defaults to the superstandard order of the inner shape.
+    rectification order is the superstandard order of the inner shape.
     """
+    return _memoized((outer, inner, alphabet), _tally, outer, inner, alphabet)
+
+
+def _tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[TableauKey, int]:
     outer, inner = partition(outer), partition(inner)
     if len(alphabet) > psize(outer) - psize(inner):
         return {}
-    if order_cells is None:
-        order = superstandard(inner)
-    else:
-        order = IncreasingTableau(inner, (), order_cells)
-    groups = _label_groups_desc(order.cells)
+    groups = _label_groups_desc(superstandard(inner).cells)
     # the enumerator's fillings are valid by construction, so each one is
     # rectified as a raw entries dict; each distinct result is validated once
     tally: dict[TableauKey, int] = {}
@@ -103,55 +120,46 @@ def _initial_alphabet(m: int) -> frozenset[int]:
     return frozenset(range(1, m + 1))
 
 
-_store: dict[tuple, int] = {}
-
-
-def _remember(kind: Kind, lam: Part, mu: Part, nu: Part, value: int) -> int:
-    _store[(kind, lam, mu, nu)] = value
-    return value
-
-
 def coeff_C(lam: Part, mu: Part, nu: Part) -> int:
     """Product structure constant in the structure-sheaf basis."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    key = ("C", lam, mu, nu)
-    if key in _store:
-        return _store[key]
+    return _memoized(("C", lam, mu, nu), _count_C, lam, mu, nu)
+
+
+def _count_C(lam: Part, mu: Part, nu: Part) -> int:
     if not contains(nu, lam):
-        return _remember("C", lam, mu, nu, 0)
+        return 0
     tally = rect_tally(nu, lam, _initial_alphabet(psize(mu)))
     count = tally.get(_superstandard_key(mu), 0)
-    value = _sign(psize(nu) - psize(lam) - psize(mu)) * count
-    return _remember("C", lam, mu, nu, value)
+    return _sign(psize(nu) - psize(lam) - psize(mu)) * count
 
 
 def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
     """Splitting coefficient of the direct-sum pullback, by rectification counting."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    if target is not None and target.outer != nu:
-        raise ShapeFitError(f"target has shape {target.outer}, expected {nu}")
     if target is None:
-        cache_key = ("D", lam, mu, nu)
-        if cache_key in _store:
-            return _store[cache_key]
+        return _memoized(("D", lam, mu, nu), _count_D, lam, mu, nu)
+    if target.outer != nu:
+        raise ShapeFitError(f"target has shape {target.outer}, expected {nu}")
+    return _count_D(lam, mu, nu, target)
+
+
+def _count_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
+    if target is None:
         target = superstandard(nu)
-    else:
-        cache_key = None
     shape = star(lam, mu)
     tally = rect_tally(shape.outer, shape.inner, frozenset(target.values))
     count = tally.get(_key(target), 0)
-    value = _sign(psize(lam) + psize(mu) + psize(nu)) * count
-    if cache_key is not None:
-        _store[cache_key] = value
-    return value
+    return _sign(psize(lam) + psize(mu) + psize(nu)) * count
 
 
 def coeff_D_buch(lam: Part, mu: Part, nu: Part) -> int:
     """Splitting coefficient by the set-valued-tableau rule; independent of slides."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    key = ("D-buch", lam, mu, nu)
-    if key in _store:
-        return _store[key]
+    return _memoized(("D-buch", lam, mu, nu), _count_D_buch, lam, mu, nu)
+
+
+def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
     p, q = len(lam), len(mu)
     content = lam + mu
     count = 0
@@ -161,9 +169,7 @@ def coeff_D_buch(lam: Part, mu: Part, nu: Part) -> int:
             q == 0 or is_partial_reverse_lattice(word, (p + 1, p + q))
         ):
             count += 1
-    value = _sign(psize(nu) + psize(lam) + psize(mu)) * count
-    _store[key] = value
-    return value
+    return _sign(psize(nu) + psize(lam) + psize(mu)) * count
 
 
 def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
@@ -176,19 +182,19 @@ def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -
 def coeff_E(lam: Part, mu: Part, nu: Part) -> int:
     """Ideal-sheaf product constant: X-augmented fillings, marks erased before rectifying."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    key = ("E", lam, mu, nu)
-    if key in _store:
-        return _store[key]
+    return _memoized(("E", lam, mu, nu), _count_E, lam, mu, nu)
+
+
+def _count_E(lam: Part, mu: Part, nu: Part) -> int:
     if not contains(nu, lam):
-        return _remember("E", lam, mu, nu, 0)
+        return 0
     target = superstandard(mu)
     order = superstandard(lam)
     count = 0
     for aug in enumerate_augmented(SkewShape(nu, lam), range(1, psize(mu) + 1)):
         if krect(aug.erase_x(), order) == target:
             count += 1
-    value = _sign(psize(nu) - psize(lam) - psize(mu)) * count
-    return _remember("E", lam, mu, nu, value)
+    return _sign(psize(nu) - psize(lam) - psize(mu)) * count
 
 
 def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
@@ -202,30 +208,31 @@ def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
 
 def coeff_F(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
     """Ideal-sheaf splitting coefficient; equals the structure-sheaf one."""
-    value = coeff_D(lam, mu, nu, target)
-    if target is None:
-        _store[("F", partition(lam), partition(mu), partition(nu))] = value
-    return value
+    return coeff_D(lam, mu, nu, target)
 
 
 def coeff_c_classical(lam: Part, mu: Part, nu: Part) -> int:
     """Classical LR coefficient as the standard-filling count of the D rule."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    key = ("c", lam, mu, nu)
-    if key in _store:
-        return _store[key]
     if psize(nu) != psize(lam) + psize(mu):
-        return _remember("c", lam, mu, nu, 0)
+        return 0
     # surjective fillings over 1..|nu| of a |nu|-box region are exactly the
     # standard ones, so the unsigned D count is the classical coefficient
-    value = abs(coeff_D(lam, mu, nu))
-    return _remember("c", lam, mu, nu, value)
+    return abs(coeff_D(lam, mu, nu))
 
 
 def expand_product(
-    lam: Part, mu: Part, ambient: AmbientRectangle, basis: str = "structure-sheaf"
+    lam: Part,
+    mu: Part,
+    ambient: AmbientRectangle,
+    basis: str = "structure-sheaf",
+    mapper: Callable = map,
 ) -> dict[Part, int]:
-    """Nonzero coefficients of a basis product, with targets inside the ambient."""
+    """Nonzero coefficients of a basis product, with targets inside the ambient.
+
+    ``mapper`` evaluates the coefficients like the builtin ``map``; pass an
+    executor's ``map`` to spread them over processes.
+    """
     lam, mu = partition(lam), partition(mu)
     ambient.require_fit(lam)
     ambient.require_fit(mu)
@@ -235,25 +242,27 @@ def expand_product(
         fn = coeff_E
     else:
         raise ValueError(f"basis must be structure-sheaf or ideal-sheaf, got {basis!r}")
-    out: dict[Part, int] = {}
-    for nu in partitions_in_rectangle(ambient.rows, ambient.cols):
-        value = fn(lam, mu, nu)
-        if value:
-            out[nu] = value
-    return out
+    nus = list(partitions_in_rectangle(ambient.rows, ambient.cols))
+    values = mapper(fn, repeat(lam), repeat(mu), nus)
+    return {nu: value for nu, value in zip(nus, values) if value}
 
 
-def expand_coproduct(nu: Part, frame: DirectSumFrame) -> dict[tuple[Part, Part], int]:
-    """Nonzero splitting coefficients of one class over a direct-sum frame."""
+def expand_coproduct(
+    nu: Part, frame: DirectSumFrame, mapper: Callable = map
+) -> dict[tuple[Part, Part], int]:
+    """Nonzero splitting coefficients of one class over a direct-sum frame.
+
+    ``mapper`` is as in :func:`expand_product`.
+    """
     nu = partition(nu)
     frame.ambient.require_fit(nu)
-    out: dict[tuple[Part, Part], int] = {}
-    for lam in partitions_in_rectangle(frame.k1, frame.n1 - frame.k1):
-        for mu in partitions_in_rectangle(frame.k2, frame.n2 - frame.k2):
-            value = coeff_D(lam, mu, nu)
-            if value:
-                out[(lam, mu)] = value
-    return out
+    pairs = [
+        (lam, mu)
+        for lam in partitions_in_rectangle(frame.k1, frame.n1 - frame.k1)
+        for mu in partitions_in_rectangle(frame.k2, frame.n2 - frame.k2)
+    ]
+    values = mapper(coeff_D, [lam for lam, _ in pairs], [mu for _, mu in pairs], repeat(nu))
+    return {pair: value for pair, value in zip(pairs, values) if value}
 
 
 @dataclass(frozen=True)
@@ -265,7 +274,6 @@ class CoefficientRecord:
     mu: Part
     nu: Part
     value: int
-    method: str
     checks: tuple[tuple[str, bool], ...] = ()
 
     def __post_init__(self) -> None:
@@ -307,26 +315,19 @@ def compute_with_checks(
         checks.append(("symmetry", value == coeff_C(mu, lam, nu)))
         if psize(nu) == psize(lam) + psize(mu):
             checks.append(("classical", abs(value) == schur.lr_coefficient(lam, mu, nu)))
-        method = "jdt"
-    elif kind == "D":
-        value = coeff_D(lam, mu, nu)
+    elif kind in ("D", "F"):
+        # F equals D, so F is confirmed by D's two independent routes
+        value = coeff_D(lam, mu, nu) if kind == "D" else coeff_F(lam, mu, nu)
         checks.append(("buch", value == coeff_D_buch(lam, mu, nu)))
         if frame is None:
             frame = _default_frame(lam, mu, nu)
         checks.append(("identity", value == coeff_D_via_identity(lam, mu, nu, frame)))
-        method = "jdt"
     elif kind == "E":
         value = coeff_E(lam, mu, nu)
         checks.append(("rook-strip", value == coeff_E_via_C(lam, mu, nu)))
-        method = "jdt"
-    elif kind == "F":
-        value = coeff_F(lam, mu, nu)
-        checks.append(("splitting", value == coeff_D(lam, mu, nu)))
-        method = "jdt"
     elif kind == "c":
         value = coeff_c_classical(lam, mu, nu)
         checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))
-        method = "jdt"
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}")
-    return CoefficientRecord(kind, lam, mu, nu, value, method, tuple(checks))
+    return CoefficientRecord(kind, lam, mu, nu, value, tuple(checks))

@@ -26,7 +26,6 @@ from .tableaux import IncreasingTableau, enumerate_increasing, is_superstandard,
 from .jdt import (
     SlideStep,
     SwitchTrace,
-    kinfusion,
     krect,
     rectification_orders,
     switch_trace,

@@ -219,7 +219,6 @@ class CacheRecord:
                 "mu": list(r.mu),
                 "nu": list(r.nu),
                 "value": r.value,
-                "method": r.method,
                 "checks": [[name, ok] for name, ok in r.checks],
                 "timestamp": self.timestamp,
                 "version": self.version,
@@ -242,7 +241,6 @@ class CacheRecord:
             partition(doc["mu"]),
             partition(doc["nu"]),
             int(doc["value"]),
-            doc.get("method", "jdt"),
             tuple((name, bool(ok)) for name, ok in doc.get("checks", [])),
         )
         return cls(record, float(doc.get("timestamp", 0.0)), doc.get("version", "unknown"))

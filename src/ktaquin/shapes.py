@@ -47,12 +47,6 @@ def contains(outer: Part, inner: Part) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
-def conjugate(lam: Part) -> Part:
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > c) for c in range(lam[0]))
-
-
 def row_length(lam: Part, r: int) -> int:
     """Length of row r (1-based), zero beyond the last row."""
     return lam[r - 1] if 1 <= r <= len(lam) else 0

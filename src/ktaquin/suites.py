@@ -13,7 +13,6 @@ from typing import Iterable, Iterator
 
 from .shapes import (
     AmbientRectangle,
-    Box,
     DirectSumFrame,
     Part,
     SkewShape,
@@ -51,9 +50,6 @@ from .coefficients import (
     coeff_E,
     coeff_E_via_C,
     coeff_c_classical,
-    rect_tally,
-    _key,
-    _superstandard_key,
 )
 from .equivalence import (
     check_count_independence,

@@ -12,7 +12,6 @@ from .shapes import (
     SkewShape,
     contains,
     partition,
-    psize,
     remove_boxes,
     removable_corners,
     row_length,

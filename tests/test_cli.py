@@ -1,7 +1,11 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import json
+import os
 
+import pytest
+
+from ktaquin import cli, coefficients
 from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -18,6 +22,13 @@ class TestCoeffCommand:
         )
         assert code == EXIT_OK
         assert "= -2" in out and "buch:ok" in out and "identity:ok" in out
+
+    def test_f_checked_through_d_routes(self, capsys):
+        code, out, _ = run(
+            capsys, "coeff", "F", "--lambda", "[2]", "--mu", "[2,1]", "--nu", "[3,1]", "--check"
+        )
+        assert code == EXIT_OK
+        assert out.strip() == "F[2],[2,1]->[3,1] = -2  [buch:ok identity:ok]"
 
     def test_ideal_sheaf_value(self, capsys):
         code, out, _ = run(capsys, "coeff", "E", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2,1]")
@@ -112,6 +123,38 @@ class TestExpandCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out) == {"[]|[1]": 1, "[1]|[]": 1, "[1]|[1]": -1}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--op", "product", "--lambda", "[1]", "--mu", "[1]", "--ambient", "2,4"),
+            ("--op", "product", "--lambda", "[1]", "--mu", "[1]", "--ambient", "2,4",
+             "--basis", "ideal-sheaf"),
+            ("--op", "coproduct", "--nu", "[3,1]", "--frame", "1,3,2,4"),
+        ],
+        ids=["structure-sheaf", "ideal-sheaf", "coproduct"],
+    )
+    def test_workers_give_the_serial_table(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # so two workers are allowed on any host
+        coefficients._memo.clear()
+        pooled = run(capsys, "--json", "expand", *argv, "--workers", "2")
+        assert not coefficients._memo  # every coefficient was computed in a worker
+        serial = run(capsys, "--json", "expand", *argv, "--workers", "1")
+        assert pooled[0] == serial[0] == EXIT_OK
+        assert json.loads(pooled[1]) == json.loads(serial[1]) != {}
+
+    @pytest.mark.parametrize("workers", [0, -5, (os.cpu_count() or 1) + 1])
+    def test_workers_out_of_range(self, capsys, monkeypatch, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was created")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        code, _, err = run(
+            capsys, "expand", "--op", "coproduct", "--nu", "[1]", "--frame", "1,2,1,2",
+            "--workers", str(workers),
+        )
+        assert code == EXIT_USAGE
+        assert f"--workers must be between 1 and {os.cpu_count() or 1}" in err
 
     def test_missing_frame(self, capsys):
         code, _, err = run(capsys, "expand", "--op", "coproduct", "--nu", "[1]")

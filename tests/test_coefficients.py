@@ -18,7 +18,7 @@ from ktaquin.coefficients import (
     expand_coproduct,
     expand_product,
 )
-from ktaquin import schur
+from ktaquin import coefficients, schur
 
 
 class TestCoeffC:
@@ -134,6 +134,38 @@ class TestCoeffF:
         assert coeff_F((1,), (1,), (1,)) == -1
 
 
+class TestMemo:
+    SWEEP = [
+        (lam, mu, nu)
+        for lam in [(), (1,), (2,), (1, 1)]
+        for mu in [(1,), (2,), (2, 1)]
+        for n in (3, 4)
+        for nu in partitions_of(n)
+    ]
+
+    def _values(self):
+        return [
+            (coeff_C(*t), coeff_D(*t), coeff_E(*t), coeff_c_classical(*t)) for t in self.SWEEP
+        ]
+
+    def test_cold_and_warm_sweeps_agree(self):
+        coefficients._memo.clear()
+        cold = self._values()
+        size = len(coefficients._memo)
+        assert size > 0
+        assert self._values() == cold
+        assert len(coefficients._memo) == size  # the warm sweep computed nothing new
+        assert sum(1 for row in cold for v in row if v) >= 50
+
+    def test_target_count_is_not_memoized(self):
+        coefficients._memo.clear()
+        target = IncreasingTableau.from_rows([[1, 2, 3], [2]])
+        assert coeff_D((2,), (2, 1), (3, 1), target=target) == -2
+        assert ("D", (2,), (2, 1), (3, 1)) not in coefficients._memo
+        assert coeff_D((2,), (2, 1), (3, 1)) == -2
+        assert coefficients._memo[("D", (2,), (2, 1), (3, 1))] == -2
+
+
 class TestClassical:
     def test_values(self):
         assert coeff_c_classical((1,), (1,), (2,)) == 1
@@ -207,10 +239,10 @@ class TestTargetIndependence:
 class TestRecords:
     def test_sign_validation(self):
         with pytest.raises(ValueError):
-            CoefficientRecord("D", (2,), (2, 1), (3, 1), 2, "jdt")
-        CoefficientRecord("D", (2,), (2, 1), (3, 1), -2, "jdt")
+            CoefficientRecord("D", (2,), (2, 1), (3, 1), 2)
+        CoefficientRecord("D", (2,), (2, 1), (3, 1), -2)
         with pytest.raises(ValueError):
-            CoefficientRecord("c", (1,), (1,), (2,), -1, "jdt")
+            CoefficientRecord("c", (1,), (1,), (2,), -1)
 
     def test_compute_with_checks(self):
         rec = compute_with_checks("D", (2,), (2, 1), (3, 1), DirectSumFrame(1, 3, 2, 4))
@@ -221,6 +253,11 @@ class TestRecords:
         assert rec_e.value == -3 and rec_e.agreed
         rec_c = compute_with_checks("c", (2, 1), (2, 1), (3, 2, 1))
         assert rec_c.value == 2 and rec_c.agreed
+
+    def test_f_is_checked_through_d_routes(self):
+        rec = compute_with_checks("F", (2,), (2, 1), (3, 1))
+        assert rec.value == -2
+        assert rec.checks == (("buch", True), ("identity", True))
 
 
 class TestSchurOracle:

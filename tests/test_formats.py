@@ -135,22 +135,26 @@ class TestCache:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         rec = CacheRecord.now(
-            CoefficientRecord("D", (2,), (2, 1), (3, 1), -2, "jdt", (("buch", True),))
+            CoefficientRecord("D", (2,), (2, 1), (3, 1), -2, (("buch", True),))
         )
         cache_append(path, rec)
         table = cache_load(path)
         assert table[rec.key()].record.value == -2
 
+    def test_new_line_has_no_method_field(self):
+        doc = json.loads(CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1)).to_json())
+        assert doc["kind"] == "C" and "method" not in doc
+
     def test_duplicates_merge(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        rec = CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1, "jdt"))
+        rec = CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1))
         cache_append(path, rec)
         cache_append(path, rec)
         assert len(cache_load(path)) == 1
 
     def test_conflict_is_hard_error(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        cache_append(path, CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1, "jdt")))
+        cache_append(path, CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1)))
         with open(path, "a") as fh:
             doc = {
                 "kind": "C", "lambda": [1], "mu": [1], "nu": [2],
@@ -163,7 +167,7 @@ class TestCache:
 
     def test_torn_final_line_is_reported_and_not_extended(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        rec = CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1, "jdt"))
+        rec = CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1))
         cache_append(path, rec)
         with open(path, "a") as fh:
             fh.write('{"kind": "C", "lambda": [1], "mu"')  # a write cut short
@@ -177,7 +181,7 @@ class TestCache:
 
     def test_missing_field_names_line_and_field(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
-        cache_append(path, CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1, "jdt")))
+        cache_append(path, CacheRecord.now(CoefficientRecord("C", (1,), (1,), (2,), 1)))
         with open(path, "a") as fh:
             fh.write(json.dumps({"kind": "C", "lambda": [1], "mu": [1], "nu": [2]}) + "\n")
         with pytest.raises(CacheFormatError) as err:
