@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import fcntl
 import json
 import os
 import time
@@ -198,6 +199,22 @@ def format_trace(trace: SwitchTrace) -> str:
 _REQUIRED_FIELDS = ("kind", "lambda", "mu", "nu", "value")
 
 
+def _json_int(value, field: str) -> int:
+    if type(value) is not int:  # bool is a subclass of int, float would truncate
+        raise ValueError(f"{field} must be an integer")
+    return value
+
+
+def _json_partition(doc: dict, field: str) -> tuple[int, ...]:
+    parts = doc[field]
+    if not isinstance(parts, list):
+        raise ValueError(f"{field} must be a list of integers")
+    for i, p in enumerate(parts):
+        if type(p) is not int:
+            raise ValueError(f"{field}[{i}] must be an integer")
+    return partition(parts)
+
+
 @dataclass(frozen=True)
 class CacheRecord:
     """A coefficient record plus provenance metadata, one JSON line each."""
@@ -228,7 +245,11 @@ class CacheRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "CacheRecord":
-        """Parse one line; a malformed or incomplete record raises ValueError."""
+        """Parse one line; a malformed or incomplete record raises ValueError.
+
+        ``value`` and the parts of ``lambda``, ``mu`` and ``nu`` must be JSON
+        integers: a float or a boolean is rejected, never truncated.
+        """
         doc = json.loads(line)
         if not isinstance(doc, dict):
             raise ValueError("record is not a JSON object")
@@ -237,10 +258,10 @@ class CacheRecord:
                 raise ValueError(f"missing field {name!r}")
         record = CoefficientRecord(
             doc["kind"],
-            partition(doc["lambda"]),
-            partition(doc["mu"]),
-            partition(doc["nu"]),
-            int(doc["value"]),
+            _json_partition(doc, "lambda"),
+            _json_partition(doc, "mu"),
+            _json_partition(doc, "nu"),
+            _json_int(doc["value"], "value"),
             tuple((name, bool(ok)) for name, ok in doc.get("checks", [])),
         )
         return cls(record, float(doc.get("timestamp", 0.0)), doc.get("version", "unknown"))
@@ -262,11 +283,14 @@ def cache_append(path: str, record: CacheRecord) -> None:
     """Append one record as a single atomic write.
 
     If the file does not end in a newline (a torn earlier write), the record
-    starts a line of its own instead of extending the torn one.
+    starts a line of its own instead of extending the torn one.  An exclusive
+    lock held until the close keeps another appender's write from being half
+    visible when the last byte is read.
     """
     line = record.to_json() + "\n"
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
     try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
         size = os.fstat(fd).st_size
         if size and os.pread(fd, 1, size - 1) != b"\n":
             line = "\n" + line
@@ -275,27 +299,58 @@ def cache_append(path: str, record: CacheRecord) -> None:
         os.close(fd)
 
 
+# per path: the bytes up to the last newline that a load in this process merged
+# without error, their line count, and the merged table
+_validated: dict[str, tuple[bytes, int, dict[tuple, CacheRecord]]] = {}
+
+
+def _merge(path: str, table: dict[tuple, CacheRecord], chunk: bytes, lineno: int) -> int:
+    """Fold the records of ``chunk`` into ``table``; return the last line number.
+
+    Lines end at LF, CRLF or a lone CR, as in text mode, and are numbered from
+    ``lineno + 1``.  On an error, ``table`` holds the lines merged before it.
+    """
+    for raw in chunk.splitlines(keepends=True):
+        lineno += 1
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CacheFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+        if not line.strip():
+            continue
+        try:
+            rec = CacheRecord.from_json(line)
+        except json.JSONDecodeError as exc:
+            raise CacheFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
+        except (TypeError, ValueError) as exc:
+            raise CacheFormatError(f"{path}:{lineno}: {exc}") from None
+        key = rec.key()
+        if key in table and table[key].record.value != rec.record.value:
+            raise CacheConflictError(
+                f"conflicting cached values for {key}: "
+                f"{table[key].record.value} vs {rec.record.value}"
+            )
+        table[key] = rec
+    return lineno
+
+
 def cache_load(path: str) -> dict[tuple, CacheRecord]:
     """Merge records by key; conflicting values are a hard error naming the key.
 
     A malformed or incomplete line raises CacheFormatError naming its file and line.
+    Every call reads the whole file.  Bytes up to the last newline that an earlier
+    call in this process validated are compared, not parsed again; if any of them
+    changed, or the file is shorter, the merge starts over from line 1.
     """
-    table: dict[tuple, CacheRecord] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = CacheRecord.from_json(line)
-            except json.JSONDecodeError as exc:
-                raise CacheFormatError(f"{path}:{lineno}: malformed JSON ({exc.msg})") from None
-            except (TypeError, ValueError) as exc:
-                raise CacheFormatError(f"{path}:{lineno}: {exc}") from None
-            key = rec.key()
-            if key in table and table[key].record.value != rec.record.value:
-                raise CacheConflictError(
-                    f"conflicting cached values for {key}: "
-                    f"{table[key].record.value} vs {rec.record.value}"
-                )
-            table[key] = rec
+    with open(path, "rb") as fh:
+        data = fh.read()
+    prefix, lineno, validated = _validated.get(path, (b"", 0, {}))
+    if not data.startswith(prefix):
+        prefix, lineno, validated = b"", 0, {}
+    cut = data.rfind(b"\n") + 1
+    table = dict(validated)
+    lineno = _merge(path, table, data[len(prefix):cut], lineno)
+    _validated[path] = (data[:cut], lineno, table)
+    table = dict(table)  # the caller's copy, so its edits never reach the next load
+    _merge(path, table, data[cut:], lineno)
     return table

@@ -4,6 +4,7 @@ import random
 
 from ktaquin.shapes import SkewShape, add_boxes, boxes_of, partition, remove_boxes
 from ktaquin.tableaux import IncreasingTableau
+from ktaquin.formats import cache_append
 
 
 def random_partition(rng: random.Random, max_rows: int, max_cols: int, allow_empty: bool = True):
@@ -174,3 +175,19 @@ def reference_trace(t, steps):
         else:
             inner, outer = add_boxes(inner, bullets), mid[0]
     return states, flags, history
+
+
+# ---------------------------------------------------------------------------
+# A cache writer for tests that append from a second process.  It lives here,
+# not in a test module, so a spawned process can import it cheaply.
+
+
+def append_records(path: str, records, barrier=None) -> None:
+    """``cache_append`` each record to ``path``; a process target.
+
+    ``barrier`` lines the writers up before the first append.
+    """
+    if barrier is not None:
+        barrier.wait()
+    for rec in records:
+        cache_append(path, rec)

@@ -38,7 +38,7 @@ def _report(num: int, name: str, ok: bool, extra: str = "") -> None:
 @pytest.fixture(scope="module")
 def frame_sweep():
     """Shared sweep for criteria 2 and 3: every triple over every small frame."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     sides = [(k, n) for k in (1, 2) for n in range(k + 1, 5)]
     buch_ok = True
     identity_ok = True
@@ -59,14 +59,14 @@ def frame_sweep():
         "buch_ok": buch_ok,
         "identity_ok": identity_ok,
         "combos": combos,
-        "elapsed": time.time() - t0,
+        "elapsed": time.perf_counter() - t0,
     }
 
 
 def test_criterion_01_star_enumeration_golden():
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = suites.star_groups_suite()
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     _report(1, "fifteen-filling group table", result.ok and elapsed < 1.0, f"{elapsed:.2f}s")
 
 
