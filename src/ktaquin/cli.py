@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser: argparse.ArgumentParser | None = None  # built by the first main() call
+# built by the first main() call; later calls in one process (a Python session,
+# a test run) reuse it, and a one-call process pays the same as before
+_parser: argparse.ArgumentParser | None = None
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -209,10 +209,7 @@ def _json_partition(doc: dict, field: str) -> tuple[int, ...]:
     parts = doc[field]
     if not isinstance(parts, list):
         raise ValueError(f"{field} must be a list of integers")
-    for i, p in enumerate(parts):
-        if type(p) is not int:
-            raise ValueError(f"{field}[{i}] must be an integer")
-    return partition(parts)
+    return partition([_json_int(p, f"{field}[{i}]") for i, p in enumerate(parts)])
 
 
 @dataclass(frozen=True)
@@ -284,8 +281,9 @@ def cache_append(path: str, record: CacheRecord) -> None:
 
     If the file does not end in a newline (a torn earlier write), the record
     starts a line of its own instead of extending the torn one.  An exclusive
-    lock held until the close keeps another appender's write from being half
-    visible when the last byte is read.
+    lock held until the close keeps the write from being half visible to
+    another appender's last-byte check or to ``cache_load``, which reads under
+    a shared lock.
     """
     line = record.to_json() + "\n"
     fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
@@ -338,11 +336,16 @@ def cache_load(path: str) -> dict[tuple, CacheRecord]:
     """Merge records by key; conflicting values are a hard error naming the key.
 
     A malformed or incomplete line raises CacheFormatError naming its file and line.
-    Every call reads the whole file.  Bytes up to the last newline that an earlier
-    call in this process validated are compared, not parsed again; if any of them
-    changed, or the file is shorter, the merge starts over from line 1.
+    Every call reads the whole file, under a shared lock so that no append is
+    half done.  Bytes up to the last newline that an earlier call in this
+    process validated are compared, not parsed again; if any of them changed,
+    or the file is shorter, the merge starts over from line 1.  Only a process
+    that loads one cache more than once saves work this way (a Python session
+    or a test run calling ``cli.main`` repeatedly); a single ``ktaquin coeff``
+    process loads once and parses every line.
     """
     with open(path, "rb") as fh:
+        fcntl.flock(fh.fileno(), fcntl.LOCK_SH)  # no append is half done while we read
         data = fh.read()
     prefix, lineno, validated = _validated.get(path, (b"", 0, {}))
     if not data.startswith(prefix):

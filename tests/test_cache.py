@@ -1,9 +1,12 @@
 """The coefficient cache: strict record fields, incremental loads, concurrent writers."""
 
+import fcntl
 import json
 import multiprocessing
 import os
 import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeout
 
 import pytest
 from hypothesis import given, settings
@@ -259,3 +262,46 @@ class TestConcurrentWriters:
         capsys.readouterr()
         assert main(argv) == EXIT_DISAGREEMENT
         assert "disagreement" in capsys.readouterr().err
+
+    def test_load_while_other_processes_append(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, b"")
+        ctx = multiprocessing.get_context("spawn")
+        barrier = ctx.Barrier(3)
+        writers = [
+            ctx.Process(target=append_records, args=(path, [_c_record(i) for i in range(k, k + 2000)], barrier))
+            for k in (1, 2001)
+        ]
+        for w in writers:
+            w.start()
+        sizes = set()
+        try:
+            barrier.wait(timeout=120)
+            while any(w.is_alive() for w in writers):
+                sizes.add(len(cache_load(path)))  # a half-written line would raise here
+            assert all(w.exitcode == 0 for w in writers)
+            assert sizes - {0, 4000}  # some load saw the appends in progress
+            assert len(cache_load(path)) == 4000
+        finally:
+            for w in writers:
+                w.join(timeout=120)
+            formats._validated.pop(path, None)
+
+    def test_load_waits_for_an_append_in_progress(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        line = (_c_record(1).to_json() + "\n").encode()
+        fd = os.open(path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        pool = ThreadPoolExecutor(1)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)  # an appender that has written half its line
+            os.write(fd, line[:10])
+            load = pool.submit(cache_load, path)
+            with pytest.raises(FutureTimeout):
+                load.result(timeout=0.2)
+            os.write(fd, line[10:])
+            fcntl.flock(fd, fcntl.LOCK_UN)
+            assert load.result(timeout=60) == {_c_record(1).key(): _c_record(1)}
+        finally:
+            os.close(fd)  # releases the lock before the pool waits for the load
+            pool.shutdown()
+            formats._validated.pop(path, None)
