@@ -199,9 +199,10 @@ def format_trace(trace: SwitchTrace) -> str:
 _REQUIRED_FIELDS = ("kind", "lambda", "mu", "nu", "value")
 
 
-def _json_int(value, field: str) -> int:
+def _json_int(value, field: str, index: int | None = None) -> int:
     if type(value) is not int:  # bool is a subclass of int, float would truncate
-        raise ValueError(f"{field} must be an integer")
+        where = field if index is None else f"{field}[{index}]"
+        raise ValueError(f"{where} must be an integer")
     return value
 
 
@@ -209,7 +210,9 @@ def _json_partition(doc: dict, field: str) -> tuple[int, ...]:
     parts = doc[field]
     if not isinstance(parts, list):
         raise ValueError(f"{field} must be a list of integers")
-    return partition([_json_int(p, f"{field}[{i}]") for i, p in enumerate(parts)])
+    for i, p in enumerate(parts):
+        _json_int(p, field, i)
+    return partition(parts)
 
 
 @dataclass(frozen=True)
