@@ -44,25 +44,31 @@ from .shapes import (
     partition,
     partitions_in_rectangle,
     psize,
+    remove_boxes,
     rook_strip_contractions,
     star,
 )
 from .tableaux import (
     IncreasingTableau,
-    enumerate_augmented,
+    eligible_x_boxes,
     enumerate_set_valued,
     is_partial_reverse_lattice,
     iter_increasing_cells,
     reading_word,
     superstandard,
 )
-from .jdt import _infuse, _label_groups_desc, krect
-from . import schur
+from .jdt import _check_corner_groups, _infuse, _order_groups
+from . import jdt, schur
 
 Kind = str  # one of "C", "D", "E", "F", "c"
 TableauKey = tuple[Part, tuple[tuple[int, int, int], ...]]
 
 _memo: dict[tuple, object] = {}
+
+# No count here rectifies through krect any more, but the name stays bound in
+# this module: perfbench's tracer self-test checks that ``coefficients.krect``
+# is restored after tracing.
+krect = jdt.krect
 
 
 def _memoized(key: tuple, compute: Callable, *args):
@@ -93,7 +99,11 @@ def rect_tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[Table
     """Histogram of rectification targets over all surjective fillings of a shape.
 
     The alphabet is the exact value set of the enumerated fillings.  The
-    rectification order is the superstandard order of the inner shape.
+    rectification order is the superstandard order of the inner shape.  The
+    order is checked once per tally; each filling is then rectified as a raw
+    entries dict by ``jdt._infuse``, which runs only the switch kernel and the
+    outer-shape update, and each distinct result is validated once as an
+    ``IncreasingTableau``.
     """
     return _memoized((outer, inner, alphabet), _tally, outer, inner, alphabet)
 
@@ -102,17 +112,17 @@ def _tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[TableauKe
     outer, inner = partition(outer), partition(inner)
     if len(alphabet) > psize(outer) - psize(inner):
         return {}
-    groups = _label_groups_desc(superstandard(inner).cells)
-    # the enumerator's fillings are valid by construction, so each one is
-    # rectified as a raw entries dict; each distinct result is validated once
-    tally: dict[TableauKey, int] = {}
+    groups = _order_groups(superstandard(inner))
+    _check_corner_groups(inner, groups)
+    # results keyed by (outer, sorted entry items) until each is validated
+    raw: dict[tuple, int] = {}
     for cells in iter_increasing_cells(outer, inner, alphabet, surjective=True):
         entries = {(r, c): v for r, c, v in cells}
-        _, rect_outer, _ = _infuse(entries, inner, outer, groups)
-        k = (rect_outer, tuple(sorted((r, c, v) for (r, c), v in entries.items())))
-        tally[k] = tally.get(k, 0) + 1
-    for rect_outer, rect_cells in tally:
-        IncreasingTableau(rect_outer, (), rect_cells)
+        k = (_infuse(entries, outer, groups), tuple(sorted(entries.items())))
+        raw[k] = raw.get(k, 0) + 1
+    tally: dict[TableauKey, int] = {}
+    for (rect_outer, items), count in raw.items():
+        tally[_key(IncreasingTableau(rect_outer, (), tuple((r, c, v) for (r, c), v in items)))] = count
     return tally
 
 
@@ -186,14 +196,28 @@ def coeff_E(lam: Part, mu: Part, nu: Part) -> int:
 
 
 def _count_E(lam: Part, mu: Part, nu: Part) -> int:
+    """Count the X-augmented fillings of nu/lam whose erased part rectifies to mu's target.
+
+    Marks are any subset of the outer corners inside the region; erasing them
+    leaves a surjective filling of the smaller shape, which is enumerated and
+    rectified as raw entries through the superstandard order of lam, checked
+    once.  No tally or memo entry is read, so the rook-strip sum of C values
+    stays an independent check.
+    """
     if not contains(nu, lam):
         return 0
-    target = superstandard(mu)
-    order = superstandard(lam)
+    groups = _order_groups(superstandard(lam))
+    _check_corner_groups(lam, groups)
+    target = superstandard(mu).entries
+    alphabet = range(1, psize(mu) + 1)
+    eligible = eligible_x_boxes(SkewShape(nu, lam))
     count = 0
-    for aug in enumerate_augmented(SkewShape(nu, lam), range(1, psize(mu) + 1)):
-        if krect(aug.erase_x(), order) == target:
-            count += 1
+    for mask in range(1 << len(eligible)):
+        erased = remove_boxes(nu, [b for i, b in enumerate(eligible) if mask >> i & 1])
+        for cells in iter_increasing_cells(erased, lam, alphabet, surjective=True):
+            entries = {(r, c): v for r, c, v in cells}
+            if _infuse(entries, erased, groups) == mu and entries == target:
+                count += 1
     return _sign(psize(nu) - psize(lam) - psize(mu)) * count
 
 

@@ -7,7 +7,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from .shapes import Box, partition, row_length
+from .shapes import Box, ShapeFitError, partition, row_length
 from .tableaux import AugmentedTableau, IncreasingTableau, SetValuedTableau
 from .jdt import SwitchState, SwitchTrace
 from .coefficients import CoefficientRecord
@@ -145,21 +145,38 @@ def tableau_to_json_dict(t: Tableau) -> dict:
 
 
 def tableau_from_json_dict(doc: dict) -> Tableau:
+    """Build a tableau from its JSON form.
+
+    Cell positions and labels, set elements and the parts of ``outer`` and
+    ``inner`` must be JSON integers, by the cache's rule: a float, a boolean
+    or a string is a ParseError naming its field, never truncated or
+    converted.
+    """
     try:
-        outer = partition(doc["outer"])
-        inner = partition(doc.get("inner", []))
+        outer = _json_partition(doc, "outer")
+        inner = _json_partition(doc, "inner") if "inner" in doc else ()
         raw_cells = doc["cells"]
-    except (KeyError, TypeError) as exc:
+        if not isinstance(raw_cells, list):
+            raise ValueError("cells must be a list")
+        nums, sets, marks = [], [], []
+        for i, entry in enumerate(raw_cells):
+            field = f"cells[{i}]"
+            if not isinstance(entry, list) or len(entry) != 3:
+                raise ValueError(f"{field} must be [row, column, label]")
+            r, c, v = entry
+            box = (_json_int(r, field, 0), _json_int(c, field, 1))
+            if v == "X":
+                marks.append(box)
+            elif isinstance(v, list):
+                sets.append((*box, tuple(_json_int(x, f"{field}[2]", j) for j, x in enumerate(v))))
+            else:
+                nums.append((*box, _json_int(v, field, 2)))
+    except KeyError as exc:
         raise ParseError(1, 1, f"bad tableau document: {exc}") from exc
-    nums, sets, marks = [], [], []
-    for entry in raw_cells:
-        r, c, v = entry
-        if v == "X":
-            marks.append((r, c))
-        elif isinstance(v, list):
-            sets.append((r, c, tuple(v)))
-        else:
-            nums.append((r, c, int(v)))
+    except ShapeFitError:  # well-formed parts that are not a partition
+        raise
+    except ValueError as exc:
+        raise ParseError(1, 1, str(exc)) from None
     if sets:
         if marks or inner != ():
             raise ParseError(1, 1, "set-valued tableaux are straight and unmarked")
@@ -304,6 +321,10 @@ def cache_append(path: str, record: CacheRecord) -> None:
 # without error, their line count, and the merged table
 _validated: dict[str, tuple[bytes, int, dict[tuple, CacheRecord]]] = {}
 
+# new lines are split and merged in slices of about this many bytes, each
+# ending at a newline, so a load holds one slice's lines at a time
+_MERGE_SLICE = 1 << 16
+
 
 def _merge(path: str, table: dict[tuple, CacheRecord], chunk: bytes, lineno: int) -> int:
     """Fold the records of ``chunk`` into ``table``; return the last line number.
@@ -345,7 +366,9 @@ def cache_load(path: str) -> dict[tuple, CacheRecord]:
     or the file is shorter, the merge starts over from line 1.  Only a process
     that loads one cache more than once saves work this way (a Python session
     or a test run calling ``cli.main`` repeatedly); a single ``ktaquin coeff``
-    process loads once and parses every line.
+    process loads once and parses every line.  The new lines are merged in
+    slices that end at a newline, so besides the file's bytes a load holds
+    the lines of one slice, not of the whole file.
     """
     with open(path, "rb") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)  # no append is half done while we read
@@ -355,8 +378,13 @@ def cache_load(path: str) -> dict[tuple, CacheRecord]:
         prefix, lineno, validated = b"", 0, {}
     cut = data.rfind(b"\n") + 1
     table = dict(validated)
-    lineno = _merge(path, table, data[len(prefix):cut], lineno)
-    _validated[path] = (data[:cut], lineno, table)
+    start = len(prefix)
+    while start < cut:
+        # the first newline at or past one slice's length; data[cut - 1] is one
+        end = data.find(b"\n", min(start + _MERGE_SLICE, cut) - 1) + 1
+        lineno = _merge(path, table, data[start:end], lineno)
+        start = end
+    _validated[path] = (data if cut == len(data) else data[:cut], lineno, table)
     table = dict(table)  # the caller's copy, so its edits never reach the next load
     _merge(path, table, data[cut:], lineno)
     return table

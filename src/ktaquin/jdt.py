@@ -16,6 +16,12 @@ swapping bullets with labels along each ribbon is exactly the rule above.
 The kernel raises InternalInvariantError on every state the theory forbids:
 two adjacent bullets, two adjacent equal labels, a 2x2 block of bullets and
 stage labels, and a ribbon with more than two boxes in one row or column.
+
+Slides into inner corners, infusion and rectification check their order of
+corner groups once (``_check_corner_groups``), since the inner shapes it
+walks through do not depend on the filling, and then slide the filling
+through ``_infuse``.  A tally checks one order and slides every filling of a
+shape through it.
 """
 
 from __future__ import annotations
@@ -82,6 +88,23 @@ def _check_ribbons(moves: Moves) -> None:
             raise InternalInvariantError("ribbon has more than two boxes in a row or column")
 
 
+class _Neighbours(dict):
+    """Box -> its right, lower, left and upper neighbours, built on first use.
+
+    The kernel looks up a box's neighbours several times per stage; one
+    shared table of these tuples saves building them each time.  It holds
+    only the boxes the kernel has met, a few grid coordinates.
+    """
+
+    def __missing__(self, box: Box) -> tuple[Box, Box, Box, Box]:
+        r, c = box
+        nbs = self[box] = ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c))
+        return nbs
+
+
+_NEIGHBOURS = _Neighbours()
+
+
 def _run_switches(
     entries: dict[Box, int],
     bullets: set[Box],
@@ -94,10 +117,11 @@ def _run_switches(
     bullets are placed (label None, no moves) and once after each stage.
     Within a stage the order of bullets does not matter: the rule is local.
     """
-    for r, c in bullets:
-        for nb in ((r, c + 1), (r + 1, c)):
+    around = _NEIGHBOURS
+    for box in bullets:
+        for nb in around[box][:2]:
             if nb in bullets:
-                raise InternalInvariantError(f"adjacent bullets at {(r, c)}, {nb}")
+                raise InternalInvariantError(f"adjacent bullets at {box}, {nb}")
     # A stage never makes two bullets adjacent: two freed boxes are equal labels,
     # and a bullet next to a freed box is a bullet that the stage filled.
     if on_switch is not None:
@@ -111,8 +135,7 @@ def _run_switches(
         nearest = _INF
         pairs: list[tuple[Box, Box]] = []
         for box in bullets:
-            r, c = box
-            for nb in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
+            for nb in around[box]:
                 v = get(nb)
                 if v is not None and done < sign * v <= nearest:
                     if sign * v < nearest:
@@ -123,48 +146,83 @@ def _run_switches(
             return bullets
         done = nearest
         label = sign * nearest
-        moves: Moves = {}
-        for box, nb in pairs:
-            moves.setdefault(box, []).append(nb)
-        freed = {nb for _, nb in pairs}
-        for r, c in freed:
-            for nb in ((r, c + 1), (r + 1, c), (r, c - 1), (r - 1, c)):
-                if get(nb) == label:
-                    raise InternalInvariantError(f"adjacent equal labels at {(r, c)}, {nb}")
-        if len(pairs) > len(moves):
-            _check_blocks(moves, bullets)
-        if len(moves) + len(freed) > 2:
+        if len(pairs) == 1:  # one bullet, one neighbour: no block or long ribbon
+            (box, x), = pairs
+            moves: Moves = {box: [x]}
+            freed: Iterable[Box] = (x,)
+        else:
+            moves = {}
+            for box, nb in pairs:
+                moves.setdefault(box, []).append(nb)
+            freed = {nb for _, nb in pairs}
+            if len(pairs) > len(moves):
+                _check_blocks(moves, bullets)
             _check_ribbons(moves)
+        for x in freed:
+            for nb in around[x]:
+                if get(nb) == label:
+                    raise InternalInvariantError(f"adjacent equal labels at {x}, {nb}")
         for box in moves:
             entries[box] = label
             bullets.discard(box)
         for x in freed:
             del entries[x]
-        bullets |= freed
+        bullets.update(freed)
         if on_switch is not None:
             on_switch(label, moves, bullets)
 
 
-def _forward_slide(
+def _check_corner_groups(inner: Part, groups: Iterable[frozenset[Box]]) -> Part:
+    """Check a slide order before any filling slides through it.
+
+    Each group, when it is reached, must be a nonempty set of inner corners;
+    inner corners are pairwise non-adjacent, so its bullets start apart.  The
+    inner shapes met on the way do not depend on the filling, so a tally runs
+    this once and ``_infuse`` once per filling.  Returns the inner shape left
+    after the last group.
+    """
+    for corners in groups:
+        if not corners:
+            raise ShapeFitError("corner set must be nonempty")
+        legal = set(removable_corners(inner))
+        if not corners <= legal:
+            raise ShapeFitError(f"{sorted(corners - legal)} are not inner corners of {inner}")
+        inner = remove_boxes(inner, corners)
+    return inner
+
+
+def _infuse(
     entries: dict[Box, int],
-    inner: Part,
     outer: Part,
-    corners: frozenset[Box],
+    groups: Iterable[frozenset[Box]],
+    vacated: list[set[Box]] | None = None,
     on_switch=None,
-) -> tuple[Part, Part, frozenset[Box]]:
-    """Slide in place into inner corners; returns (inner', outer', vacated boxes)."""
-    if not corners:
-        raise ShapeFitError("corner set must be nonempty")
-    legal = set(removable_corners(inner))
-    if not set(corners) <= legal:
-        raise ShapeFitError(f"{sorted(set(corners) - legal)} are not inner corners of {inner}")
-    new_inner = remove_boxes(inner, corners)
-    final = _run_switches(entries, set(corners), reverse=False, on_switch=on_switch)
-    try:
-        new_outer = remove_boxes(outer, final)
-    except ShapeFitError as exc:  # pragma: no cover - theory forbids this
-        raise InternalInvariantError(f"slide left a non-partition shape: {exc}") from exc
-    return new_inner, new_outer, frozenset(final)
+) -> Part:
+    """Slide the filling in entries, in place, into each corner group in turn.
+
+    The groups must have passed ``_check_corner_groups`` for the filling's
+    inner shape; the kernel still refuses adjacent bullets.  Only the outer
+    shape depends on the filling, so it is the one shape updated here.
+    Returns the final outer shape; ``vacated``, when given, receives the boxes
+    each group vacated, in group order.
+    """
+    for corners in groups:
+        final = _run_switches(entries, set(corners), False, on_switch)
+        try:
+            outer = remove_boxes(outer, final)
+        except ShapeFitError as exc:  # pragma: no cover - theory forbids this
+            raise InternalInvariantError(f"slide left a non-partition shape: {exc}") from exc
+        if vacated is not None:
+            vacated.append(final)
+    return outer
+
+
+def _forward_slide(
+    entries: dict[Box, int], inner: Part, outer: Part, corners: frozenset[Box], on_switch=None
+) -> tuple[Part, Part]:
+    """Slide in place into inner corners; returns (inner', outer')."""
+    groups = (frozenset(corners),)
+    return _check_corner_groups(inner, groups), _infuse(entries, outer, groups, on_switch=on_switch)
 
 
 def _reverse_slide(
@@ -174,8 +232,8 @@ def _reverse_slide(
     corners: frozenset[Box],
     ambient: AmbientRectangle,
     on_switch=None,
-) -> tuple[Part, Part, frozenset[Box]]:
-    """Slide in place into outer corners; returns (inner', outer', vacated boxes)."""
+) -> tuple[Part, Part]:
+    """Slide in place into outer corners; returns (inner', outer')."""
     if not corners:
         raise ShapeFitError("corner set must be nonempty")
     ambient.require_fit(outer)
@@ -190,13 +248,13 @@ def _reverse_slide(
         new_inner = add_boxes(inner, final)
     except ShapeFitError as exc:  # pragma: no cover - theory forbids this
         raise InternalInvariantError(f"slide left a non-partition shape: {exc}") from exc
-    return new_inner, new_outer, frozenset(final)
+    return new_inner, new_outer
 
 
 def kjdt_slide(t: IncreasingTableau, corners: Iterable[Box]) -> IncreasingTableau:
     """Forward slide of t into a nonempty set of inner corners."""
     entries = t.entries
-    inner, outer, _ = _forward_slide(entries, t.inner, t.outer, frozenset(corners))
+    inner, outer = _forward_slide(entries, t.inner, t.outer, frozenset(corners))
     return IncreasingTableau.make(outer, inner, entries)
 
 
@@ -205,7 +263,7 @@ def rev_kjdt_slide(
 ) -> IncreasingTableau:
     """Reverse slide of t into a nonempty set of outer corners within the ambient."""
     entries = t.entries
-    inner, outer, _ = _reverse_slide(entries, t.inner, t.outer, frozenset(corners), ambient)
+    inner, outer = _reverse_slide(entries, t.inner, t.outer, frozenset(corners), ambient)
     return IncreasingTableau.make(outer, inner, entries)
 
 
@@ -216,20 +274,9 @@ def _label_groups_desc(cells: Cells) -> list[tuple[int, frozenset[Box]]]:
     return [(v, frozenset(groups[v])) for v in sorted(groups, reverse=True)]
 
 
-def _infuse(
-    entries: dict[Box, int], inner: Part, outer: Part, groups: list[tuple[int, frozenset[Box]]]
-) -> tuple[Part, Part, dict[Box, int]]:
-    """Slide the filling in entries, in place, into each corner group in turn.
-
-    Returns the final inner and outer shapes, and the vacated boxes labelled
-    by the group that vacated them.
-    """
-    record: dict[Box, int] = {}
-    for label, boxes in groups:
-        inner, outer, vacated = _forward_slide(entries, inner, outer, boxes)
-        for box in vacated:
-            record[box] = label
-    return inner, outer, record
+def _order_groups(order: IncreasingTableau) -> list[frozenset[Box]]:
+    """The corner sets of a rectification order, largest label first."""
+    return [boxes for _, boxes in _label_groups_desc(order.cells)]
 
 
 def kinfusion(a: IncreasingTableau, b: IncreasingTableau) -> tuple[IncreasingTableau, IncreasingTableau]:
@@ -241,10 +288,15 @@ def kinfusion(a: IncreasingTableau, b: IncreasingTableau) -> tuple[IncreasingTab
     """
     if b.inner != a.outer:
         raise ShapeFitError(f"inner shape of second tableau {b.inner} must equal outer of first {a.outer}")
-    entries = b.entries
-    inner, outer, record = _infuse(entries, b.inner, b.outer, _label_groups_desc(a.cells))
+    labelled = _label_groups_desc(a.cells)
+    groups = [boxes for _, boxes in labelled]
+    inner = _check_corner_groups(b.inner, groups)
     if inner != a.inner:  # pragma: no cover - theory forbids this
         raise InternalInvariantError("infusion did not consume the inner tableau's shape")
+    entries = b.entries
+    vacated: list[set[Box]] = []
+    outer = _infuse(entries, b.outer, groups, vacated)
+    record = {box: label for (label, _), boxes in zip(labelled, vacated) for box in boxes}
     return IncreasingTableau.make(outer, inner, entries), IncreasingTableau.make(b.outer, outer, record)
 
 
@@ -258,8 +310,10 @@ def krect(t: IncreasingTableau, order: IncreasingTableau | None = None) -> Incre
         order = superstandard(t.inner)
     if order.inner != () or order.outer != t.inner:
         raise ShapeFitError(f"order must be a straight tableau of shape {t.inner}")
+    groups = _order_groups(order)
+    _check_corner_groups(t.inner, groups)
     entries = t.entries
-    _, outer, _ = _infuse(entries, t.inner, t.outer, _label_groups_desc(order.cells))
+    outer = _infuse(entries, t.outer, groups)
     return IncreasingTableau.make(outer, (), entries)
 
 
@@ -395,9 +449,9 @@ def switch_trace(
 
         try:
             if step.direction == "forward":
-                inner, outer, _ = _forward_slide(entries, inner, outer, step.corners, on_switch)
+                inner, outer = _forward_slide(entries, inner, outer, step.corners, on_switch)
             else:
-                inner, outer, _ = _reverse_slide(entries, inner, outer, step.corners, ambient, on_switch)
+                inner, outer = _reverse_slide(entries, inner, outer, step.corners, ambient, on_switch)
         except ShapeFitError as exc:
             raise SlideStepError(i, str(exc)) from exc
     return SwitchTrace(t, tuple(states), tuple(flags), tuple(origin_seq))

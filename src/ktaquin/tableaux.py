@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Iterator
 
 from .shapes import (
@@ -12,6 +13,7 @@ from .shapes import (
     SkewShape,
     contains,
     partition,
+    psize,
     remove_boxes,
     removable_corners,
     row_length,
@@ -34,20 +36,35 @@ def _region_rows(outer: Part, inner: Part) -> Iterator[tuple[int, int, int]]:
 
 
 def _validate_increasing(outer: Part, inner: Part, entries: dict[Box, int]) -> None:
+    """Check an increasing filling of outer/inner; inner must lie inside outer.
+
+    Every entry lies within its row's bounds and there are as many entries
+    as region boxes, so the entries fill the region exactly; the region's box
+    list is built only for the error message.
+    """
+    nrows, ninner = len(outer), len(inner)
+    get = entries.get
+    try:
+        for (r, c), v in entries.items():
+            if not (0 < r <= nrows and (inner[r - 1] if r <= ninner else 0) < c <= outer[r - 1]):
+                raise _region_error(outer, inner, entries)
+            if not isinstance(v, int) or v < 1:
+                raise TableauError(f"entry at {(r, c)} must be a positive integer, got {v!r}")
+            right = get((r, c + 1))
+            if right is not None and right <= v:
+                raise TableauError(f"row {r} not strictly increasing at column {c}")
+            below = get((r + 1, c))
+            if below is not None and below <= v:
+                raise TableauError(f"column {c} not strictly increasing at row {r}")
+    except TypeError:  # a position that is not an integer
+        raise TableauError(f"cell positions must be integers, got {list(entries)}") from None
+    if len(entries) != psize(outer) - psize(inner):
+        raise _region_error(outer, inner, entries)
+
+
+def _region_error(outer: Part, inner: Part, entries: dict[Box, int]) -> TableauError:
     region = [(r, c) for r, lo, hi in _region_rows(outer, inner) for c in range(lo, hi + 1)]
-    if set(entries) != set(region):
-        raise TableauError(
-            f"entries fill {sorted(entries)} but the region of {outer}/{inner} is {region}"
-        )
-    for (r, c), v in entries.items():
-        if not isinstance(v, int) or v < 1:
-            raise TableauError(f"entry at {(r, c)} must be a positive integer, got {v!r}")
-        right = entries.get((r, c + 1))
-        if right is not None and right <= v:
-            raise TableauError(f"row {r} not strictly increasing at column {c}")
-        below = entries.get((r + 1, c))
-        if below is not None and below <= v:
-            raise TableauError(f"column {c} not strictly increasing at row {r}")
+    return TableauError(f"entries fill {sorted(entries)} but the region of {outer}/{inner} is {region}")
 
 
 @dataclass(frozen=True)
@@ -61,7 +78,7 @@ class IncreasingTableau:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outer", partition(self.outer))
         object.__setattr__(self, "inner", partition(self.inner))
-        object.__setattr__(self, "cells", tuple(sorted(tuple(cell) for cell in self.cells)))
+        object.__setattr__(self, "cells", tuple(sorted(map(tuple, self.cells))))
         if not contains(self.outer, self.inner):
             raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
         entries = {(r, c): v for r, c, v in self.cells}
@@ -282,7 +299,12 @@ def iter_increasing_cells(
     """Backtracking core of enumerate_increasing, yielding raw cell tuples.
 
     Box order is row-major; candidate values ascend, so the stream is
-    lexicographic by box scan and duplicate-free.
+    lexicographic by box scan and duplicate-free.  The backtracker is
+    iterative and works on alphabet indices in per-box arrays: the index of
+    each box's left and upper neighbour in the region, the highest index that
+    still leaves room for the strictly larger values of its row and column
+    tails, and a count of the letters not yet used when the filling must be
+    surjective.
     """
     outer, inner = partition(outer), partition(inner)
     boxes = [(r, c) for r, lo, hi in _region_rows(outer, inner) for c in range(lo, hi + 1)]
@@ -292,55 +314,54 @@ def iter_increasing_cells(
         if not surjective or not alpha:
             yield ()
         return
-    if not alpha or (surjective and len(alpha) > n):
+    if alpha and alpha[0] < 1:  # entries are positive: such a letter is never placed
+        if surjective:
+            return
+        alpha = [v for v in alpha if v >= 1]
+    m = len(alpha)
+    if not alpha or (surjective and m > n):
         return
 
-    in_region = set(boxes)
+    position = {box: i for i, box in enumerate(boxes)}
+    left = [position.get((r, c - 1), -1) for r, c in boxes]
+    up = [position.get((r - 1, c), -1) for r, c in boxes]
     depths = _column_depths(outer, inner, boxes)
-    tails = []  # (right count, below count) per box
-    for r, c in boxes:
-        tails.append((outer[r - 1] - c, depths[(r, c)]))
-    greater = {v: len(alpha) - 1 - i for i, v in enumerate(alpha)}
+    top = [m - 1 - max(outer[r - 1] - c, depths[(r, c)]) for r, c in boxes]
+    table = [[(r, c, v) for v in alpha] for r, c in boxes]  # box i holding alpha[k]
 
-    assignment: dict[Box, int] = {}
-    used: dict[int, int] = {v: 0 for v in alpha}
-    missing = len(alpha) if surjective else 0
-
-    def feasible(idx: int) -> bool:
-        return not surjective or missing <= n - idx
-
-    def rec(idx: int) -> Iterator[Cells]:
-        nonlocal missing
-        if idx == n:
-            yield tuple((r, c, assignment[(r, c)]) for r, c in boxes)
-            return
-        r, c = boxes[idx]
-        lo = 0
-        left = assignment.get((r, c - 1)) if (r, c - 1) in in_region else None
-        up = assignment.get((r - 1, c)) if (r - 1, c) in in_region else None
-        if left is not None:
-            lo = max(lo, left)
-        if up is not None:
-            lo = max(lo, up)
-        right_need, below_need = tails[idx]
-        for v in alpha:
-            if v <= lo:
-                continue
-            if greater[v] < right_need or greater[v] < below_need:
-                break
-            assignment[(r, c)] = v
-            first_use = used[v] == 0
-            used[v] += 1
-            if first_use and surjective:
-                missing -= 1
-            if feasible(idx + 1):
-                yield from rec(idx + 1)
-            used[v] -= 1
-            if first_use and surjective:
+    val = [0] * n  # alphabet index held by each box
+    used = [0] * m
+    # letters still missing; below zero when any filling will do
+    missing = m if surjective else 0
+    last = n - 1
+    i, k = 0, 0  # the box being filled and its next candidate index
+    while True:
+        if k > top[i]:  # no candidate left: back to the previous box
+            i -= 1
+            if i < 0:
+                return
+            k = val[i]
+            used[k] -= 1
+            if not used[k]:
                 missing += 1
-            del assignment[(r, c)]
-
-    yield from rec(0)
+            k += 1
+            continue
+        val[i] = k
+        if not used[k]:
+            missing -= 1
+        used[k] += 1
+        if missing <= last - i:  # the boxes left can still take every missing letter
+            if i == last:
+                yield tuple(map(getitem, table, val))
+            else:
+                i += 1
+                a, b = left[i], up[i]
+                k = max(val[a] + 1 if a >= 0 else 0, val[b] + 1 if b >= 0 else 0)
+                continue
+        used[k] -= 1
+        if not used[k]:
+            missing += 1
+        k += 1
 
 
 def enumerate_increasing(

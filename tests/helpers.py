@@ -2,7 +2,7 @@
 
 import random
 
-from ktaquin.shapes import SkewShape, add_boxes, boxes_of, partition, remove_boxes
+from ktaquin.shapes import SkewShape, add_boxes, boxes_of, partition, remove_boxes, row_length
 from ktaquin.tableaux import IncreasingTableau
 from ktaquin.formats import cache_append
 
@@ -175,6 +175,64 @@ def reference_trace(t, steps):
         else:
             inner, outer = add_boxes(inner, bullets), mid[0]
     return states, flags, history
+
+
+# ---------------------------------------------------------------------------
+# Reference enumerator: the recursive generator that the iterative backtracker
+# in ktaquin.tableaux.iter_increasing_cells replaced.  Test-only.
+
+
+def reference_increasing_cells(outer, inner, alphabet, surjective=False):
+    """Increasing fillings of outer/inner as cell tuples, in row-major lexicographic order."""
+    outer, inner = partition(outer), partition(inner)
+    boxes = [(r, c) for r, width in enumerate(outer, start=1) for c in range(row_length(inner, r) + 1, width + 1)]
+    alpha = sorted(set(alphabet))
+    n = len(boxes)
+    if n == 0:
+        if not surjective or not alpha:
+            yield ()
+        return
+    if not alpha or (surjective and len(alpha) > n):
+        return
+
+    in_region = set(boxes)
+    tails = []  # (boxes right of it in its row, region boxes below it in its column)
+    for r, c in boxes:
+        below = 0
+        while (r + below + 1, c) in in_region:
+            below += 1
+        tails.append((outer[r - 1] - c, below))
+    greater = {v: len(alpha) - 1 - i for i, v in enumerate(alpha)}
+    assignment = {}
+    used = {v: 0 for v in alpha}
+    missing = len(alpha) if surjective else 0
+
+    def rec(idx):
+        nonlocal missing
+        if idx == n:
+            yield tuple((r, c, assignment[(r, c)]) for r, c in boxes)
+            return
+        r, c = boxes[idx]
+        lo = max(assignment.get((r, c - 1), 0), assignment.get((r - 1, c), 0))
+        right_need, below_need = tails[idx]
+        for v in alpha:
+            if v <= lo:
+                continue
+            if greater[v] < right_need or greater[v] < below_need:
+                break
+            assignment[(r, c)] = v
+            first_use = used[v] == 0
+            used[v] += 1
+            if first_use and surjective:
+                missing -= 1
+            if not surjective or missing <= n - idx - 1:
+                yield from rec(idx + 1)
+            used[v] -= 1
+            if first_use and surjective:
+                missing += 1
+            del assignment[(r, c)]
+
+    yield from rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,34 @@ class TestIncrementalLoad:
                     assert _outcome(path) == _cold(path), step
             finally:
                 formats._validated.pop(path, None)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(_STEPS, min_size=1, max_size=12), st.integers(1, 300))
+    def test_small_slices_merge_like_one(self, steps, size):
+        # slices as small as one line: the same table, exception and line number
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "cache.jsonl")
+            cache_append(path, _c_record(1))
+            try:
+                for step in steps:
+                    self._apply(path, step)
+                    whole = _cold(path)
+                    with mock.patch.object(formats, "_MERGE_SLICE", size):
+                        assert _outcome(path) == _cold(path) == whole, step
+            finally:
+                formats._validated.pop(path, None)
+
+    def test_slices_end_at_newlines(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "cache.jsonl")
+        for i in range(1, 5):
+            cache_append(path, _c_record(i))
+        chunks = []
+        real = formats._merge
+        monkeypatch.setattr(formats, "_merge", lambda p, t, chunk, n: chunks.append(chunk) or real(p, t, chunk, n))
+        monkeypatch.setattr(formats, "_MERGE_SLICE", 10)
+        assert len(cache_load(path)) == 4
+        assert chunks[-1] == b"" and all(c.endswith(b"\n") and c.count(b"\n") == 1 for c in chunks[:-1])
+        assert len(chunks) == 5
 
 
 class TestConcurrentWriters:

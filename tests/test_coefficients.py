@@ -2,8 +2,17 @@
 
 import pytest
 
-from ktaquin.shapes import AmbientRectangle, DirectSumFrame, ShapeFitError, partitions_of, psize
-from ktaquin.tableaux import IncreasingTableau, superstandard
+from ktaquin.jdt import krect
+from ktaquin.shapes import (
+    AmbientRectangle,
+    DirectSumFrame,
+    ShapeFitError,
+    SkewShape,
+    contains,
+    partitions_of,
+    psize,
+)
+from ktaquin.tableaux import IncreasingTableau, enumerate_augmented, superstandard
 from ktaquin.coefficients import (
     CoefficientRecord,
     coeff_C,
@@ -125,6 +134,23 @@ class TestCoeffE:
                 for n in range(0, 7):
                     for nu in partitions_of(n, max_rows=3, max_cols=3):
                         assert coeff_E(lam, mu, nu) == coeff_E_via_C(lam, mu, nu), (lam, mu, nu)
+
+    def test_raw_count_matches_augmented_tableaux(self):
+        # the definition: each X-augmented tableau built, erased and rectified by krect
+        shapes = [(), (1,), (2,), (1, 1), (2, 1)]
+        for lam in shapes:
+            for mu in shapes:
+                for n in range(0, 6):
+                    for nu in partitions_of(n, max_rows=3, max_cols=3):
+                        if not contains(nu, lam):
+                            continue
+                        target, order = superstandard(mu), superstandard(lam)
+                        count = sum(
+                            krect(aug.erase_x(), order) == target
+                            for aug in enumerate_augmented(SkewShape(nu, lam), range(1, psize(mu) + 1))
+                        )
+                        sign = -1 if (n - psize(lam) - psize(mu)) % 2 else 1
+                        assert coeff_E(lam, mu, nu) == sign * count, (lam, mu, nu)
 
 
 class TestCoeffF:

@@ -121,6 +121,37 @@ class TestJsonForm:
         with pytest.raises(ParseError):
             parse_tableau('{"cells": []}')
 
+    @pytest.mark.parametrize(
+        "doc, reason",
+        [
+            ({"outer": [2], "cells": [[1, 1, 1.9], [1, 2, 2.5]]}, "cells[0][2] must be an integer"),
+            ({"outer": [2], "cells": [[1, 1, True], [1, 2, 2]]}, "cells[0][2] must be an integer"),
+            ({"outer": [2], "cells": [[1, 1, 1], [1, 2, "2"]]}, "cells[1][2] must be an integer"),
+            ({"outer": [2.7], "cells": [[1, 1, 1], [1, 2, 2]]}, "outer[0] must be an integer"),
+            ({"outer": [2], "inner": [True], "cells": [[1, 2, 1]]}, "inner[0] must be an integer"),
+            ({"outer": "2", "cells": [[1, 1, 1], [1, 2, 2]]}, "outer must be a list of integers"),
+            ({"outer": [1], "cells": [[1.0, 1, 1]]}, "cells[0][0] must be an integer"),
+            ({"outer": [2], "cells": [[1, 1, [1, 1.5]], [1, 2, [2]]]}, "cells[0][2][1] must be an integer"),
+            ({"outer": [1], "cells": [[1, 1]]}, "cells[0] must be [row, column, label]"),
+        ],
+    )
+    def test_non_integers_are_rejected_not_truncated(self, doc, reason):
+        with pytest.raises(ParseError) as err:
+            parse_tableau(json.dumps(doc))
+        assert str(err.value) == f"row 1, column 1: {reason}"
+
+    def test_cli_exit_code(self, capsys):
+        from ktaquin.cli import EXIT_USAGE, main
+
+        doc = json.dumps({"outer": [2], "cells": [[1, 1, 1.9], [1, 2, 2.5]]})
+        assert main(["rectify", "--tableau", doc]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "cells[0][2] must be an integer" in err and "Traceback" not in err
+
+    def test_non_partition_is_a_shape_error(self):
+        with pytest.raises(ShapeFitError):
+            parse_tableau(json.dumps({"outer": [1, 2], "cells": [[1, 1, 1], [2, 1, 2], [2, 2, 3]]}))
+
 
 class TestTraceDump:
     def test_format(self):

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,10 +17,12 @@ from ktaquin.shapes import (
     removable_corners,
 )
 from ktaquin.tableaux import IncreasingTableau, enumerate_increasing, superstandard
+from ktaquin import jdt
 from ktaquin.jdt import (
     InternalInvariantError,
     SlideStep,
     SlideStepError,
+    _check_corner_groups,
     _run_switches,
     kinfusion,
     kjdt_slide,
@@ -389,6 +392,48 @@ class TestKernelInvariants:
         entries = {(1, 2): 1, (1, 3): 5, (2, 1): 3, (3, 1): 4}
         _run_switches(entries, {(1, 1)}, False, lambda label, *_: stages.append(label))
         assert stages == [None, 1, 5]
+
+
+class TestOrderCheck:
+    """An order is checked once before any filling slides; the kernel still guards each slide."""
+
+    # skew tableau of inner shape (2,), and orders of that shape that no
+    # IncreasingTableau would accept
+    T = tab((3, 1), (2,), {(1, 3): 1, (2, 1): 2})
+    NOT_CORNERS = SimpleNamespace(outer=(2,), inner=(), cells=((1, 1, 2), (1, 2, 1)))
+    ADJACENT = SimpleNamespace(outer=(2,), inner=(), cells=((1, 1, 1), (1, 2, 1)))
+
+    def test_check_walks_the_inner_shapes(self):
+        groups = [frozenset({(2, 1), (1, 2)}), frozenset({(1, 1)})]
+        assert _check_corner_groups((2, 1), groups) == ()
+        with pytest.raises(ShapeFitError, match="nonempty"):
+            _check_corner_groups((2, 1), [frozenset()])
+        with pytest.raises(ShapeFitError, match=r"\[\(1, 1\)\] are not inner corners of \(2, 1\)"):
+            _check_corner_groups((2, 1), [frozenset({(1, 1)})])
+
+    def test_krect_rejects_a_group_that_is_not_a_corner_set(self):
+        with pytest.raises(ShapeFitError, match="not inner corners of"):
+            krect(self.T, self.NOT_CORNERS)
+
+    def test_kinfusion_rejects_a_group_that_is_not_a_corner_set(self):
+        with pytest.raises(ShapeFitError, match="not inner corners of"):
+            kinfusion(self.NOT_CORNERS, self.T)
+
+    def test_krect_kernel_refuses_adjacent_bullets(self, monkeypatch):
+        # the order check would refuse this group first; without it the
+        # kernel's own test on the placed bullets must still fire
+        monkeypatch.setattr(jdt, "_check_corner_groups", lambda inner, groups: ())
+        with pytest.raises(InternalInvariantError, match="adjacent bullets"):
+            krect(self.T, self.ADJACENT)
+
+    def test_kinfusion_kernel_refuses_adjacent_bullets(self, monkeypatch):
+        monkeypatch.setattr(jdt, "_check_corner_groups", lambda inner, groups: ())
+        with pytest.raises(InternalInvariantError, match="adjacent bullets"):
+            kinfusion(self.ADJACENT, self.T)
+
+    def test_adjacent_group_is_refused_by_the_check(self):
+        with pytest.raises(ShapeFitError):
+            krect(self.T, self.ADJACENT)
 
 
 def _random_tableau(rng):

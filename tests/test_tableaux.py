@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ktaquin.shapes import SkewShape
+from helpers import reference_increasing_cells
+from ktaquin.shapes import SkewShape, partition, psize
 from ktaquin.tableaux import (
     AugmentedTableau,
     IncreasingTableau,
@@ -17,6 +18,7 @@ from ktaquin.tableaux import (
     enumerate_increasing,
     enumerate_set_valued,
     is_partial_reverse_lattice,
+    iter_increasing_cells,
     reading_word,
     row_reading_word,
     superstandard,
@@ -48,6 +50,8 @@ class TestIncreasingTableau:
             IncreasingTableau((1, 1), (), ((1, 1, 1), (2, 1, 1)))
         with pytest.raises(TableauError):
             IncreasingTableau((2,), (), ((1, 1, 1),))  # unfilled box
+        with pytest.raises(TableauError, match="positions must be integers"):
+            IncreasingTableau((2,), (), ((1, 1, 1), (1.0, 2, 2)))
 
     def test_from_rows(self):
         t = IncreasingTableau.from_rows([[1, 2], [2]], inner=())
@@ -108,6 +112,44 @@ class TestEnumerateIncreasing:
         assert list(enumerate_increasing(SkewShape((), ()), set())) == [
             IncreasingTableau((), (), ())
         ]
+
+
+@st.composite
+def _enumeration_case(draw):
+    """A skew shape inside a 3x3 box, possibly with no boxes, and an alphabet of up to 8 letters."""
+    outer = partition(sorted(draw(st.lists(st.integers(1, 3), max_size=3)), reverse=True))
+    inner, cap = [], 3
+    for width in outer:
+        cap = draw(st.integers(0, min(width, cap)))
+        inner.append(cap)
+    size = psize(outer) - sum(inner)
+    alphabet = draw(st.sets(st.integers(0, size + 3), max_size=8))
+    return outer, partition(inner), alphabet, draw(st.booleans())
+
+
+class TestIterativeEnumerator:
+    """The iterative backtracker yields the recursive reference's exact stream."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_enumeration_case())
+    def test_same_stream_as_the_recursive_reference(self, case):
+        outer, inner, alphabet, surjective = case
+        assert list(iter_increasing_cells(outer, inner, alphabet, surjective)) == list(
+            reference_increasing_cells(outer, inner, alphabet, surjective)
+        )
+
+    def test_cases_cover_the_edges(self):
+        # empty regions, alphabets larger than the region, and a letter below 1
+        for outer, inner, alphabet, surjective in [
+            ((2, 1), (2, 1), {1, 2}, False),
+            ((2, 1), (2, 1), set(), True),
+            ((2, 1), (1,), {1, 2, 3, 4, 5}, True),
+            ((3,), (), {0, 1, 2, 3}, False),
+            ((3,), (), {0, 1, 2, 3}, True),
+        ]:
+            assert list(iter_increasing_cells(outer, inner, alphabet, surjective)) == list(
+                reference_increasing_cells(outer, inner, alphabet, surjective)
+            )
 
 
 class TestAugmented:
