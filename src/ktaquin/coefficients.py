@@ -122,7 +122,9 @@ def _tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[TableauKe
         raw[k] = raw.get(k, 0) + 1
     tally: dict[TableauKey, int] = {}
     for (rect_outer, items), count in raw.items():
-        tally[_key(IncreasingTableau(rect_outer, (), tuple((r, c, v) for (r, c), v in items)))] = count
+        cells = tuple((r, c, v) for (r, c), v in items)
+        IncreasingTableau(rect_outer, (), cells)
+        tally[(rect_outer, cells)] = count
     return tally
 
 
