@@ -114,17 +114,15 @@ def _tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[TableauKe
         return {}
     groups = _order_groups(superstandard(inner))
     _check_corner_groups(inner, groups)
-    # results keyed by (outer, sorted entry items) until each is validated
-    raw: dict[tuple, int] = {}
+    # the enumerator's fillings are valid by construction, so each one is
+    # rectified as a raw entries dict; each distinct result is validated once
+    tally: dict[TableauKey, int] = {}
     for cells in iter_increasing_cells(outer, inner, alphabet, surjective=True):
         entries = {(r, c): v for r, c, v in cells}
-        k = (_infuse(entries, outer, groups), tuple(sorted(entries.items())))
-        raw[k] = raw.get(k, 0) + 1
-    tally: dict[TableauKey, int] = {}
-    for (rect_outer, items), count in raw.items():
-        cells = tuple((r, c, v) for (r, c), v in items)
-        IncreasingTableau(rect_outer, (), cells)
-        tally[(rect_outer, cells)] = count
+        k = (_infuse(entries, outer, groups), tuple(sorted((r, c, v) for (r, c), v in entries.items())))
+        tally[k] = tally.get(k, 0) + 1
+    for rect_outer, rect_cells in tally:
+        IncreasingTableau(rect_outer, (), rect_cells)
     return tally
 
 
