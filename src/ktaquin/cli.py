@@ -30,6 +30,12 @@ from .tableaux import (
 )
 from .jdt import InternalInvariantError, krect
 from .coefficients import (
+    CoefficientRecord,
+    coeff_C,
+    coeff_D,
+    coeff_E,
+    coeff_F,
+    coeff_c_classical,
     compute_with_checks,
     expand_coproduct,
     expand_product,
@@ -89,15 +95,6 @@ def _cache_path(args) -> str | None:
 
 
 def cmd_coeff(args) -> int:
-    from .coefficients import (
-        CoefficientRecord,
-        coeff_C,
-        coeff_D,
-        coeff_E,
-        coeff_F,
-        coeff_c_classical,
-    )
-
     lam, mu, nu = (parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu))
     frame = _frame(args.frame) if args.frame else None
     if args.check:

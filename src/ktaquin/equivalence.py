@@ -18,11 +18,14 @@ from .shapes import (
     ShapeFitError,
     SkewShape,
     addable_corners,
+    contains,
     partition,
+    partitions_in_rectangle,
     psize,
     removable_corners,
 )
-from .tableaux import IncreasingTableau, enumerate_increasing, is_superstandard, superstandard
+from .tableaux import IncreasingTableau, column_superstandard, enumerate_increasing, is_superstandard
+from .tableaux import iter_increasing_cells, superstandard
 from .jdt import (
     SlideStep,
     SwitchTrace,
@@ -78,19 +81,38 @@ def check_strong_dual_equivalence(
     ambient: AmbientRectangle,
 ) -> EquivalenceVerdict:
     """Compare the switch-by-switch configurations of a common slide sequence."""
-    if a.shape != b.shape:
+    _require_same_shape(a, b)
+    return _trace_pair(a, b, slides, ambient)[0]
+
+
+def _require_same_shape(a: IncreasingTableau, b: IncreasingTableau) -> None:
+    if (a.outer, a.inner) != (b.outer, b.inner):
         raise ShapeFitError("tableaux must share one shape")
+
+
+def _trace_pair(
+    a: IncreasingTableau,
+    b: IncreasingTableau,
+    slides: Sequence[SlideStep],
+    ambient: AmbientRectangle,
+) -> tuple[EquivalenceVerdict, IncreasingTableau, IncreasingTableau]:
+    """Trace a and b through the slides; the verdict and both slid tableaux.
+
+    The slid tableaux are the traces' final tableaux, so every step is slid
+    once.  Equal configurations at every stage keep the two shapes equal.
+    """
     trace_a = switch_trace(a, slides, ambient)
     trace_b = switch_trace(b, slides, ambient)
+    slid = trace_a.final_tableau(), trace_b.final_tableau()
     confs_a = [s.configuration() for s in trace_a.states]
     confs_b = [s.configuration() for s in trace_b.states]
     n = min(len(confs_a), len(confs_b))
     for i in range(n):
         if confs_a[i] != confs_b[i]:
-            return EquivalenceVerdict(False, i, i + 1)
+            return EquivalenceVerdict(False, i, i + 1), *slid
     if len(confs_a) != len(confs_b):
-        return EquivalenceVerdict(False, n, n)
-    return EquivalenceVerdict(True, None, len(confs_a))
+        return EquivalenceVerdict(False, n, n), *slid
+    return EquivalenceVerdict(True, None, n), *slid
 
 
 @dataclass(frozen=True)
@@ -220,32 +242,13 @@ def _seed_instance(lam: Part) -> tuple[Part, dict[Box, int]] | None:
 
 def _search_candidates(lam: Part) -> Iterator[tuple[Part, dict[Box, int]]]:
     """Deterministic bounded search: shapes with one extra row/column, small fillings."""
-    from .tableaux import iter_increasing_cells
-
-    ell, width = len(lam), lam[0]
-    shapes = []
-    for nu in _partitions_over(lam, max_rows=ell + 1, max_cols=width + 1):
-        extra = psize(nu) - psize(lam)
-        if 2 <= extra <= 6:
-            shapes.append(nu)
+    box = partitions_in_rectangle(len(lam) + 1, lam[0] + 1)
+    shapes = [nu for nu in box if contains(nu, lam) and 2 <= psize(nu) - psize(lam) <= 6]
     shapes.sort(key=lambda nu: (psize(nu), nu))
     for nu in shapes:
         for m in range(2, min(4, psize(nu) - psize(lam)) + 1):
             for cells in iter_increasing_cells(nu, lam, range(1, m + 1), surjective=True):
                 yield nu, {(r, c): v for r, c, v in cells}
-
-
-def _partitions_over(lam: Part, max_rows: int, max_cols: int) -> Iterator[Part]:
-    def rec(prefix: list[int], row: int) -> Iterator[Part]:
-        if row == max_rows:
-            yield partition(prefix)
-            return
-        lo = lam[row] if row < len(lam) else 0
-        hi = min(prefix[-1] if prefix else max_cols, max_cols)
-        for w in range(hi, lo - 1, -1):
-            yield from rec(prefix + [w], row + 1)
-
-    yield from rec([], 0)
 
 
 def nonrect_counterexample(lam: Part) -> Counterexample:
@@ -265,8 +268,6 @@ def nonrect_counterexample(lam: Part) -> Counterexample:
         if seed is not None:
             yield seed
         yield from _search_candidates(lam)
-
-    from .tableaux import column_superstandard
 
     def order_stream() -> Iterator[IncreasingTableau]:
         # the row- and column-consecutive orders split at the descent corner,
@@ -375,37 +376,20 @@ def check_superstandard_independence(t: IncreasingTableau) -> SuperstandardRepor
     return SuperstandardReport(results, any_ss, consistent)
 
 
-def available_steps(
-    shape: SkewShape, ambient: AmbientRectangle, single_corner: bool = False
-) -> list[SlideStep]:
-    """Every legal slide step from a shape.
+def available_steps(shape: SkewShape, ambient: AmbientRectangle) -> list[SlideStep]:
+    """Every legal slide step from a shape, each into one corner.
 
-    With single_corner the steps move into one corner at a time.  Equivalence
-    sweeps use this mode: when several bullets are in play at once, the order
-    in which unrelated bullets take their switches is set by the label values,
-    so mid-slide configuration sequences of same-shape rectangular tableaux can
-    interleave differently even though every individual bullet moves the same
-    way; one bullet at a time removes the interleaving freedom (both displayed
-    divergence phenomena already occur under single-corner slides).
+    Equivalence sweeps move one corner at a time: when several bullets are in
+    play at once, the order in which unrelated bullets take their switches is
+    set by the label values, so mid-slide configuration sequences of
+    same-shape rectangular tableaux can interleave differently even though
+    every individual bullet moves the same way; one bullet at a time removes
+    the interleaving freedom (both displayed divergence phenomena already
+    occur under single-corner slides).
     """
-    steps = []
-    inner = removable_corners(shape.inner)
+    steps = [SlideStep("forward", frozenset({b})) for b in removable_corners(shape.inner)]
     outer = addable_corners(shape.outer, max_rows=ambient.rows, max_cols=ambient.cols)
-    if single_corner:
-        steps = [SlideStep("forward", frozenset({b})) for b in inner]
-        steps += [SlideStep("reverse", frozenset({b})) for b in outer]
-        return steps
-    for subset in _nonempty_subsets(inner):
-        steps.append(SlideStep("forward", frozenset(subset)))
-    for subset in _nonempty_subsets(outer):
-        steps.append(SlideStep("reverse", frozenset(subset)))
-    return steps
-
-
-def _nonempty_subsets(items: Sequence[Box]) -> Iterator[tuple[Box, ...]]:
-    items = sorted(items)
-    for mask in range(1, 1 << len(items)):
-        yield tuple(b for i, b in enumerate(items) if mask >> i & 1)
+    return steps + [SlideStep("reverse", frozenset({b})) for b in outer]
 
 
 def random_equivalence_run(
@@ -420,22 +404,16 @@ def random_equivalence_run(
     Steps are drawn from the legal moves of the common evolving shape, so the
     sequence is reproducible from the generator state.
     """
-    from .jdt import kjdt_slide, rev_kjdt_slide
-
+    _require_same_shape(a, b)
     stages = 0
     for _ in range(length):
-        choices = available_steps(a.shape, ambient, single_corner=True)
+        choices = available_steps(a.shape, ambient)
         if not choices:
             break
-        step = rng.choice(choices)
-        verdict = check_strong_dual_equivalence(a, b, [step], ambient)
+        verdict, a, b = _trace_pair(a, b, [rng.choice(choices)], ambient)
         if not verdict.equivalent:
             return EquivalenceVerdict(False, stages + (verdict.divergence_stage or 0), stages)
         stages += verdict.stages_compared
-        if step.direction == "forward":
-            a, b = kjdt_slide(a, step.corners), kjdt_slide(b, step.corners)
-        else:
-            a, b = rev_kjdt_slide(a, step.corners, ambient), rev_kjdt_slide(b, step.corners, ambient)
     return EquivalenceVerdict(True, None, stages)
 
 
@@ -444,29 +422,25 @@ def exhaustive_equivalence(
     b: IncreasingTableau,
     ambient: AmbientRectangle,
     depth: int,
-    single_corner: bool = True,
 ) -> EquivalenceVerdict | None:
     """First divergence over every slide sequence up to the given depth, else None.
 
-    Prefixes are shared: after an equal-configuration step the recursion
-    continues from the slid pair.  See available_steps for the single-corner
-    default.
+    Prefixes are shared: after an equal-configuration step the search
+    continues from the slid pair.  Steps move one corner at a time; see
+    available_steps.
     """
-    if a.shape != b.shape:
-        raise ShapeFitError("tableaux must share one shape")
+    _require_same_shape(a, b)
+    return _first_divergence(a, b, ambient, depth)
+
+
+def _first_divergence(
+    a: IncreasingTableau, b: IncreasingTableau, ambient: AmbientRectangle, depth: int
+) -> EquivalenceVerdict | None:
     if depth == 0:
         return None
-    from .jdt import kjdt_slide, rev_kjdt_slide
-
-    for step in available_steps(a.shape, ambient, single_corner=single_corner):
-        verdict = check_strong_dual_equivalence(a, b, [step], ambient)
-        if not verdict.equivalent:
-            return verdict
-        if step.direction == "forward":
-            a2, b2 = kjdt_slide(a, step.corners), kjdt_slide(b, step.corners)
-        else:
-            a2, b2 = rev_kjdt_slide(a, step.corners, ambient), rev_kjdt_slide(b, step.corners, ambient)
-        deeper = exhaustive_equivalence(a2, b2, ambient, depth - 1)
-        if deeper is not None:
-            return deeper
+    for step in available_steps(a.shape, ambient):
+        verdict, a2, b2 = _trace_pair(a, b, [step], ambient)
+        found = _first_divergence(a2, b2, ambient, depth - 1) if verdict.equivalent else verdict
+        if found is not None:
+            return found
     return None

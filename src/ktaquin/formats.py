@@ -7,7 +7,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from .shapes import Box, ShapeFitError, partition, row_length
+from .shapes import Box, Part, ShapeFitError, partition, row_length
 from .tableaux import AugmentedTableau, IncreasingTableau, SetValuedTableau
 from .jdt import SwitchState, SwitchTrace
 from .coefficients import CoefficientRecord
@@ -87,7 +87,6 @@ def _parse_grid(text: str) -> Tableau:
     num_cells: list[tuple[int, int, int]] = []
     set_cells: list[tuple[int, int, tuple[int, ...]]] = []
     marks: list[Box] = []
-    has_set = False
     for r, tokens in enumerate(rows, start=1):
         holes = 0
         seen_entry = False
@@ -106,7 +105,6 @@ def _parse_grid(text: str) -> Tableau:
                 marks.append((r, c))
             elif token.startswith("{") and token.endswith("}"):
                 seen_entry = True
-                has_set = True
                 set_cells.append((r, c, _parse_set_token(token, r, c)))
             else:
                 seen_entry = True
@@ -116,15 +114,18 @@ def _parse_grid(text: str) -> Tableau:
                     raise ParseError(r, c, f"unrecognized token {token!r}") from exc
         outer.append(width)
         inner.append(holes)
-    outer_p, inner_p = partition(outer), partition(inner)
-    if has_set:
-        if marks or inner_p != ():
+    return _make_tableau(partition(outer), partition(inner), num_cells, set_cells, marks)
+
+
+def _make_tableau(outer: Part, inner: Part, nums: list, sets: list, marks: list[Box]) -> Tableau:
+    """The set-valued tableau if any box holds a set, else augmented if marked, else increasing."""
+    if sets:
+        if marks or inner != ():
             raise ParseError(1, 1, "set-valued tableaux are straight and unmarked")
-        cells = set_cells + [(r, c, (v,)) for r, c, v in num_cells]
-        return SetValuedTableau(outer_p, tuple(cells))
+        return SetValuedTableau(outer, tuple(sets) + tuple((r, c, (v,)) for r, c, v in nums))
     if marks:
-        return AugmentedTableau(outer_p, inner_p, tuple(num_cells), tuple(marks))
-    return IncreasingTableau(outer_p, inner_p, tuple(num_cells))
+        return AugmentedTableau(outer, inner, tuple(nums), tuple(marks))
+    return IncreasingTableau(outer, inner, tuple(nums))
 
 
 def tableau_to_json_dict(t: Tableau) -> dict:
@@ -177,13 +178,7 @@ def tableau_from_json_dict(doc: dict) -> Tableau:
         raise
     except ValueError as exc:
         raise ParseError(1, 1, str(exc)) from None
-    if sets:
-        if marks or inner != ():
-            raise ParseError(1, 1, "set-valued tableaux are straight and unmarked")
-        return SetValuedTableau(outer, tuple(sets) + tuple((r, c, (v,)) for r, c, v in nums))
-    if marks:
-        return AugmentedTableau(outer, inner, tuple(nums), tuple(marks))
-    return IncreasingTableau(outer, inner, tuple(nums))
+    return _make_tableau(outer, inner, nums, sets, marks)
 
 
 def format_switch_state(state: SwitchState) -> str:

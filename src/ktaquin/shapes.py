@@ -195,7 +195,7 @@ class SkewShape:
 
     @classmethod
     def straight(cls, lam: Iterable[int]) -> "SkewShape":
-        return cls(partition(lam), ())
+        return cls(lam, ())
 
     @property
     def size(self) -> int:
@@ -282,7 +282,7 @@ def star(lam: Part, mu: Part) -> SkewShape:
     width = lam[0] if lam else 0
     outer = tuple(width + m for m in mu) + lam
     inner = (width,) * len(mu)
-    return SkewShape(partition(outer), partition(inner))
+    return SkewShape(outer, inner)
 
 
 def omega(frame: DirectSumFrame) -> Part:

@@ -1,7 +1,7 @@
 """Named verification suites: golden examples, exhaustive sweeps, seeded property runs.
 
 Each suite returns a SuiteResult; the CLI renders them and the acceptance tests
-assert on them.  Scales default to the full verification scale.
+assert on them.  Scales are fixed; only seeds and the scales tests shrink are parameters.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from .shapes import (
     DirectSumFrame,
     Part,
     SkewShape,
+    addable_corners,
     boxes_of,
     contains,
     partition,
@@ -95,8 +96,8 @@ def _timed(fn):
 # golden tables
 
 
-def _t(rows, inner=()) -> IncreasingTableau:
-    return IncreasingTableau.from_rows(rows, inner)
+def _t(rows) -> IncreasingTableau:
+    return IncreasingTableau.from_rows(rows)
 
 
 STAR_GROUP_TABLE: dict[IncreasingTableau, int] = {
@@ -125,26 +126,15 @@ AUGMENTED_WITNESSES = (
 @_timed
 def star_groups_suite() -> SuiteResult:
     """The fifteen fillings of (2)*(2,1) over {1,2,3} and their target groups."""
-    shape = star((2,), (2, 1))
-    tally: dict[IncreasingTableau, int] = {}
-    total = 0
-    for t in enumerate_increasing(shape, {1, 2, 3}):
-        r = krect(t)
-        tally[r] = tally.get(r, 0) + 1
-        total += 1
-    ok = total == 15 and tally == STAR_GROUP_TABLE
-    shapes = sorted({t.outer for t in tally})
+    report = check_count_independence(star((2,), (2, 1)), {1, 2, 3})
+    tally = {t: n for grp in report.groups.values() for t, n in grp}
     d_value = coeff_D((2,), (2, 1), (3, 1))
-    ok = ok and len(shapes) == 7 and d_value == -2
-    details = [f"{len(shapes)} target shapes over {total} fillings; splitting value {d_value}"]
-    for target_shape in shapes:
-        members = sorted(
-            (t for t in tally if t.outer == target_shape), key=lambda t: t.cells
-        )
-        cells = ", ".join(f"{'/'.join(''.join(map(str, row)) for row in t.rows())} x{tally[t]}" for t in members)
+    ok = report.total == 15 and tally == STAR_GROUP_TABLE and len(report.groups) == 7
+    ok = ok and d_value == -2 and report.uniform_within_alphabet
+    details = [f"{len(report.groups)} target shapes over {report.total} fillings; splitting value {d_value}"]
+    for target_shape, grp in sorted(report.groups.items()):
+        cells = ", ".join(f"{'/'.join(''.join(map(str, row)) for row in t.rows())} x{n}" for t, n in grp)
         details.append(f"shape {target_shape}: {cells}")
-    report = check_count_independence(shape, {1, 2, 3})
-    ok = ok and report.uniform_within_alphabet
     return SuiteResult("star-groups", ok, "corner-to-corner enumeration groups", details)
 
 
@@ -167,7 +157,7 @@ def augmented_witnesses_suite() -> SuiteResult:
 
 @_timed
 def rect_order_independence_suite(
-    rects: Iterable[Part] = ((1,), (2,), (2, 2)), max_size: int = 7, alpha_max: int = 4
+    rects: Iterable[Part] = ((1,), (2,), (2, 2)), max_size: int = 7
 ) -> SuiteResult:
     """Rectification from a rectangular inner shape ignores the order choice."""
     checked = 0
@@ -182,7 +172,7 @@ def rect_order_independence_suite(
                 if not contains(nu, rect) or nu == rect:
                     continue
                 shape = SkewShape(nu, rect)
-                for t in enumerate_increasing(shape, range(1, alpha_max + 1)):
+                for t in enumerate_increasing(shape, range(1, 5)):
                     results = {krect(t, order) for order in orders}
                     checked += 1
                     if len(results) != 1:
@@ -197,20 +187,21 @@ def rect_order_independence_suite(
 
 
 @_timed
-def strong_equivalence_suite(max_area: int = 6, depth: int = 3, alpha_max: int = 4) -> SuiteResult:
+def strong_equivalence_suite() -> SuiteResult:
     """Same-shape rectangular tableaux stay configuration-synchronized under slides.
 
-    Sequences are exhaustive over single-corner steps; see available_steps for
-    why multi-corner steps shuffle the switch interleaving.  The alphabet grows
-    to area+... just enough on the largest rectangles to give several fillings.
+    Sequences are exhaustive over single-corner steps up to depth 3 (see
+    available_steps); rectangles have at most 6 boxes and labels run over 1..4,
+    or 1..5 on the 6-box rectangles to give them several fillings.
     """
+    depth = 3
     pairs = 0
     failures: list[str] = []
     for c in range(1, 4):
         for d in range(1, 4):
-            if c * d > max_area:
+            if c * d > 6:
                 continue
-            alpha = max(alpha_max, c + d) if c * d >= 6 else alpha_max
+            alpha = 5 if c * d == 6 else 4
             shape = SkewShape.straight((d,) * c)
             ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
             tableaux = list(enumerate_increasing(shape, range(1, alpha + 1)))
@@ -232,11 +223,11 @@ def strong_equivalence_suite(max_area: int = 6, depth: int = 3, alpha_max: int =
 
 
 @_timed
-def sharpness_suite(max_size: int = 6) -> SuiteResult:
-    """Every non-rectangular inner shape admits order-dependent rectification."""
+def sharpness_suite() -> SuiteResult:
+    """Every non-rectangular inner shape of at most 6 boxes admits order-dependent rectification."""
     count = 0
     failures: list[str] = []
-    for n in range(1, max_size + 1):
+    for n in range(1, 7):
         for lam in partitions_of(n):
             if is_rectangle(lam):
                 continue
@@ -301,12 +292,12 @@ def _random_skew_instance(rng: random.Random, max_boxes: int) -> IncreasingTable
 
 
 @_timed
-def reversibility_suite(instances: int = 1000, seed: int = 2024) -> SuiteResult:
-    """Forward slides undo through reverse slides into the vacated boxes."""
+def reversibility_suite(seed: int = 2024) -> SuiteResult:
+    """Forward slides undo through reverse slides into the vacated boxes: 1000 instances."""
     rng = random.Random(seed)
     checked = 0
     failures = 0
-    while checked < instances:
+    while checked < 1000:
         t = _random_skew_instance(rng, 9)
         corners = removable_corners(t.inner)
         if not corners:
@@ -318,22 +309,21 @@ def reversibility_suite(instances: int = 1000, seed: int = 2024) -> SuiteResult:
         if rev_kjdt_slide(slid, vacated, ambient) != t:
             failures += 1
         checked += 1
-    result = SuiteResult(
+    return SuiteResult(
         "reversibility",
         failures == 0,
         f"{checked} random slides undone exactly" if not failures else f"{failures} failures",
+        seed=seed,
     )
-    result.seed = seed
-    return result
 
 
 @_timed
-def infusion_involution_suite(instances: int = 1000, seed: int = 4096) -> SuiteResult:
-    """Infusion applied twice returns the original nested pair."""
+def infusion_involution_suite(seed: int = 4096) -> SuiteResult:
+    """Infusion applied twice returns the original nested pair: 1000 instances."""
     rng = random.Random(seed)
     checked = 0
     failures = 0
-    while checked < instances:
+    while checked < 1000:
         t = _random_skew_instance(rng, 9)
         if not (0 < psize(t.inner) <= 6):
             continue
@@ -343,24 +333,23 @@ def infusion_involution_suite(instances: int = 1000, seed: int = 4096) -> SuiteR
         if kinfusion(c, w) != (a, t):
             failures += 1
         checked += 1
-    result = SuiteResult(
+    return SuiteResult(
         "infusion-involution",
         failures == 0,
         f"{checked} nested pairs return exactly" if not failures else f"{failures} failures",
+        seed=seed,
     )
-    result.seed = seed
-    return result
 
 
 @_timed
-def rev_rect_anchor_suite(max_area: int = 6, max_ambient: tuple[int, int] = (4, 5)) -> SuiteResult:
-    """Reverse rectification parks every rectangle at the ambient's southeast corner."""
+def rev_rect_anchor_suite() -> SuiteResult:
+    """Reverse rectification parks every rectangle of at most 6 boxes at the ambient's southeast corner."""
     checked = 0
     failures: list[str] = []
-    max_rows, max_cols = max_ambient
+    max_rows, max_cols = 4, 5
     for c in range(1, max_rows + 1):
         for d in range(1, max_cols + 1):
-            if c * d > max_area:
+            if c * d > 6:
                 continue
             shape = SkewShape.straight((d,) * c)
             for k in range(c, max_rows + 1):
@@ -381,7 +370,7 @@ def rev_rect_anchor_suite(max_area: int = 6, max_ambient: tuple[int, int] = (4, 
 
 
 @_timed
-def origin_invariants_suite(max_area: int = 6, depth: int = 3, alpha_max: int = 4) -> SuiteResult:
+def origin_invariants_suite(max_area: int = 6, depth: int = 3) -> SuiteResult:
     """Reverse-slide traces from rectangles keep origins clean and ordered."""
     checked = 0
     failures: list[str] = []
@@ -397,8 +386,6 @@ def origin_invariants_suite(max_area: int = 6, depth: int = 3, alpha_max: int = 
         if left == 0:
             return
         final = trace.final_tableau()
-        from .shapes import addable_corners
-
         corners = addable_corners(final.outer, max_rows=ambient.rows, max_cols=ambient.cols)
         for mask in range(1, 1 << len(corners)):
             subset = frozenset(b for i, b in enumerate(corners) if mask >> i & 1)
@@ -410,7 +397,7 @@ def origin_invariants_suite(max_area: int = 6, depth: int = 3, alpha_max: int = 
                 continue
             ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
             shape = SkewShape.straight((d,) * c)
-            for t in enumerate_increasing(shape, range(1, alpha_max + 1)):
+            for t in enumerate_increasing(shape, range(1, 5)):
                 extend(t, [], ambient, depth)
     ok = not failures and checked > 0
     return SuiteResult(
@@ -444,11 +431,11 @@ def count_independence_suite() -> SuiteResult:
 
 
 @_timed
-def superstandard_independence_suite(max_inner: int = 4, max_extra: int = 3, alpha_max: int = 4) -> SuiteResult:
-    """A superstandard rectification under one order forces it under all."""
+def superstandard_independence_suite(max_extra: int = 3) -> SuiteResult:
+    """A superstandard rectification under one order forces it under all (inner shapes of 2 to 4 boxes)."""
     checked = 0
     failures: list[str] = []
-    for n in range(2, max_inner + 1):
+    for n in range(2, 5):
         for lam in partitions_of(n):
             if is_rectangle(lam):
                 continue
@@ -456,7 +443,7 @@ def superstandard_independence_suite(max_inner: int = 4, max_extra: int = 3, alp
                 for nu in partitions_of(n + extra):
                     if not contains(nu, lam):
                         continue
-                    for t in enumerate_increasing(SkewShape(nu, lam), range(1, alpha_max + 1)):
+                    for t in enumerate_increasing(SkewShape(nu, lam), range(1, 5)):
                         report = check_superstandard_independence(t)
                         checked += 1
                         if not report.consistent:
@@ -494,11 +481,11 @@ def products_suite() -> SuiteResult:
 
 
 @_timed
-def degeneration_suite(max_total: int = 8) -> SuiteResult:
-    """When sizes add up, all rules agree with the classical LR coefficient."""
+def degeneration_suite() -> SuiteResult:
+    """When sizes add up to at most 8, all rules agree with the classical LR coefficient."""
     checked = 0
     failures: list[str] = []
-    for total in range(0, max_total + 1):
+    for total in range(0, 9):
         for a in range(0, total + 1):
             for lam in partitions_of(a):
                 for mu in partitions_of(total - a):
@@ -507,7 +494,7 @@ def degeneration_suite(max_total: int = 8) -> SuiteResult:
                         expected = oracle.get(nu, 0)
                         c_val = coeff_C(lam, mu, nu)
                         d_val = coeff_D(lam, mu, nu)
-                        cls = coeff_c_classical(lam, mu, nu)
+                        cls = coeff_c_classical(lam, mu, nu)  # |D|: checked, not a route
                         checked += 1
                         if not (c_val == d_val == cls == expected):
                             failures.append(
@@ -517,7 +504,9 @@ def degeneration_suite(max_total: int = 8) -> SuiteResult:
     return SuiteResult(
         "degeneration",
         ok,
-        f"{checked} classical triples agree across four routes" if ok else f"{len(failures)} failures",
+        f"{checked} classical triples agree on the C rule, the D rule and the Schur oracle"
+        if ok
+        else f"{len(failures)} failures",
         failures[:8],
     )
 
@@ -530,13 +519,13 @@ def _frames(k_max: int, n_max: int) -> Iterator[DirectSumFrame]:
 
 
 @_timed
-def triple_agreement_suite(k_max: int = 2, n_max: int = 4) -> SuiteResult:
+def triple_agreement_suite() -> SuiteResult:
     """Splitting coefficients agree across the slide rule, the set-valued rule,
-    and the direct-sum identity, over every frame at the given scale."""
+    and the direct-sum identity, over every frame with each k <= 2 and n <= 4."""
     checked = 0
     distinct: set[tuple] = set()
     failures: list[str] = []
-    for frame in _frames(k_max, n_max):
+    for frame in _frames(2, 4):
         lams = list(partitions_in_rectangle(frame.k1, frame.n1 - frame.k1))
         mus = list(partitions_in_rectangle(frame.k2, frame.n2 - frame.k2))
         nus = list(partitions_in_rectangle(frame.k, frame.n - frame.k))
@@ -595,8 +584,8 @@ def sign_invariant_suite() -> SuiteResult:
 
 
 @_timed
-def random_equivalence_suite(runs: int = 100, seed: int = 11, length: int = 4) -> SuiteResult:
-    """Random mixed slide sequences keep 2x2 pairs configuration-equal."""
+def random_equivalence_suite(runs: int = 100, seed: int = 11) -> SuiteResult:
+    """Random mixed slide sequences of 4 steps keep 2x2 pairs configuration-equal."""
     rng = random.Random(seed)
     shape = SkewShape.straight((2, 2))
     ambient = AmbientRectangle(4, 8)
@@ -604,16 +593,15 @@ def random_equivalence_suite(runs: int = 100, seed: int = 11, length: int = 4) -
     failures = 0
     for _ in range(runs):
         a, b = rng.choice(tableaux), rng.choice(tableaux)
-        verdict = random_equivalence_run(a, b, ambient, length, rng)
+        verdict = random_equivalence_run(a, b, ambient, 4, rng)
         if not verdict.equivalent:
             failures += 1
-    result = SuiteResult(
+    return SuiteResult(
         "random-equivalence",
         failures == 0,
         f"{runs} random mixed runs equivalent" if not failures else f"{failures} failures",
+        seed=seed,
     )
-    result.seed = seed
-    return result
 
 
 SUITES = {

@@ -89,14 +89,14 @@ class IncreasingTableau:
 
     @classmethod
     def make(cls, outer: Iterable[int], inner: Iterable[int], entries: dict[Box, int]) -> "IncreasingTableau":
-        return cls(partition(outer), partition(inner), tuple((r, c, v) for (r, c), v in entries.items()))
+        return cls(outer, inner, tuple((r, c, v) for (r, c), v in entries.items()))
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], inner: Iterable[int] = ()) -> "IncreasingTableau":
         """Build from per-row value lists covering the region left to right."""
         inner_p = partition(inner)
         rows = [list(row) for row in rows]
-        outer = partition(tuple(row_length(inner_p, r) + len(row) for r, row in enumerate(rows, start=1)))
+        outer = tuple(row_length(inner_p, r) + len(row) for r, row in enumerate(rows, start=1))
         cells = []
         for r, row in enumerate(rows, start=1):
             lo = row_length(inner_p, r) + 1
@@ -134,9 +134,6 @@ class IncreasingTableau:
         """Region values per row, left to right (no placeholders)."""
         ent = self._entries  # type: ignore[attr-defined]
         return [[ent[(r, c)] for c in range(lo, hi + 1)] for r, lo, hi in _region_rows(self.outer, self.inner)]
-
-
-EMPTY_TABLEAU = IncreasingTableau((), (), ())
 
 
 def superstandard(mu: Part) -> IncreasingTableau:
@@ -236,10 +233,6 @@ class SetValuedTableau:
             below = sets.get((r + 1, c))
             if below is not None and max(vals) >= min(below):
                 raise TableauError(f"column {c} not strictly increasing at row {r}")
-
-    def box_set(self, box: Box) -> tuple[int, ...]:
-        return next(vals for r, c, vals in self.cells if (r, c) == box)
-
 
 def reading_word(t: SetValuedTableau) -> Word:
     """Rows bottom to top, boxes left to right, set elements increasing."""

@@ -46,11 +46,28 @@ class TestStrongEquivalence:
             verdict = random_equivalence_run(a, b, ambient, 4, rng)
             assert verdict.equivalent, (a, b)
 
+    def test_divergence_found_only_after_a_slide(self):
+        # every first step keeps this pair in step, so the search must carry
+        # on from the slid pair to find the split
+        a, b = T([[1, 2, 3], [3]]), T([[1, 2, 3], [4]])
+        ambient = AmbientRectangle(4, 9)
+        assert exhaustive_equivalence(a, b, ambient, 1) is None
+        verdict = exhaustive_equivalence(a, b, ambient, 3)
+        assert (verdict.equivalent, verdict.divergence_stage, verdict.stages_compared) == (False, 1, 2)
+
+    def test_random_run_divergence_pinned(self):
+        a, b = T([[1, 2, 3], [3]]), T([[1, 2, 3], [4]])
+        verdict = random_equivalence_run(a, b, AmbientRectangle(4, 9), 4, random.Random(0))
+        assert (verdict.equivalent, verdict.divergence_stage, verdict.stages_compared) == (False, 8, 7)
+
     def test_shape_mismatch_rejected(self):
+        a, b, ambient = T([[1, 2]]), T([[1], [2]]), AmbientRectangle(3, 6)
         with pytest.raises(ShapeFitError):
-            check_strong_dual_equivalence(
-                T([[1, 2]]), T([[1], [2]]), [], AmbientRectangle(3, 6)
-            )
+            check_strong_dual_equivalence(a, b, [], ambient)
+        with pytest.raises(ShapeFitError):
+            exhaustive_equivalence(a, b, ambient, 1)
+        with pytest.raises(ShapeFitError):
+            random_equivalence_run(a, b, ambient, 1, random.Random(0))
 
 
 class TestOriginInvariants:

@@ -9,7 +9,7 @@ def test_origin_invariants_suite():
 
 
 def test_superstandard_independence_suite():
-    result = suites.superstandard_independence_suite(max_inner=4, max_extra=2)
+    result = suites.superstandard_independence_suite(max_extra=2)
     assert result.ok
 
 
