@@ -30,12 +30,8 @@ from .tableaux import (
 )
 from .jdt import InternalInvariantError, krect
 from .coefficients import (
+    KINDS,
     CoefficientRecord,
-    coeff_C,
-    coeff_D,
-    coeff_E,
-    coeff_F,
-    coeff_c_classical,
     compute_with_checks,
     expand_coproduct,
     expand_product,
@@ -100,8 +96,7 @@ def cmd_coeff(args) -> int:
     if args.check:
         record = compute_with_checks(args.kind, lam, mu, nu, frame)
     else:
-        plain = {"C": coeff_C, "D": coeff_D, "E": coeff_E, "F": coeff_F, "c": coeff_c_classical}
-        record = CoefficientRecord(args.kind, lam, mu, nu, plain[args.kind](lam, mu, nu))
+        record = CoefficientRecord(args.kind, lam, mu, nu, KINDS[args.kind](lam, mu, nu))
     checks_text = " ".join(f"{name}:{'ok' if ok else 'DISAGREE'}" for name, ok in record.checks)
     payload = {
         "kind": record.kind,
@@ -115,8 +110,11 @@ def cmd_coeff(args) -> int:
           f"->{format_partition(record.nu)} = {record.value}" + (f"  [{checks_text}]" if checks_text else ""))
     path = _cache_path(args)
     if path:
-        cache_append(path, CacheRecord.now(record))
-        cache_load(path)  # re-validate the whole file, conflicts are hard errors
+        try:
+            cache_append(path, CacheRecord.now(record))
+            cache_load(path)  # re-validate the whole file, conflicts are hard errors
+        except OSError as exc:
+            raise UsageError(f"cannot use the cache: {exc}") from exc
     if not record.agreed:
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -137,8 +135,8 @@ def cmd_expand(args) -> int:
     if not 1 <= args.workers <= cpus:
         raise UsageError(f"--workers must be between 1 and {cpus} (the CPU count), got {args.workers}")
     if args.op == "product":
-        if not args.ambient:
-            raise UsageError("product expansion needs --ambient k,n")
+        if None in (args.lam, args.mu, args.ambient):
+            raise UsageError("product expansion needs --lambda, --mu and --ambient k,n")
         lam, mu = parse_partition(args.lam), parse_partition(args.mu)
         ambient = _ambient(args.ambient)
         with _mapper(args.workers) as mapper:
@@ -147,8 +145,8 @@ def cmd_expand(args) -> int:
         lines = [f"{format_partition(nu)}: {v}" for nu, v in sorted(table.items())]
         _emit(args, payload, "\n".join(lines) if lines else "(zero)")
     elif args.op == "coproduct":
-        if not args.frame:
-            raise UsageError("coproduct expansion needs --frame k1,n1,k2,n2")
+        if None in (args.nu, args.frame):
+            raise UsageError("coproduct expansion needs --nu and --frame k1,n1,k2,n2")
         nu = parse_partition(args.nu)
         frame = _frame(args.frame)
         with _mapper(args.workers) as mapper:
@@ -179,7 +177,7 @@ def cmd_verify(args) -> int:
     for name in names:
         fn = suites.SUITES[name]
         kwargs = {}
-        if args.seed is not None and name in ("reversibility", "infusion-involution", "random-equivalence"):
+        if args.seed is not None and name in suites.SEEDED_SUITES:
             kwargs["seed"] = args.seed
         result = fn(**kwargs)
         results.append(result)
@@ -285,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeff", help="one coefficient, optionally with all cross-checks")
-    p.add_argument("kind", choices=["C", "D", "E", "F", "c"])
+    p.add_argument("kind", choices=list(KINDS))
     p.add_argument("--lambda", dest="lam", required=True, help="partition, e.g. [2,1]")
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)

@@ -60,7 +60,7 @@ from .tableaux import (
 from .jdt import _check_corner_groups, _infuse, _order_groups
 from . import jdt, schur
 
-Kind = str  # one of "C", "D", "E", "F", "c"
+Kind = str  # a key of KINDS
 TableauKey = tuple[Part, tuple[tuple[int, int, int], ...]]
 
 _memo: dict[tuple, object] = {}
@@ -230,9 +230,9 @@ def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
     )
 
 
-def coeff_F(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
+def coeff_F(lam: Part, mu: Part, nu: Part) -> int:
     """Ideal-sheaf splitting coefficient; equals the structure-sheaf one."""
-    return coeff_D(lam, mu, nu, target)
+    return coeff_D(lam, mu, nu)
 
 
 def coeff_c_classical(lam: Part, mu: Part, nu: Part) -> int:
@@ -243,6 +243,10 @@ def coeff_c_classical(lam: Part, mu: Part, nu: Part) -> int:
     # surjective fillings over 1..|nu| of a |nu|-box region are exactly the
     # standard ones, so the unsigned D count is the classical coefficient
     return abs(coeff_D(lam, mu, nu))
+
+
+# each coefficient kind and its plain (unchecked) rule
+KINDS = {"C": coeff_C, "D": coeff_D, "E": coeff_E, "F": coeff_F, "c": coeff_c_classical}
 
 
 def expand_product(
@@ -301,7 +305,7 @@ class CoefficientRecord:
     checks: tuple[tuple[str, bool], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in ("C", "D", "E", "F", "c"):
+        if self.kind not in KINDS:
             raise ValueError(f"unknown coefficient kind {self.kind!r}")
         if self.kind == "c":
             if self.value < 0:

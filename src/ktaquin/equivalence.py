@@ -1,12 +1,11 @@
 """Executable verification of the structural slide theorems and their sharpness.
 
-Checks here are pure jobs returning report objects that serialize to JSON as
-{check, instance, verdict, witness}.
+Checks here are pure jobs returning frozen report dataclasses (verdicts,
+violations, counterexamples, tallies) that the suites, the CLI and the demos read.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -36,42 +35,10 @@ from .jdt import (
 
 
 @dataclass(frozen=True)
-class Report:
-    check: str
-    instance: str
-    verdict: str
-    witness: dict
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "instance": self.instance,
-                "verdict": self.verdict,
-                "witness": self.witness,
-            },
-            sort_keys=True,
-            default=_jsonable,
-        )
-
-
-def _jsonable(obj):
-    if isinstance(obj, (frozenset, set, tuple)):
-        return sorted(obj) if isinstance(obj, (frozenset, set)) else list(obj)
-    if isinstance(obj, IncreasingTableau):
-        return {"outer": list(obj.outer), "inner": list(obj.inner), "cells": [list(c) for c in obj.cells]}
-    raise TypeError(f"cannot serialize {type(obj)}")
-
-
-@dataclass(frozen=True)
 class EquivalenceVerdict:
     equivalent: bool
     divergence_stage: int | None  # global switch-state index of the first mismatch
     stages_compared: int
-
-    def report(self, instance: str) -> Report:
-        verdict = "equivalent-on-sequence" if self.equivalent else f"divergent-at-stage {self.divergence_stage}"
-        return Report("strong-dual-equivalence", instance, verdict, {"stages": self.stages_compared})
 
 
 def check_strong_dual_equivalence(
@@ -131,15 +98,6 @@ class OriginReport:
     def clean(self) -> bool:
         return not self.violations
 
-    def report(self, instance: str) -> Report:
-        verdict = "clean" if self.clean else "violations"
-        return Report(
-            "origin-invariants",
-            instance,
-            verdict,
-            {"stages": self.stages_checked, "violations": [v.__dict__ for v in self.violations]},
-        )
-
 
 def _nw_comparable(x: Box, y: Box) -> bool:
     return (x[0] <= y[0] and x[1] <= y[1]) or (y[0] <= x[0] and y[1] <= x[1])
@@ -195,20 +153,6 @@ class Counterexample:
     order1: IncreasingTableau
     order2: IncreasingTableau
     results: tuple[IncreasingTableau, IncreasingTableau]
-
-    def report(self) -> Report:
-        return Report(
-            "rectification-sharpness",
-            f"inner {self.tableau.inner}",
-            "divergent",
-            {
-                "nu": list(self.nu),
-                "tableau": self.tableau,
-                "order1": self.order1,
-                "order2": self.order2,
-                "results": list(self.results),
-            },
-        )
 
 
 def is_rectangle(lam: Part) -> bool:
@@ -300,20 +244,6 @@ class CountIndependenceReport:
     uniform_across_alphabets: bool  # recorded observation, not asserted by callers
     total: int
 
-    def report(self, instance: str) -> Report:
-        return Report(
-            "count-independence",
-            instance,
-            "uniform" if self.uniform_within_alphabet else "nonuniform",
-            {
-                "total": self.total,
-                "groups": {
-                    str(list(shape)): [[t, n] for t, n in grp] for shape, grp in self.groups.items()
-                },
-                "uniform_across_alphabets": self.uniform_across_alphabets,
-            },
-        )
-
 
 def check_count_independence(shape: SkewShape, alphabet: Iterable[int]) -> CountIndependenceReport:
     """Group rectifications of all fillings from the alphabet by target.
@@ -355,15 +285,6 @@ class SuperstandardReport:
     results: tuple[IncreasingTableau, ...]
     any_superstandard: bool
     consistent: bool  # if any order reached a superstandard target, all agreed
-
-    def report(self, instance: str) -> Report:
-        branch = "superstandard-everywhere" if self.any_superstandard else "none-superstandard"
-        return Report(
-            "superstandard-independence",
-            instance,
-            branch if self.consistent else "inconsistent",
-            {"distinct_results": len(set(self.results))},
-        )
 
 
 def check_superstandard_independence(t: IncreasingTableau) -> SuperstandardReport:

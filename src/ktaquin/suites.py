@@ -9,12 +9,11 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .shapes import (
     AmbientRectangle,
     DirectSumFrame,
-    Part,
     SkewShape,
     addable_corners,
     boxes_of,
@@ -156,18 +155,19 @@ def augmented_witnesses_suite() -> SuiteResult:
 
 
 @_timed
-def rect_order_independence_suite(
-    rects: Iterable[Part] = ((1,), (2,), (2, 2)), max_size: int = 7
-) -> SuiteResult:
-    """Rectification from a rectangular inner shape ignores the order choice."""
+def rect_order_independence_suite() -> SuiteResult:
+    """Rectification from a rectangular inner shape ignores the order choice.
+
+    Inner rectangles (1), (2) and (2,2), outer shapes of at most 7 boxes,
+    labels 1..4, and every order over 1..|rect|+1.
+    """
     checked = 0
     failures: list[str] = []
-    for rect in rects:
-        rect = partition(rect)
+    for rect in ((1,), (2,), (2, 2)):
         orders = list(
             enumerate_increasing(SkewShape.straight(rect), range(1, psize(rect) + 2))
-        ) or [superstandard(())]
-        for n in range(psize(rect), max_size + 1):
+        )
+        for n in range(psize(rect), 8):
             for nu in partitions_of(n):
                 if not contains(nu, rect) or nu == rect:
                     continue
@@ -622,3 +622,6 @@ SUITES = {
     "triple-agreement": triple_agreement_suite,
     "sign-invariant": sign_invariant_suite,
 }
+
+# the suites that take a ``seed``; ``ktaquin verify --seed`` passes it to these
+SEEDED_SUITES = frozenset({"reversibility", "infusion-involution", "random-equivalence"})

@@ -43,6 +43,21 @@ class TestCoeffCommand:
         doc = json.loads(out)
         assert doc["value"] == -2
 
+    @pytest.mark.parametrize(
+        "kind, lam, mu, nu, value",
+        [
+            ("C", "[1]", "[1]", "[2,1]", -1),
+            ("D", "[2]", "[2,1]", "[3,1]", -2),
+            ("E", "[1]", "[1]", "[2,1]", -3),
+            ("F", "[2]", "[2,1]", "[3,1]", -2),
+            ("c", "[2,1]", "[2,1]", "[3,2,1]", 2),
+        ],
+    )
+    def test_every_kind_without_checks(self, capsys, kind, lam, mu, nu, value):
+        code, out, _ = run(capsys, "coeff", kind, "--lambda", lam, "--mu", mu, "--nu", nu)
+        assert code == EXIT_OK
+        assert out.strip() == f"{kind}{lam},{mu}->{nu} = {value}"
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "coeff", "D", "--lambda", "oops", "--mu", "[]", "--nu", "[]")
         assert code == EXIT_USAGE
@@ -96,6 +111,15 @@ class TestCoeffCommand:
         )
         assert code == EXIT_DISAGREEMENT
         assert f"{path}:1: missing field 'nu'" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unusable_cache_path(self, capsys, tmp_path, where):
+        path = str(tmp_path / "absent" / "c.jsonl") if where == "missing-directory" else str(tmp_path)
+        code, _, err = run(
+            capsys, "coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path
+        )
+        assert code == EXIT_USAGE
+        assert err.startswith("error: cannot use the cache:") and path in err
 
 
 class TestCacheEnvVar:
@@ -156,9 +180,21 @@ class TestExpandCommand:
         assert code == EXIT_USAGE
         assert f"--workers must be between 1 and {os.cpu_count() or 1}" in err
 
-    def test_missing_frame(self, capsys):
-        code, _, err = run(capsys, "expand", "--op", "coproduct", "--nu", "[1]")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--op", "product", "--mu", "[1]", "--ambient", "2,4"),
+            ("--op", "product", "--lambda", "[1]", "--ambient", "2,4"),
+            ("--op", "product", "--lambda", "[1]", "--mu", "[1]"),
+            ("--op", "coproduct", "--frame", "1,3,2,4"),
+            ("--op", "coproduct", "--nu", "[1]"),
+        ],
+        ids=["product-lambda", "product-mu", "product-ambient", "coproduct-nu", "coproduct-frame"],
+    )
+    def test_missing_option(self, capsys, argv):
+        code, _, err = run(capsys, "expand", *argv)
         assert code == EXIT_USAGE
+        assert err.startswith(f"error: {argv[1]} expansion needs")
 
 
 class TestVerifyCommand:

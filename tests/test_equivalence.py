@@ -1,6 +1,5 @@
 """Equivalence-lab checks: strong equivalence, origins, sharpness, independence."""
 
-import json
 import random
 
 import pytest
@@ -97,14 +96,6 @@ class TestOriginInvariants:
         report = verify_origin_invariants(switch_trace(t, [step], ambient))
         assert not report.clean
         assert any(v.kind == "bullet-neighbors" for v in report.violations)
-
-    def test_report_serializes(self):
-        t = T([[1, 2]])
-        trace = switch_trace(t, [SlideStep("reverse", frozenset({(1, 3)}))], AmbientRectangle(2, 6))
-        report = verify_origin_invariants(trace)
-        doc = json.loads(report.report("demo").to_json())
-        assert doc["check"] == "origin-invariants"
-        assert doc["verdict"] == "clean"
 
 
 class TestSharpness:

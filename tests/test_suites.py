@@ -23,11 +23,6 @@ def test_random_equivalence_suite():
     assert result.ok and result.seed == 5
 
 
-def test_rect_order_independence_scaled_down():
-    result = suites.rect_order_independence_suite(rects=((1,), (2,)), max_size=5)
-    assert result.ok
-
-
 def test_suite_registry_runs():
     assert set(suites.SUITES) >= {
         "star-groups",
