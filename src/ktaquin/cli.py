@@ -106,15 +106,15 @@ def cmd_coeff(args) -> int:
         "value": record.value,
         "checks": [[name, ok] for name, ok in record.checks],
     }
-    _emit(args, payload, f"{record.kind}{format_partition(record.lam)},{format_partition(record.mu)}"
-          f"->{format_partition(record.nu)} = {record.value}" + (f"  [{checks_text}]" if checks_text else ""))
     path = _cache_path(args)
-    if path:
+    if path:  # before printing, so a failed call prints no value
         try:
             cache_append(path, CacheRecord.now(record))
             cache_load(path)  # re-validate the whole file, conflicts are hard errors
         except OSError as exc:
             raise UsageError(f"cannot use the cache: {exc}") from exc
+    _emit(args, payload, f"{record.kind}{format_partition(record.lam)},{format_partition(record.mu)}"
+          f"->{format_partition(record.nu)} = {record.value}" + (f"  [{checks_text}]" if checks_text else ""))
     if not record.agreed:
         return EXIT_DISAGREEMENT
     return EXIT_OK
@@ -134,6 +134,14 @@ def cmd_expand(args) -> int:
     cpus = os.cpu_count() or 1
     if not 1 <= args.workers <= cpus:
         raise UsageError(f"--workers must be between 1 and {cpus} (the CPU count), got {args.workers}")
+    # the options of the other operation
+    foreign = {
+        "product": {"--nu": args.nu, "--frame": args.frame},
+        "coproduct": {"--lambda": args.lam, "--mu": args.mu, "--ambient": args.ambient},
+    }.get(args.op, {})
+    stray = [flag for flag, value in foreign.items() if value is not None]
+    if stray:
+        raise UsageError(f"{args.op} expansion does not take {', '.join(stray)}")
     if args.op == "product":
         if None in (args.lam, args.mu, args.ambient):
             raise UsageError("product expansion needs --lambda, --mu and --ambient k,n")
@@ -172,6 +180,10 @@ def cmd_verify(args) -> int:
         names = [args.suite]
     else:
         raise UsageError(f"unknown suite {args.suite!r}; options: {', '.join(suites.SUITES)}, all")
+    if args.seed is not None and args.suite != "all" and args.suite not in suites.SEEDED_SUITES:
+        raise UsageError(
+            f"suite {args.suite!r} takes no seed; --seed applies to {', '.join(sorted(suites.SEEDED_SUITES))}"
+        )
     ok = True
     results = []
     for name in names:

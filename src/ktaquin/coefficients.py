@@ -19,25 +19,32 @@ keys:
 
 * ``(kind, lam, mu, nu)`` for kind "C", "E" and "D-buch", and for "D" with the
   superstandard target (a D count for any other target is not memoized);
-* ``(outer, inner, alphabet)`` for a rectification tally, shared by the C and D
-  counts over one shape and alphabet;
-* ``("superstandard", mu)`` for the key of a superstandard target.
+* ``(outer, inner, m)`` for a row of superstandard rectification counts over
+  the alphabet 1..m (``rect_tally``), shared by the C and D counts that read
+  one shape of that row each.
 
 It is never evicted; ``_memo.clear()`` returns to a cold start.
+
+C and D count label by label (``_rect_count``), never filling by filling; E
+rectifies each filling on its own, so that its rook-strip check stays
+independent of the rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from typing import Callable
 
 from .shapes import (
     AmbientRectangle,
+    Box,
     DirectSumFrame,
     Part,
     ShapeFitError,
     SkewShape,
+    add_boxes,
+    boxes_of,
     contains,
     dagger,
     omega_dual,
@@ -57,11 +64,10 @@ from .tableaux import (
     reading_word,
     superstandard,
 )
-from .jdt import _check_corner_groups, _infuse, _order_groups
+from .jdt import InternalInvariantError, _check_corner_groups, _infuse, _label_groups_desc, _order_groups
 from . import jdt, schur
 
 Kind = str  # a key of KINDS
-TableauKey = tuple[Part, tuple[tuple[int, int, int], ...]]
 
 _memo: dict[tuple, object] = {}
 
@@ -83,51 +89,103 @@ def _sign(exponent: int) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _key(t: IncreasingTableau) -> TableauKey:
-    return (t.outer, t.cells)
+def rect_tally(outer: Part, inner: Part, m: int) -> dict[Part, int]:
+    """Superstandard rectification counts over the surjective fillings of outer/inner onto 1..m.
 
-
-def _superstandard_key(mu: Part) -> TableauKey:
-    return _memoized(("superstandard", mu), _key_of_superstandard, mu)
-
-
-def _key_of_superstandard(mu: Part) -> TableauKey:
-    return _key(superstandard(mu))
-
-
-def rect_tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[TableauKey, int]:
-    """Histogram of rectification targets over all surjective fillings of a shape.
-
-    The alphabet is the exact value set of the enumerated fillings.  The
-    rectification order is the superstandard order of the inner shape.  The
-    order is checked once per tally; each filling is then rectified as a raw
-    entries dict by ``jdt._infuse``, which runs only the switch kernel and the
-    outer-shape update, and each distinct result is validated once as an
-    ``IncreasingTableau``.
+    Maps each shape mu of m boxes to the number of fillings whose
+    rectification, in the superstandard order of inner, is superstandard(mu);
+    shapes that no filling reaches are absent.
     """
-    return _memoized((outer, inner, alphabet), _tally, outer, inner, alphabet)
+    return _memoized((outer, inner, m), _rect_count, outer, inner, m)
 
 
-def _tally(outer: Part, inner: Part, alphabet: frozenset[int]) -> dict[TableauKey, int]:
-    outer, inner = partition(outer), partition(inner)
-    if len(alphabet) > psize(outer) - psize(inner):
-        return {}
-    groups = _order_groups(superstandard(inner))
-    _check_corner_groups(inner, groups)
-    # the enumerator's fillings are valid by construction, so each one is
-    # rectified as a raw entries dict; each distinct result is validated once
-    tally: dict[TableauKey, int] = {}
-    for cells in iter_increasing_cells(outer, inner, alphabet, surjective=True):
-        entries = {(r, c): v for r, c, v in cells}
-        k = (_infuse(entries, outer, groups), tuple(sorted((r, c, v) for (r, c), v in entries.items())))
-        tally[k] = tally.get(k, 0) + 1
-    for rect_outer, rect_cells in tally:
-        IncreasingTableau(rect_outer, (), rect_cells)
-    return tally
+def _rect_count(
+    outer: Part, inner: Part, m: int, targets: list[frozenset[Box]] | None = None
+) -> dict[Part, int]:
+    """Count rectifications label by label, without building a filling.
 
+    Infusion through the order S = superstandard(inner) is a product of
+    switches of one S class with one filling class, and switches on disjoint
+    pairs of classes commute.  So filling label j, in ascending order, can be
+    switched past every S class, largest first, before label j + 1 is placed,
+    and its boxes are then final.  The count grows partial fillings one label
+    at a time: the class of j is a nonempty set of addable corners of the
+    filled shape P inside outer.  A branch is kept only if that class leaves a
+    box for each label still to come and lands on the target's j boxes.
 
-def _initial_alphabet(m: int) -> frozenset[int]:
-    return frozenset(range(1, m + 1))
+    By default the targets are the superstandard ones and the result is the
+    row {mu: count}.  ``targets`` instead fixes the boxes of each target label
+    in ascending order, and the result is {(): count}.
+
+    Each (S class, label) pair runs the kernel's checks, the adjacent-bullets
+    test on the S class included, and each new state must be tiled exactly by
+    the S classes and the landed boxes.  No two branches reach one state:
+    infusion is an involution, so (S classes, landed prefix) determines the
+    partial filling.
+    """
+    row: dict[Part, int] = {}
+    size = psize(outer)
+    region = size - psize(inner)
+    if m > region or m == 0 < region:
+        return row
+    around, check_apart, switch = jdt._NEIGHBOURS, jdt._check_apart, jdt._switch
+    last_row = len(outer)
+    # the boxes of each filled shape met, for the tiling check
+    filled_boxes: dict[Part, frozenset[Box]] = {}
+
+    def grow(j: int, filled: Part, classes: list, landed: frozenset[Box], shape: Part) -> None:
+        if j == m:
+            row[shape] = row.get(shape, 0) + 1
+            return
+        label = j + 1
+        corners = []
+        for r in range(1, min(len(filled) + 1, last_row) + 1):
+            c = (filled[r - 1] if r <= len(filled) else 0) + 1
+            if c <= outer[r - 1] and (r == 1 or filled[r - 2] >= c):
+                corners.append((r, c))
+        room = size - psize(filled) - (m - label)  # most boxes this class may take
+        for k in (room,) if label == m else range(1, min(room, len(corners)) + 1):
+            for placed in combinations(corners, k):
+                entries = dict.fromkeys(placed, label)
+                new = list(classes)
+                for s in range(len(new) - 1, -1, -1):
+                    bullets = new[s]
+                    check_apart(bullets)
+                    pairs = [(b, x) for b in bullets for x in around[b] if x in entries]
+                    if pairs:
+                        new[s] = bullets = set(bullets)
+                        switch(entries, bullets, label, pairs)
+                if targets is not None:
+                    if entries.keys() != targets[j]:
+                        continue
+                    reached = shape
+                elif len(entries) != 1:
+                    continue
+                else:
+                    box, = entries
+                    if shape and box == (len(shape), shape[-1] + 1):
+                        reached = shape[:-1] + (shape[-1] + 1,)
+                    elif box == (len(shape) + 1, 1):
+                        reached = shape + (1,)
+                    else:
+                        continue
+                now = add_boxes(filled, placed)
+                now_landed = landed.union(entries)
+                tiles = set(now_landed)
+                for cls in new:
+                    tiles.update(cls)
+                expected = filled_boxes.get(now)
+                if expected is None:
+                    expected = filled_boxes[now] = frozenset(boxes_of(now))
+                if tiles != expected or len(now_landed) + sum(map(len, new)) != len(expected):
+                    raise InternalInvariantError(
+                        f"S classes and landed boxes do not tile {now} after label {label}"
+                    )
+                grow(label, now, new, now_landed, reached)
+
+    # the superstandard order labels the boxes of inner row by row: one S class each
+    grow(0, inner, [frozenset({box}) for box in boxes_of(inner)], frozenset(), ())
+    return row
 
 
 def coeff_C(lam: Part, mu: Part, nu: Part) -> int:
@@ -139,8 +197,7 @@ def coeff_C(lam: Part, mu: Part, nu: Part) -> int:
 def _count_C(lam: Part, mu: Part, nu: Part) -> int:
     if not contains(nu, lam):
         return 0
-    tally = rect_tally(nu, lam, _initial_alphabet(psize(mu)))
-    count = tally.get(_superstandard_key(mu), 0)
+    count = rect_tally(nu, lam, psize(mu)).get(mu, 0)
     return _sign(psize(nu) - psize(lam) - psize(mu)) * count
 
 
@@ -155,11 +212,12 @@ def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = No
 
 
 def _count_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
-    if target is None:
-        target = superstandard(nu)
     shape = star(lam, mu)
-    tally = rect_tally(shape.outer, shape.inner, frozenset(target.values))
-    count = tally.get(_key(target), 0)
+    if target is None:
+        count = rect_tally(shape.outer, shape.inner, psize(nu)).get(nu, 0)
+    else:
+        targets = [boxes for _, boxes in reversed(_label_groups_desc(target.cells))]
+        count = _rect_count(shape.outer, shape.inner, len(targets), targets).get((), 0)
     return _sign(psize(lam) + psize(mu) + psize(nu)) * count
 
 
@@ -201,7 +259,7 @@ def _count_E(lam: Part, mu: Part, nu: Part) -> int:
     Marks are any subset of the outer corners inside the region; erasing them
     leaves a surjective filling of the smaller shape, which is enumerated and
     rectified as raw entries through the superstandard order of lam, checked
-    once.  No tally or memo entry is read, so the rook-strip sum of C values
+    once.  No row or memo entry is read, so the rook-strip sum of C values
     stays an independent check.
     """
     if not contains(nu, lam):

@@ -20,8 +20,9 @@ stage labels, and a ribbon with more than two boxes in one row or column.
 Slides into inner corners, infusion and rectification check their order of
 corner groups once (``_check_corner_groups``), since the inner shapes it
 walks through do not depend on the filling, and then slide the filling
-through ``_infuse``.  A tally checks one order and slides every filling of a
-shape through it.
+through ``_infuse``.  One stage is one call of ``_switch``: a slide loops it
+over labels, and the coefficient counts call it once per pair of an order
+class and a filling class.
 """
 
 from __future__ import annotations
@@ -105,6 +106,50 @@ class _Neighbours(dict):
 _NEIGHBOURS = _Neighbours()
 
 
+def _check_apart(bullets: set[Box] | frozenset[Box]) -> None:
+    """No two bullets are adjacent."""
+    around = _NEIGHBOURS
+    for box in bullets:
+        for nb in around[box][:2]:
+            if nb in bullets:
+                raise InternalInvariantError(f"adjacent bullets at {box}, {nb}")
+
+
+def _switch(entries: dict[Box, int], bullets: set[Box], label: int, pairs: list[tuple[Box, Box]]) -> Moves:
+    """Run one stage in place: swap the bullets with the label boxes next to them.
+
+    pairs holds every (bullet, label box) adjacency of the stage, at least
+    one.  Raises InternalInvariantError on a 2x2 block, a long ribbon or two
+    adjacent equal labels; returns the moves.  Within a stage the order of
+    bullets does not matter: the rule is local.
+    """
+    if len(pairs) == 1:  # one bullet, one neighbour: no block or long ribbon
+        (box, x), = pairs
+        moves: Moves = {box: [x]}
+        freed: Iterable[Box] = (x,)
+    else:
+        moves = {}
+        for box, nb in pairs:
+            moves.setdefault(box, []).append(nb)
+        freed = {nb for _, nb in pairs}
+        if len(pairs) > len(moves):
+            _check_blocks(moves, bullets)
+        _check_ribbons(moves)
+    around = _NEIGHBOURS
+    get = entries.get
+    for x in freed:
+        for nb in around[x]:
+            if get(nb) == label:
+                raise InternalInvariantError(f"adjacent equal labels at {x}, {nb}")
+    for box in moves:
+        entries[box] = label
+        bullets.discard(box)
+    for x in freed:
+        del entries[x]
+    bullets.update(freed)
+    return moves
+
+
 def _run_switches(
     entries: dict[Box, int],
     bullets: set[Box],
@@ -115,17 +160,13 @@ def _run_switches(
 
     on_switch(label, moves, bullets), when given, is called once after the
     bullets are placed (label None, no moves) and once after each stage.
-    Within a stage the order of bullets does not matter: the rule is local.
     """
-    around = _NEIGHBOURS
-    for box in bullets:
-        for nb in around[box][:2]:
-            if nb in bullets:
-                raise InternalInvariantError(f"adjacent bullets at {box}, {nb}")
+    _check_apart(bullets)
     # A stage never makes two bullets adjacent: two freed boxes are equal labels,
     # and a bullet next to a freed box is a bullet that the stage filled.
     if on_switch is not None:
         on_switch(None, {}, bullets)
+    around = _NEIGHBOURS
     get = entries.get
     sign = -1 if reverse else 1
     done = -_INF  # sign * the label of the last stage
@@ -146,28 +187,7 @@ def _run_switches(
             return bullets
         done = nearest
         label = sign * nearest
-        if len(pairs) == 1:  # one bullet, one neighbour: no block or long ribbon
-            (box, x), = pairs
-            moves: Moves = {box: [x]}
-            freed: Iterable[Box] = (x,)
-        else:
-            moves = {}
-            for box, nb in pairs:
-                moves.setdefault(box, []).append(nb)
-            freed = {nb for _, nb in pairs}
-            if len(pairs) > len(moves):
-                _check_blocks(moves, bullets)
-            _check_ribbons(moves)
-        for x in freed:
-            for nb in around[x]:
-                if get(nb) == label:
-                    raise InternalInvariantError(f"adjacent equal labels at {x}, {nb}")
-        for box in moves:
-            entries[box] = label
-            bullets.discard(box)
-        for x in freed:
-            del entries[x]
-        bullets.update(freed)
+        moves = _switch(entries, bullets, label, pairs)
         if on_switch is not None:
             on_switch(label, moves, bullets)
 
@@ -177,9 +197,9 @@ def _check_corner_groups(inner: Part, groups: Iterable[frozenset[Box]]) -> Part:
 
     Each group, when it is reached, must be a nonempty set of inner corners;
     inner corners are pairwise non-adjacent, so its bullets start apart.  The
-    inner shapes met on the way do not depend on the filling, so a tally runs
-    this once and ``_infuse`` once per filling.  Returns the inner shape left
-    after the last group.
+    inner shapes met on the way do not depend on the filling, so a count that
+    slides many fillings through one order runs this once and ``_infuse`` once
+    per filling.  Returns the inner shape left after the last group.
     """
     for corners in groups:
         if not corners:

@@ -3,7 +3,8 @@
 import random
 
 from ktaquin.shapes import SkewShape, add_boxes, boxes_of, partition, remove_boxes, row_length
-from ktaquin.tableaux import IncreasingTableau
+from ktaquin.jdt import _check_corner_groups, _infuse, _order_groups
+from ktaquin.tableaux import IncreasingTableau, iter_increasing_cells, superstandard
 from ktaquin.formats import cache_append
 
 
@@ -233,6 +234,31 @@ def reference_increasing_cells(outer, inner, alphabet, surjective=False):
             del assignment[(r, c)]
 
     yield from rec(0)
+
+
+# ---------------------------------------------------------------------------
+# Reference tally: the per-filling histogram that the label-by-label count in
+# ktaquin.coefficients replaced.  Every surjective filling is rectified through
+# the superstandard order of the inner shape; keys are (outer, cells) of the
+# results, whatever the target.  Test-only.
+
+
+def reference_rect_tally(outer, inner, alphabet):
+    """Histogram of the rectifications of every surjective filling of outer/inner."""
+    outer, inner = partition(outer), partition(inner)
+    groups = _order_groups(superstandard(inner))
+    _check_corner_groups(inner, groups)
+    tally = {}
+    for cells in iter_increasing_cells(outer, inner, alphabet, surjective=True):
+        entries = {(r, c): v for r, c, v in cells}
+        key = (_infuse(entries, outer, groups), tuple(sorted((r, c, v) for (r, c), v in entries.items())))
+        tally[key] = tally.get(key, 0) + 1
+    return tally
+
+
+def superstandard_row(tally):
+    """A reference histogram restricted to superstandard results, keyed by shape."""
+    return {outer: n for (outer, cells), n in tally.items() if cells == superstandard(outer).cells}
 
 
 # ---------------------------------------------------------------------------

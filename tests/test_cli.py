@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from ktaquin import cli, coefficients
+from ktaquin import cli, coefficients, suites
 from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 
 
@@ -115,11 +115,12 @@ class TestCoeffCommand:
     @pytest.mark.parametrize("where", ["missing-directory", "directory"])
     def test_unusable_cache_path(self, capsys, tmp_path, where):
         path = str(tmp_path / "absent" / "c.jsonl") if where == "missing-directory" else str(tmp_path)
-        code, _, err = run(
+        code, out, err = run(
             capsys, "coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path
         )
         assert code == EXIT_USAGE
         assert err.startswith("error: cannot use the cache:") and path in err
+        assert out == ""  # a failed call prints no value
 
 
 class TestCacheEnvVar:
@@ -196,6 +197,24 @@ class TestExpandCommand:
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {argv[1]} expansion needs")
 
+    @pytest.mark.parametrize(
+        "argv, stray",
+        [
+            (("--op", "product", "--lambda", "[1]", "--mu", "[1]", "--ambient", "2,4", "--nu", "[5]"),
+             "--nu"),
+            (("--op", "product", "--lambda", "[1]", "--mu", "[1]", "--ambient", "2,4",
+              "--nu", "[5]", "--frame", "1,2,1,2"), "--nu, --frame"),
+            (("--op", "coproduct", "--nu", "[1]", "--frame", "1,2,1,2", "--lambda", "[1]"), "--lambda"),
+            (("--op", "coproduct", "--nu", "[1]", "--frame", "1,2,1,2", "--mu", "[1]"), "--mu"),
+            (("--op", "coproduct", "--nu", "[1]", "--frame", "1,2,1,2", "--ambient", "2,4"), "--ambient"),
+        ],
+        ids=["product-nu", "product-nu-frame", "coproduct-lambda", "coproduct-mu", "coproduct-ambient"],
+    )
+    def test_option_of_the_other_op(self, capsys, argv, stray):
+        code, out, err = run(capsys, "expand", *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == f"error: {argv[1]} expansion does not take {stray}\n"
+
 
 class TestVerifyCommand:
     def test_named_suite(self, capsys):
@@ -211,6 +230,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "random-equivalence", "--seed", "3")
         assert code == EXIT_OK
         assert "seed=3" in out
+
+    def test_seed_for_an_unseeded_suite(self, capsys):
+        code, out, err = run(capsys, "verify", "star-groups", "--seed", "3")
+        assert code == EXIT_USAGE and out == ""
+        assert "star-groups" in err
+        assert all(name in err for name in suites.SEEDED_SUITES)
 
 
 class TestOtherCommands:

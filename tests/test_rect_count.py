@@ -1,0 +1,121 @@
+"""The label-by-label rectification count against the per-filling reference tally."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ktaquin import coefficients, jdt
+from ktaquin.coefficients import _rect_count, coeff_C, coeff_D, rect_tally
+from ktaquin.jdt import InternalInvariantError
+from ktaquin.shapes import SkewShape, contains, partitions_in_rectangle, partitions_of, psize, star
+from ktaquin.tableaux import enumerate_increasing
+
+from helpers import random_skew, reference_rect_tally, superstandard_row
+
+SMALL = list(partitions_in_rectangle(2, 2))
+_REFERENCE: dict[tuple, dict] = {}
+
+
+def reference(outer, inner, m):
+    """The reference histogram of outer/inner over 1..m, built once per test run."""
+    key = (outer, inner, m)
+    if key not in _REFERENCE:
+        _REFERENCE[key] = reference_rect_tally(outer, inner, range(1, m + 1))
+    return _REFERENCE[key]
+
+
+def sign(exponent):
+    return -1 if exponent % 2 else 1
+
+
+class TestExhaustive:
+    """Every C and D over small boxes, classical and K-range, equals the reference count."""
+
+    def test_C(self):
+        coefficients._memo.clear()
+        k_range = nonzero = 0
+        for lam in SMALL:
+            for mu in SMALL:
+                for nu in partitions_in_rectangle(3, 4):
+                    excess = psize(nu) - psize(lam) - psize(mu)
+                    if excess < 0:
+                        continue
+                    expected = 0
+                    if contains(nu, lam):
+                        row = superstandard_row(reference(nu, lam, psize(mu)))
+                        expected = sign(excess) * row.get(mu, 0)
+                    assert coeff_C(lam, mu, nu) == expected, (lam, mu, nu)
+                    k_range += excess > 0 and expected != 0
+                    nonzero += expected != 0
+        assert nonzero >= 130 and k_range >= 50
+
+    def test_D(self):
+        coefficients._memo.clear()
+        k_range = nonzero = 0
+        for lam in SMALL:
+            for mu in SMALL:
+                shape = star(lam, mu)
+                for nu in partitions_in_rectangle(3, 3):
+                    if psize(nu) > psize(lam) + psize(mu):
+                        continue
+                    row = superstandard_row(reference(shape.outer, shape.inner, psize(nu)))
+                    expected = sign(psize(lam) + psize(mu) + psize(nu)) * row.get(nu, 0)
+                    assert coeff_D(lam, mu, nu) == expected, (lam, mu, nu)
+                    k_range += psize(nu) < psize(lam) + psize(mu) and expected != 0
+                    nonzero += expected != 0
+        assert nonzero >= 120 and k_range >= 55
+
+    def test_D_with_every_given_target(self):
+        """Targets with repeated labels and targets no filling reaches included."""
+        reached = repeated = 0
+        for lam in SMALL:
+            for mu in SMALL:
+                if psize(lam) + psize(mu) > 5:
+                    continue
+                shape = star(lam, mu)
+                for n in range(psize(lam) + psize(mu) + 1):
+                    for nu in partitions_of(n):
+                        for m in range(n + 1):
+                            tally = reference(shape.outer, shape.inner, m)
+                            for t in enumerate_increasing(SkewShape.straight(nu), range(1, m + 1), surjective=True):
+                                count = tally.get((nu, t.cells), 0)
+                                assert coeff_D(lam, mu, nu, target=t) == sign(psize(lam) + psize(mu) + n) * count
+                                reached += count > 0
+                                repeated += count > 0 and m < n
+        assert reached >= 400 and repeated >= 170
+
+
+class TestAgainstReferenceTally:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_row_and_one_target(self, rng):
+        shape = random_skew(rng, 7)
+        m = rng.randint(0, psize(shape.outer) - psize(shape.inner) + 1)
+        tally = reference(shape.outer, shape.inner, m)
+        assert _rect_count(shape.outer, shape.inner, m) == superstandard_row(tally)
+        if tally:
+            (_, cells), count = rng.choice(sorted(tally.items()))
+            classes = {}
+            for r, c, v in cells:
+                classes.setdefault(v, set()).add((r, c))
+            targets = [frozenset(classes[v]) for v in sorted(classes)]
+            assert _rect_count(shape.outer, shape.inner, m, targets) == {(): count}
+
+
+class TestInvariants:
+    def test_row_is_memoized_per_shape_and_alphabet(self):
+        coefficients._memo.clear()
+        row = rect_tally((3, 1), (1,), 3)
+        assert row == {(3,): 1, (2, 1): 1}  # c^{31}_{1,3} = c^{31}_{1,21} = 1
+        assert coefficients._memo[((3, 1), (1,), 3)] is row
+
+    def test_a_state_that_does_not_tile_is_refused(self, monkeypatch):
+        real = jdt._switch
+
+        def losing(entries, bullets, label, pairs):
+            moves = real(entries, bullets, label, pairs)
+            bullets.pop()  # an S box vanishes
+            return moves
+
+        monkeypatch.setattr(jdt, "_switch", losing)
+        with pytest.raises(InternalInvariantError, match="do not tile"):
+            _rect_count((3, 2), (1,), 3)
