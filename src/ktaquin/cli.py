@@ -207,11 +207,15 @@ def cmd_enumerate(args) -> int:
     inner = parse_partition(args.inner) if args.inner else ()
     shape = SkewShape(outer, inner)
     alphabet = range(1, args.max_entry + 1)
+    if args.kind != "set-valued" and args.content is not None:
+        raise UsageError(f"--content applies to --kind set-valued only, not {args.kind}")
     if args.kind == "increasing":
         stream = enumerate_increasing(shape, alphabet, args.surjective)
     elif args.kind == "augmented":
         stream = enumerate_augmented(shape, alphabet)
     elif args.kind == "set-valued":
+        if args.inner is not None:
+            raise UsageError("set-valued enumeration takes a straight shape; drop --inner")
         if not args.content:
             raise UsageError("set-valued enumeration needs --content a,b,c")
         content = tuple(int(x) for x in args.content.split(","))
@@ -326,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["increasing", "augmented", "set-valued"], default="increasing")
     p.add_argument("--max-entry", type=int, default=4)
     p.add_argument("--surjective", action="store_true")
-    p.add_argument("--content", help="letter multiplicities for set-valued tableaux")
+    p.add_argument("--content", help="nonnegative letter multiplicities for set-valued tableaux")
     p.add_argument("--limit", type=int, default=20, help="print at most this many")
     p.set_defaults(fn=cmd_enumerate)
 

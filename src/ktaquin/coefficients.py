@@ -59,9 +59,7 @@ from .tableaux import (
     IncreasingTableau,
     eligible_x_boxes,
     enumerate_set_valued,
-    is_partial_reverse_lattice,
     iter_increasing_cells,
-    reading_word,
     superstandard,
 )
 from .jdt import InternalInvariantError, _check_corner_groups, _infuse, _label_groups_desc, _order_groups
@@ -229,14 +227,8 @@ def coeff_D_buch(lam: Part, mu: Part, nu: Part) -> int:
 
 def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
     p, q = len(lam), len(mu)
-    content = lam + mu
-    count = 0
-    for t in enumerate_set_valued(nu, content):
-        word = reading_word(t)
-        if (p == 0 or is_partial_reverse_lattice(word, (1, p))) and (
-            q == 0 or is_partial_reverse_lattice(word, (p + 1, p + q))
-        ):
-            count += 1
+    lattice = [(a, b) for a, b in ((1, p), (p + 1, p + q)) if a <= b]
+    count = sum(1 for _ in enumerate_set_valued(nu, lam + mu, lattice))
     return _sign(psize(nu) + psize(lam) + psize(mu)) * count
 
 

@@ -72,11 +72,13 @@ def _extract_schur_basis(poly: Monomials, degree: int, nvars: int) -> dict[Part,
     return out
 
 
-def schur_product_expansion(lam: Part, mu: Part, nvars: int | None = None) -> dict[Part, int]:
-    """All classical LR coefficients of s_lam * s_mu at once."""
+def schur_product_expansion(lam: Part, mu: Part) -> dict[Part, int]:
+    """All classical LR coefficients of s_lam * s_mu at once.
+
+    len(lam) + len(mu) variables suffice: no shape in the product has more rows.
+    """
     lam, mu = partition(lam), partition(mu)
-    if nvars is None:
-        nvars = max(len(lam) + len(mu), 1)
+    nvars = max(len(lam) + len(mu), 1)
     prod = _multiply(dict(schur_monomials(lam, nvars)), dict(schur_monomials(mu, nvars)))
     return _extract_schur_basis(prod, psize(lam) + psize(mu), nvars)
 
@@ -86,5 +88,4 @@ def lr_coefficient(lam: Part, mu: Part, nu: Part) -> int:
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if psize(nu) != psize(lam) + psize(mu):
         return 0
-    nvars = max(len(nu), len(lam) + len(mu), 1)
-    return schur_product_expansion(lam, mu, nvars).get(nu, 0)
+    return schur_product_expansion(lam, mu).get(nu, 0)

@@ -8,7 +8,7 @@ trailing zeros so there is a single canonical form.  Boxes are 1-based
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Iterator
 
 Part = tuple[int, ...]
@@ -318,34 +318,16 @@ def oslash(mu: Part, lam: Part, frame: DirectSumFrame) -> Part:
     return result
 
 
-@lru_cache(maxsize=None)
 def rook_strip_contractions(nu: Part) -> tuple[Part, ...]:
-    """All nubar inside nu such that nu/nubar has no two boxes in a shared row or column.
+    """nu minus any subset of its removable corners, largest first.
 
-    Includes nubar = nu.  Each candidate removes at most one box per row (the
-    row's last box), so it is enough to scan subsets of rows and reject removed
-    boxes landing in the same column.
+    These are all nubar inside nu such that nu/nubar has no two boxes in a
+    shared row or column; nubar = nu is included.
     """
     nu = partition(nu)
-    out = []
-    nrows = len(nu)
-    for mask in range(1 << nrows):
-        rows = list(nu)
-        cols = []
-        ok = True
-        for i in range(nrows):
-            if mask >> i & 1:
-                cols.append(nu[i])
-                rows[i] -= 1
-        if len(set(cols)) != len(cols):
-            continue
-        for a, b in zip(rows, rows[1:]):
-            if b > a:
-                ok = False
-                break
-        if ok:
-            out.append(partition(rows))
-    return tuple(sorted(set(out), reverse=True))
+    corners = removable_corners(nu)
+    subsets = (s for k in range(len(corners) + 1) for s in combinations(corners, k))
+    return tuple(sorted((remove_boxes(nu, s) for s in subsets), reverse=True))
 
 
 def boundary_word(lam: Part, rect: AmbientRectangle) -> frozenset[int]:

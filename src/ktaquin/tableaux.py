@@ -380,55 +380,62 @@ def enumerate_augmented(shape: SkewShape, alphabet: Iterable[int]) -> Iterator[A
             yield AugmentedTableau(shape.outer, shape.inner, cells, marks)
 
 
-def enumerate_set_valued(nu: Part, content: tuple[int, ...]) -> Iterator[SetValuedTableau]:
-    """All set-valued tableaux of straight shape nu where letter i fills content[i-1] boxes."""
+def enumerate_set_valued(
+    nu: Part, content: tuple[int, ...], lattice: Iterable[tuple[int, int]] = ()
+) -> Iterator[SetValuedTableau]:
+    """Set-valued tableaux of straight shape nu where letter i fills content[i-1] boxes.
+
+    With ``lattice``, only those whose reading word is a reverse lattice word
+    on every interval (a, b) in it, as ``is_partial_reverse_lattice`` tests.
+    Boxes are filled in reverse reading order: rows top to bottom, each row
+    right to left, each set largest letter first.  So the lattice test runs on
+    every prefix as it grows, and the box to the right and the box above are
+    already filled: a set's largest letter is at most the smallest letter to
+    its right, and its smallest exceeds the largest letter above.
+    """
     nu = partition(nu)
-    boxes = [(r, c) for r, width in enumerate(nu, start=1) for c in range(1, width + 1)]
-    n = len(boxes)
+    if any(m < 0 for m in content):
+        raise ValueError(f"content entries must be nonnegative, got {tuple(content)}")
     letters = len(content)
-    total = sum(content)
-    if total < n:
+    checked = [False] * (letters + 1)  # letter x may never outnumber x - 1
+    for a, b in lattice:
+        if a > b:
+            raise ValueError(f"need a <= b, got {(a, b)}")
+        for x in range(max(a + 1, 1), min(b, letters) + 1):
+            checked[x] = True
+    boxes = [(r, c) for r, width in enumerate(nu, start=1) for c in range(width, 0, -1)]
+    n, total = len(boxes), sum(content)
+    if total < n:  # no filling; most zero D counts end here, before the set-up below
         return
-    if n == 0:
-        if total == 0:
-            yield SetValuedTableau((), ())
-        return
+    index = {box: i for i, box in enumerate(boxes)}
+    right = [index.get((r, c + 1)) for r, c in boxes]
+    above = [index.get((r - 1, c)) for r, c in boxes]
+    cap = [0, *content]
+    seen = [0] * (letters + 1)  # copies of each letter placed so far
+    sets: list[tuple[int, ...]] = [()] * n  # largest letter first
 
-    remaining = list(content)
-    chosen: dict[Box, tuple[int, ...]] = {}
+    def choose(vals: tuple[int, ...], top: int, floor: int, room: int) -> Iterator[tuple[int, ...]]:
+        """vals extended by 1..room letters from (floor, top], largest first; seen counts them."""
+        for x in range(top, floor, -1):
+            if seen[x] < cap[x] and not (checked[x] and seen[x] >= seen[x - 1]):
+                seen[x] += 1
+                yield vals + (x,)
+                if room > 1:
+                    yield from choose(vals + (x,), x - 1, floor, room - 1)
+                seen[x] -= 1
 
-    def candidate_sets(lower: int, strict_lower: int) -> Iterator[tuple[int, ...]]:
-        floor = max(lower, strict_lower + 1)
-        avail = [i for i in range(floor, letters + 1) if remaining[i - 1] > 0]
-
-        def extend(prefix: tuple[int, ...], start: int) -> Iterator[tuple[int, ...]]:
-            if prefix:
-                yield prefix
-            for j in range(start, len(avail)):
-                yield from extend(prefix + (avail[j],), j + 1)
-
-        yield from extend((), 0)
-
-    def rec(idx: int, left_total: int) -> Iterator[SetValuedTableau]:
-        if idx == n:
-            if left_total == 0:
-                yield SetValuedTableau(nu, tuple((r, c, vals) for (r, c), vals in chosen.items()))
+    def fill(i: int, remaining: int) -> Iterator[SetValuedTableau]:
+        """Fill boxes i.. with the remaining letters; one frame per box, so n boxes nest n deep."""
+        if i == n:
+            if not remaining:
+                yield SetValuedTableau(nu, tuple((r, c, s) for (r, c), s in zip(boxes, sets)))
             return
-        r, c = boxes[idx]
-        left = chosen.get((r, c - 1))
-        above = chosen.get((r - 1, c))
-        lower = max(left) if left else 1
-        strict_lower = max(above) if above else 0
-        for vals in candidate_sets(lower, strict_lower):
-            k = len(vals)
-            if left_total - k < n - idx - 1:
-                continue
-            chosen[(r, c)] = vals
-            for v in vals:
-                remaining[v - 1] -= 1
-            yield from rec(idx + 1, left_total - k)
-            for v in vals:
-                remaining[v - 1] += 1
-            del chosen[(r, c)]
+        if remaining < n - i:  # some box would be left without a letter
+            return
+        top = letters if right[i] is None else sets[right[i]][-1]
+        floor = 0 if above[i] is None else sets[above[i]][0]
+        for vals in choose((), top, floor, remaining - (n - i - 1)):
+            sets[i] = vals
+            yield from fill(i + 1, remaining - len(vals))
 
-    yield from rec(0, total)
+    yield from fill(0, total)

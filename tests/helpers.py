@@ -4,7 +4,14 @@ import random
 
 from ktaquin.shapes import SkewShape, add_boxes, boxes_of, partition, remove_boxes, row_length
 from ktaquin.jdt import _check_corner_groups, _infuse, _order_groups
-from ktaquin.tableaux import IncreasingTableau, iter_increasing_cells, superstandard
+from ktaquin.tableaux import (
+    IncreasingTableau,
+    SetValuedTableau,
+    is_partial_reverse_lattice,
+    iter_increasing_cells,
+    reading_word,
+    superstandard,
+)
 from ktaquin.formats import cache_append
 
 
@@ -259,6 +266,69 @@ def reference_rect_tally(outer, inner, alphabet):
 def superstandard_row(tally):
     """A reference histogram restricted to superstandard results, keyed by shape."""
     return {outer: n for (outer, cells), n in tally.items() if cells == superstandard(outer).cells}
+
+
+# ---------------------------------------------------------------------------
+# Reference set-valued enumerator: the recursive generator that the pruned
+# backtracker in ktaquin.tableaux.enumerate_set_valued replaced, with the
+# reading-word filter its callers ran afterwards.  Test-only.
+
+
+def reference_set_valued(nu, content, lattice=()):
+    """Set-valued tableaux of nu with the given content, then filtered on each lattice interval."""
+    nu = partition(nu)
+    boxes = [(r, c) for r, width in enumerate(nu, start=1) for c in range(1, width + 1)]
+    n = len(boxes)
+    letters = len(content)
+    total = sum(content)
+    if total < n:
+        return
+    if n == 0:
+        if total == 0:
+            yield SetValuedTableau((), ())
+        return
+
+    remaining = list(content)
+    chosen = {}
+
+    def candidate_sets(lower, strict_lower):
+        floor = max(lower, strict_lower + 1)
+        avail = [i for i in range(floor, letters + 1) if remaining[i - 1] > 0]
+
+        def extend(prefix, start):
+            if prefix:
+                yield prefix
+            for j in range(start, len(avail)):
+                yield from extend(prefix + (avail[j],), j + 1)
+
+        yield from extend((), 0)
+
+    def rec(idx, left_total):
+        if idx == n:
+            if left_total == 0:
+                yield SetValuedTableau(nu, tuple((r, c, vals) for (r, c), vals in chosen.items()))
+            return
+        r, c = boxes[idx]
+        left = chosen.get((r, c - 1))
+        above = chosen.get((r - 1, c))
+        lower = max(left) if left else 1
+        strict_lower = max(above) if above else 0
+        for vals in candidate_sets(lower, strict_lower):
+            k = len(vals)
+            if left_total - k < n - idx - 1:
+                continue
+            chosen[(r, c)] = vals
+            for v in vals:
+                remaining[v - 1] -= 1
+            yield from rec(idx + 1, left_total - k)
+            for v in vals:
+                remaining[v - 1] += 1
+            del chosen[(r, c)]
+
+    for t in rec(0, total):
+        word = reading_word(t)
+        if all(is_partial_reverse_lattice(word, interval) for interval in lattice):
+            yield t
 
 
 # ---------------------------------------------------------------------------

@@ -247,6 +247,33 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert json.loads(out)["count"] == 15
 
+    def test_enumerate_set_valued(self, capsys):
+        code, out, _ = run(
+            capsys, "--json", "enumerate", "--outer", "[3,1]", "--kind", "set-valued", "--content", "2,2,1"
+        )
+        assert code == EXIT_OK
+        assert json.loads(out)["count"] == 4
+
+    def test_enumerate_negative_content(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--outer", "[2]", "--kind", "set-valued", "--content=-1,2,1")
+        assert code == EXIT_USAGE and out == ""
+        assert "nonnegative" in err
+
+    @pytest.mark.parametrize(
+        "option, kind_args",
+        [
+            ("--inner", ["--kind", "set-valued", "--content", "1,1"]),
+            ("--content", ["--kind", "increasing"]),
+            ("--content", ["--kind", "augmented"]),
+        ],
+        ids=["set-valued-inner", "increasing-content", "augmented-content"],
+    )
+    def test_enumerate_option_of_another_kind(self, capsys, option, kind_args):
+        value = "[1]" if option == "--inner" else "1,1"
+        code, out, err = run(capsys, "enumerate", "--outer", "[2]", *kind_args, option, value)
+        assert code == EXIT_USAGE and out == ""
+        assert option in err
+
     def test_counterexample(self, capsys):
         code, out, _ = run(capsys, "counterexample", "--lambda", "[2,1]")
         assert code == EXIT_OK

@@ -1,0 +1,74 @@
+"""The pruned set-valued enumerator against the old generate-then-filter reference."""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ktaquin import coefficients
+from ktaquin.coefficients import coeff_D_buch
+from ktaquin.shapes import partitions_in_rectangle, psize
+from ktaquin.tableaux import enumerate_set_valued
+
+from helpers import reference_set_valued
+
+
+def cells(stream):
+    return sorted(t.cells for t in stream)
+
+
+class TestExhaustive:
+    def test_unfiltered_stream(self):
+        """Every shape in a 3x3 box, every content of up to 3 letters with multiplicities 0..2."""
+        cases = nonempty = 0
+        for nu in partitions_in_rectangle(3, 3):
+            for letters in range(4):
+                for content in itertools.product(range(3), repeat=letters):
+                    got = cells(enumerate_set_valued(nu, content))
+                    assert got == cells(reference_set_valued(nu, content)), (nu, content)
+                    cases += 1
+                    nonempty += bool(got)
+        assert cases == 800 and nonempty == 126
+
+    def test_D_buch(self):
+        """Buch's count for lambda, mu in a 2x2 box and nu in a 3x4 box, empty intervals dropped."""
+        coefficients._memo.clear()
+        nonzero = 0
+        for lam in partitions_in_rectangle(2, 2):
+            for mu in partitions_in_rectangle(2, 2):
+                p, q = len(lam), len(mu)
+                lattice = [(a, b) for a, b in ((1, p), (p + 1, p + q)) if a <= b]
+                for nu in partitions_in_rectangle(3, 4):
+                    count = sum(1 for _ in reference_set_valued(nu, lam + mu, lattice))
+                    sign = -1 if (psize(lam) + psize(mu) + psize(nu)) % 2 else 1
+                    assert coeff_D_buch(lam, mu, nu) == sign * count, (lam, mu, nu)
+                    nonzero += count != 0
+        assert nonzero == 144
+
+
+@st.composite
+def set_valued_cases(draw):
+    rows = draw(st.integers(0, 3))
+    nu = sorted((draw(st.integers(1, 3)) for _ in range(rows)), reverse=True)
+    content = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
+    ends = st.integers(0, len(content) + 1)
+    lattice = draw(st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=2))
+    return tuple(nu), content, lattice
+
+
+@settings(max_examples=200)
+@given(set_valued_cases())
+def test_matches_reference(case):
+    nu, content, lattice = case
+    assert cells(enumerate_set_valued(nu, content, lattice)) == cells(reference_set_valued(nu, content, lattice))
+
+
+@pytest.mark.parametrize("content, lattice", [((-1, 2, 1), ()), ((1, 1), [(2, 1)])])
+def test_refused(content, lattice):
+    with pytest.raises(ValueError):
+        list(enumerate_set_valued((2,), content, lattice))
+
+
+def test_a_long_row_nests_once_per_box():
+    # at two frames per box, 750 boxes would pass the default recursion limit of 1000
+    assert sum(1 for _ in enumerate_set_valued((750,), (750,))) == 1

@@ -224,6 +224,8 @@ class TestSetValued:
             and is_partial_reverse_lattice(reading_word(t), (2, 3))
         ]
         assert {reading_word(t) for t in winners} == {(3, 1, 1, 2, 2), (2, 3, 1, 1, 2)}
+        pruned = enumerate_set_valued((3, 1), (2, 2, 1), [(1, 1), (2, 3)])
+        assert sorted(t.cells for t in pruned) == sorted(t.cells for t in winners)
 
 
 class TestLattice:
