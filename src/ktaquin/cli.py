@@ -206,9 +206,12 @@ def cmd_enumerate(args) -> int:
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner) if args.inner else ()
     shape = SkewShape(outer, inner)
-    alphabet = range(1, args.max_entry + 1)
+    max_entry = 4 if args.max_entry is None else args.max_entry
+    alphabet = range(1, max_entry + 1)
     if args.kind != "set-valued" and args.content is not None:
         raise UsageError(f"--content applies to --kind set-valued only, not {args.kind}")
+    if args.kind != "increasing" and args.surjective:
+        raise UsageError(f"--surjective applies to --kind increasing only, not {args.kind}")
     if args.kind == "increasing":
         stream = enumerate_increasing(shape, alphabet, args.surjective)
     elif args.kind == "augmented":
@@ -216,6 +219,8 @@ def cmd_enumerate(args) -> int:
     elif args.kind == "set-valued":
         if args.inner is not None:
             raise UsageError("set-valued enumeration takes a straight shape; drop --inner")
+        if args.max_entry is not None:
+            raise UsageError("set-valued enumeration takes its letters from --content; drop --max-entry")
         if not args.content:
             raise UsageError("set-valued enumeration needs --content a,b,c")
         content = tuple(int(x) for x in args.content.split(","))
@@ -328,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True)
     p.add_argument("--inner")
     p.add_argument("--kind", choices=["increasing", "augmented", "set-valued"], default="increasing")
-    p.add_argument("--max-entry", type=int, default=4)
-    p.add_argument("--surjective", action="store_true")
+    p.add_argument("--max-entry", type=int, help="largest letter, default 4 (increasing and augmented)")
+    p.add_argument("--surjective", action="store_true", help="use every letter (increasing only)")
     p.add_argument("--content", help="nonnegative letter multiplicities for set-valued tableaux")
     p.add_argument("--limit", type=int, default=20, help="print at most this many")
     p.set_defaults(fn=cmd_enumerate)

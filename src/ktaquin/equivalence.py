@@ -62,24 +62,26 @@ def _trace_pair(
     b: IncreasingTableau,
     slides: Sequence[SlideStep],
     ambient: AmbientRectangle,
-) -> tuple[EquivalenceVerdict, IncreasingTableau, IncreasingTableau]:
-    """Trace a and b through the slides; the verdict and both slid tableaux.
+) -> tuple[EquivalenceVerdict, SwitchTrace, SwitchTrace]:
+    """Trace a and b through the slides; the verdict and both traces.
 
-    The slid tableaux are the traces' final tableaux, so every step is slid
-    once.  Equal configurations at every stage keep the two shapes equal.
+    A caller that goes on from the slid pair reads each trace's
+    ``final_tableau()``, so every step is slid once and a pair that goes no
+    further builds no tableau.  Equal configurations at every stage keep the
+    two shapes equal.
     """
     trace_a = switch_trace(a, slides, ambient)
     trace_b = switch_trace(b, slides, ambient)
-    slid = trace_a.final_tableau(), trace_b.final_tableau()
+    traces = trace_a, trace_b
     confs_a = [s.configuration() for s in trace_a.states]
     confs_b = [s.configuration() for s in trace_b.states]
     n = min(len(confs_a), len(confs_b))
     for i in range(n):
         if confs_a[i] != confs_b[i]:
-            return EquivalenceVerdict(False, i, i + 1), *slid
+            return EquivalenceVerdict(False, i, i + 1), *traces
     if len(confs_a) != len(confs_b):
-        return EquivalenceVerdict(False, n, n), *slid
-    return EquivalenceVerdict(True, None, n), *slid
+        return EquivalenceVerdict(False, n, n), *traces
+    return EquivalenceVerdict(True, None, n), *traces
 
 
 @dataclass(frozen=True)
@@ -331,9 +333,10 @@ def random_equivalence_run(
         choices = available_steps(a.shape, ambient)
         if not choices:
             break
-        verdict, a, b = _trace_pair(a, b, [rng.choice(choices)], ambient)
+        verdict, trace_a, trace_b = _trace_pair(a, b, [rng.choice(choices)], ambient)
         if not verdict.equivalent:
             return EquivalenceVerdict(False, stages + (verdict.divergence_stage or 0), stages)
+        a, b = trace_a.final_tableau(), trace_b.final_tableau()
         stages += verdict.stages_compared
     return EquivalenceVerdict(True, None, stages)
 
@@ -360,8 +363,11 @@ def _first_divergence(
     if depth == 0:
         return None
     for step in available_steps(a.shape, ambient):
-        verdict, a2, b2 = _trace_pair(a, b, [step], ambient)
-        found = _first_divergence(a2, b2, ambient, depth - 1) if verdict.equivalent else verdict
-        if found is not None:
-            return found
+        verdict, trace_a, trace_b = _trace_pair(a, b, [step], ambient)
+        if not verdict.equivalent:
+            return verdict
+        if depth > 1:  # only a pair that slides on needs its slid tableaux
+            found = _first_divergence(trace_a.final_tableau(), trace_b.final_tableau(), ambient, depth - 1)
+            if found is not None:
+                return found
     return None

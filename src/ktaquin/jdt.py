@@ -23,6 +23,11 @@ walks through do not depend on the filling, and then slide the filling
 through ``_infuse``.  One stage is one call of ``_switch``: a slide loops it
 over labels, and the coefficient counts call it once per pair of an order
 class and a filling class.
+
+Every public call slides one entries dict in place, through all its steps,
+and builds one validated tableau per output at the end
+(``IncreasingTableau._from_kernel``): a reverse rectification builds one,
+not one per slide.
 """
 
 from __future__ import annotations
@@ -275,7 +280,7 @@ def kjdt_slide(t: IncreasingTableau, corners: Iterable[Box]) -> IncreasingTablea
     """Forward slide of t into a nonempty set of inner corners."""
     entries = t.entries
     inner, outer = _forward_slide(entries, t.inner, t.outer, frozenset(corners))
-    return IncreasingTableau.make(outer, inner, entries)
+    return IncreasingTableau._from_kernel(outer, inner, entries)
 
 
 def rev_kjdt_slide(
@@ -284,7 +289,7 @@ def rev_kjdt_slide(
     """Reverse slide of t into a nonempty set of outer corners within the ambient."""
     entries = t.entries
     inner, outer = _reverse_slide(entries, t.inner, t.outer, frozenset(corners), ambient)
-    return IncreasingTableau.make(outer, inner, entries)
+    return IncreasingTableau._from_kernel(outer, inner, entries)
 
 
 def _label_groups_desc(cells: Cells) -> list[tuple[int, frozenset[Box]]]:
@@ -317,7 +322,8 @@ def kinfusion(a: IncreasingTableau, b: IncreasingTableau) -> tuple[IncreasingTab
     vacated: list[set[Box]] = []
     outer = _infuse(entries, b.outer, groups, vacated)
     record = {box: label for (label, _), boxes in zip(labelled, vacated) for box in boxes}
-    return IncreasingTableau.make(outer, inner, entries), IncreasingTableau.make(b.outer, outer, record)
+    build = IncreasingTableau._from_kernel
+    return build(outer, inner, entries), build(b.outer, outer, record)
 
 
 def krect(t: IncreasingTableau, order: IncreasingTableau | None = None) -> IncreasingTableau:
@@ -334,7 +340,7 @@ def krect(t: IncreasingTableau, order: IncreasingTableau | None = None) -> Incre
     _check_corner_groups(t.inner, groups)
     entries = t.entries
     outer = _infuse(entries, t.outer, groups)
-    return IncreasingTableau.make(outer, (), entries)
+    return IncreasingTableau._from_kernel(outer, (), entries)
 
 
 def rectification_orders(inner: Part) -> Iterator[IncreasingTableau]:
@@ -413,7 +419,7 @@ class SwitchTrace:
         else:
             outer = last.outer
             inner = add_boxes(last.inner, last.bullets)
-        return IncreasingTableau(outer, inner, last.cells)
+        return IncreasingTableau._from_kernel(outer, inner, last.entries())
 
 
 class SlideStepError(ValueError):
@@ -492,18 +498,20 @@ def rev_krect_in_ambient(
         raise ShapeFitError(f"input shape {lam} is not a rectangle")
     c, d = len(lam), (lam[0] if lam else 0)
     ambient.require_fit(lam)
-    current = t
+    entries = t.entries
+    inner, outer = t.inner, lam
     while True:
-        corners = addable_corners(current.outer, max_rows=ambient.rows, max_cols=ambient.cols)
+        corners = addable_corners(outer, max_rows=ambient.rows, max_cols=ambient.cols)
         if not corners:
             break
-        current = rev_kjdt_slide(current, frozenset(corners), ambient)
+        inner, outer = _reverse_slide(entries, inner, outer, frozenset(corners), ambient)
     expected_inner = partition(
         (ambient.cols,) * (ambient.rows - c) + (ambient.cols - d,) * c
     )
-    if current.outer != ambient.full or current.inner != expected_inner:
+    if outer != ambient.full or inner != expected_inner:
         raise InternalInvariantError(
-            f"reverse rectification landed on {current.outer}/{current.inner}, "
+            f"reverse rectification landed on {outer}/{inner}, "
             f"expected the {c}x{d} block at the southeast corner"
         )
-    return current, (ambient.rows - c + 1, ambient.cols - d + 1)
+    anchor = (ambient.rows - c + 1, ambient.cols - d + 1)
+    return IncreasingTableau._from_kernel(outer, inner, entries), anchor

@@ -79,17 +79,36 @@ class IncreasingTableau:
         object.__setattr__(self, "outer", partition(self.outer))
         object.__setattr__(self, "inner", partition(self.inner))
         object.__setattr__(self, "cells", tuple(sorted(map(tuple, self.cells))))
-        if not contains(self.outer, self.inner):
-            raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
         entries = {(r, c): v for r, c, v in self.cells}
         if len(entries) != len(self.cells):
             raise TableauError("duplicate box in cells")
+        self._check(entries)
+
+    def _check(self, entries: dict[Box, int]) -> None:
+        """The check every build runs: inner inside outer, entries an increasing filling."""
+        if not contains(self.outer, self.inner):
+            raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
         _validate_increasing(self.outer, self.inner, entries)
         object.__setattr__(self, "_entries", entries)
 
     @classmethod
     def make(cls, outer: Iterable[int], inner: Iterable[int], entries: dict[Box, int]) -> "IncreasingTableau":
         return cls(outer, inner, tuple((r, c, v) for (r, c), v in entries.items()))
+
+    @classmethod
+    def _from_kernel(cls, outer: Part, inner: Part, entries: dict[Box, int]) -> "IncreasingTableau":
+        """Build a slide kernel's output, which owns entries from here on.
+
+        outer and inner are partitions in normal form, as ``add_boxes`` and
+        ``remove_boxes`` return them, and a dict holds each box once; so only
+        normalisation is skipped, and ``_check`` runs as in every build.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "outer", outer)
+        object.__setattr__(t, "inner", inner)
+        object.__setattr__(t, "cells", tuple(sorted([(r, c, v) for (r, c), v in entries.items()])))
+        t._check(entries)
+        return t
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]], inner: Iterable[int] = ()) -> "IncreasingTableau":

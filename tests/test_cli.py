@@ -274,6 +274,27 @@ class TestOtherCommands:
         assert code == EXIT_USAGE and out == ""
         assert option in err
 
+    @pytest.mark.parametrize(
+        "kind, extra",
+        [
+            ("augmented", ["--surjective"]),
+            ("set-valued", ["--surjective"]),
+            ("set-valued", ["--max-entry", "1"]),
+            ("set-valued", ["--surjective", "--max-entry", "1"]),
+        ],
+        ids=["augmented-surjective", "set-valued-surjective", "set-valued-max-entry", "set-valued-both"],
+    )
+    def test_enumerate_flag_of_another_kind(self, capsys, kind, extra):
+        content = ["--content", "1,1"] if kind == "set-valued" else []
+        code, out, err = run(capsys, "--json", "enumerate", "--outer", "[2]", "--kind", kind, *content, *extra)
+        assert code == EXIT_USAGE and out == ""
+        assert extra[0] in err
+
+    def test_enumerate_default_max_entry(self, capsys):
+        code, out, _ = run(capsys, "--json", "enumerate", "--outer", "[1]")
+        assert code == EXIT_OK
+        assert json.loads(out)["count"] == 4
+
     def test_counterexample(self, capsys):
         code, out, _ = run(capsys, "counterexample", "--lambda", "[2,1]")
         assert code == EXIT_OK

@@ -16,7 +16,7 @@ from ktaquin.shapes import (
     psize,
     removable_corners,
 )
-from ktaquin.tableaux import IncreasingTableau, enumerate_increasing, superstandard
+from ktaquin.tableaux import IncreasingTableau, TableauError, enumerate_increasing, superstandard
 from ktaquin import jdt
 from ktaquin.jdt import (
     InternalInvariantError,
@@ -351,6 +351,79 @@ class TestRevKrectInAmbient:
         t = tab((2, 1), (), {(1, 1): 1, (1, 2): 2, (2, 1): 3})
         with pytest.raises(ShapeFitError):
             rev_krect_in_ambient(t, AmbientRectangle(3, 6))
+
+    def test_equals_the_slide_by_slide_chain(self):
+        """Every filling over 1..6 of every c x d rectangle, c, d <= 3, with 0-2 spare rows and columns."""
+        for c in range(1, 4):
+            for d in range(1, 4):
+                fillings = list(enumerate_increasing(SkewShape.straight((d,) * c), range(1, 7)))
+                assert fillings
+                for rows in range(c, c + 3):
+                    for cols in range(d, d + 3):
+                        ambient = AmbientRectangle(rows, rows + cols)
+                        for t in fillings:
+                            current = t
+                            while corners := addable_corners(current.outer, max_rows=rows, max_cols=cols):
+                                current = rev_kjdt_slide(current, corners, ambient)
+                            # the northwest box of the block the filling landed on
+                            anchor = min(r for r, _, _ in current.cells), min(col for _, col, _ in current.cells)
+                            assert rev_krect_in_ambient(t, ambient) == (current, anchor)
+
+
+class TestBuildsPerCall:
+    """Each public slide call builds one validated tableau per output."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        check = IncreasingTableau._check
+
+        def counted(self, entries):
+            calls.append(self)
+            return check(self, entries)
+
+        monkeypatch.setattr(IncreasingTableau, "_check", counted)
+        return calls
+
+    def test_reverse_rectification_builds_once(self, checks):
+        t = tab((2, 2), (), {(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4})
+        checks.clear()
+        out, _ = rev_krect_in_ambient(t, AmbientRectangle(4, 8))
+        assert checks == [out]
+
+    def test_kinfusion_builds_twice(self, checks):
+        checks.clear()
+        pair = kinfusion(ORDER_123, SHARP_T)
+        assert checks == list(pair)
+
+
+class TestKernelOutputConstructor:
+    """The kernel's constructor skips normalisation only; every check still runs."""
+
+    build = staticmethod(IncreasingTableau._from_kernel)
+
+    def test_builds_what_the_public_constructor_builds(self):
+        entries = {(2, 1): 3, (1, 2): 2, (1, 3): 4}
+        assert self.build((3, 1), (1,), dict(entries)) == T((3, 1), (1,), entries)
+
+    @pytest.mark.parametrize(
+        "outer, inner, entries",
+        [
+            ((2,), (), {(1, 1): 2, (1, 2): 1}),
+            ((2, 2), (), {(1, 1): 1, (1, 2): 2, (2, 1): 1, (2, 2): 3}),
+            ((2,), (), {(1, 1): 1, (2, 1): 2}),
+            ((2,), (1,), {(1, 1): 1, (1, 2): 2}),
+            ((2,), (), {(1, 1): 1}),
+        ],
+        ids=["row-decrease", "column-tie", "off-region", "inside-inner", "region-not-filled"],
+    )
+    def test_refuses_a_bad_filling(self, outer, inner, entries):
+        with pytest.raises(TableauError):
+            self.build(outer, inner, entries)
+
+    def test_refuses_inner_outside_outer(self):
+        with pytest.raises(ShapeFitError):
+            self.build((1,), (2,), {})
 
 
 class TestKernelInvariants:
