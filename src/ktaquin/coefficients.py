@@ -14,16 +14,24 @@ cross-check:
 * c: the classical limit (the unsigned D count), cross-checked against a Schur
   polynomial oracle.
 
-One module-level dict, ``_memo``, holds everything that is reused, under these
-keys:
+One module-level dict, ``_memo`` (defined in ``shapes``, the lowest module
+that reads it, and bound here too), holds everything that is reused, under
+these keys:
 
 * ``(kind, lam, mu, nu)`` for kind "C", "E" and "D-buch", and for "D" with the
   superstandard target (a D count for any other target is not memoized);
 * ``(outer, inner, m)`` for a row of superstandard rectification counts over
   the alphabet 1..m (``rect_tally``), shared by the C and D counts that read
-  one shape of that row each.
+  one shape of that row each;
+* ``("schur", lam, nvars, base)`` for the packed monomials of a Schur
+  polynomial, which the classical oracle in ``schur`` multiplies and peels.
 
-It is never evicted; ``_memo.clear()`` returns to a cold start.
+It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
+oracle included.
+
+Public functions normalise their shapes once and then reach the memoized
+counts directly; the private routes (``_memoized_count``, the ``_count_*``
+functions, ``rect_tally``) take normal-form shapes and never normalise.
 
 C and D count label by label (``_rect_count``), never filling by filling; E
 rectifies each filling on its own, so that its rook-strip check stays
@@ -43,6 +51,8 @@ from .shapes import (
     Part,
     ShapeFitError,
     SkewShape,
+    _memoized,
+    _star,
     add_boxes,
     boxes_of,
     contains,
@@ -53,7 +63,6 @@ from .shapes import (
     psize,
     remove_boxes,
     rook_strip_contractions,
-    star,
 )
 from .tableaux import (
     IncreasingTableau,
@@ -63,11 +72,11 @@ from .tableaux import (
     superstandard,
 )
 from .jdt import InternalInvariantError, _check_corner_groups, _infuse, _label_groups_desc, _order_groups
-from . import jdt, schur
+from . import jdt, schur, shapes
 
 Kind = str  # a key of KINDS
 
-_memo: dict[tuple, object] = {}
+_memo = shapes._memo
 
 # No count here rectifies through krect any more, but the name stays bound in
 # this module: perfbench's tracer self-test checks that ``coefficients.krect``
@@ -75,12 +84,9 @@ _memo: dict[tuple, object] = {}
 krect = jdt.krect
 
 
-def _memoized(key: tuple, compute: Callable, *args):
-    """The memo's one lookup: ``compute(*args)`` runs only when ``key`` is absent."""
-    value = _memo.get(key)
-    if value is None:
-        value = _memo[key] = compute(*args)
-    return value
+def _memoized_count(kind: str, lam: Part, mu: Part, nu: Part) -> int:
+    """The count of one kind (a key of ``_COUNTS``) for normal-form shapes, through the memo."""
+    return _memoized((kind, lam, mu, nu), _COUNTS[kind], lam, mu, nu)
 
 
 def _sign(exponent: int) -> int:
@@ -189,7 +195,7 @@ def _rect_count(
 def coeff_C(lam: Part, mu: Part, nu: Part) -> int:
     """Product structure constant in the structure-sheaf basis."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _memoized(("C", lam, mu, nu), _count_C, lam, mu, nu)
+    return _memoized_count("C", lam, mu, nu)
 
 
 def _count_C(lam: Part, mu: Part, nu: Part) -> int:
@@ -203,14 +209,14 @@ def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = No
     """Splitting coefficient of the direct-sum pullback, by rectification counting."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if target is None:
-        return _memoized(("D", lam, mu, nu), _count_D, lam, mu, nu)
+        return _memoized_count("D", lam, mu, nu)
     if target.outer != nu:
         raise ShapeFitError(f"target has shape {target.outer}, expected {nu}")
     return _count_D(lam, mu, nu, target)
 
 
 def _count_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
-    shape = star(lam, mu)
+    shape = _star(lam, mu)
     if target is None:
         count = rect_tally(shape.outer, shape.inner, psize(nu)).get(nu, 0)
     else:
@@ -222,7 +228,7 @@ def _count_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = N
 def coeff_D_buch(lam: Part, mu: Part, nu: Part) -> int:
     """Splitting coefficient by the set-valued-tableau rule; independent of slides."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _memoized(("D-buch", lam, mu, nu), _count_D_buch, lam, mu, nu)
+    return _memoized_count("D-buch", lam, mu, nu)
 
 
 def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
@@ -235,14 +241,19 @@ def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
 def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
     """Splitting coefficient through the direct-sum identity D = C over the frame."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
+    return _D_via_identity(lam, mu, nu, frame)
+
+
+def _D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
     frame.require_fits(lam, mu, nu)
-    return coeff_C(omega_dual(frame), nu, dagger(lam, mu, frame))
+    rect, joined = omega_dual(frame), dagger(lam, mu, frame)
+    return _memoized_count("C", rect, nu, joined)
 
 
 def coeff_E(lam: Part, mu: Part, nu: Part) -> int:
     """Ideal-sheaf product constant: X-augmented fillings, marks erased before rectifying."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _memoized(("E", lam, mu, nu), _count_E, lam, mu, nu)
+    return _memoized_count("E", lam, mu, nu)
 
 
 def _count_E(lam: Part, mu: Part, nu: Part) -> int:
@@ -260,7 +271,7 @@ def _count_E(lam: Part, mu: Part, nu: Part) -> int:
     _check_corner_groups(lam, groups)
     target = superstandard(mu).entries
     alphabet = range(1, psize(mu) + 1)
-    eligible = eligible_x_boxes(SkewShape(nu, lam))
+    eligible = eligible_x_boxes(SkewShape._from_normal(nu, lam))
     count = 0
     for mask in range(1 << len(eligible)):
         erased = remove_boxes(nu, [b for i, b in enumerate(eligible) if mask >> i & 1])
@@ -274,8 +285,12 @@ def _count_E(lam: Part, mu: Part, nu: Part) -> int:
 def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
     """Ideal-sheaf product constant as the alternating rook-strip sum of C values."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
+    return _E_via_C(lam, mu, nu)
+
+
+def _E_via_C(lam: Part, mu: Part, nu: Part) -> int:
     return sum(
-        coeff_C(lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
+        _memoized_count("C", lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
         for nubar in rook_strip_contractions(nu)
     )
 
@@ -288,12 +303,19 @@ def coeff_F(lam: Part, mu: Part, nu: Part) -> int:
 def coeff_c_classical(lam: Part, mu: Part, nu: Part) -> int:
     """Classical LR coefficient as the standard-filling count of the D rule."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
+    return _classical(lam, mu, nu)
+
+
+def _classical(lam: Part, mu: Part, nu: Part) -> int:
     if psize(nu) != psize(lam) + psize(mu):
         return 0
     # surjective fillings over 1..|nu| of a |nu|-box region are exactly the
     # standard ones, so the unsigned D count is the classical coefficient
-    return abs(coeff_D(lam, mu, nu))
+    return abs(_memoized_count("D", lam, mu, nu))
 
+
+# each memoized count and the rule that computes it
+_COUNTS = {"C": _count_C, "D": _count_D, "D-buch": _count_D_buch, "E": _count_E}
 
 # each coefficient kind and its plain (unchecked) rule
 KINDS = {"C": coeff_C, "D": coeff_D, "E": coeff_E, "F": coeff_F, "c": coeff_c_classical}
@@ -389,22 +411,22 @@ def compute_with_checks(
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     checks: list[tuple[str, bool]] = []
     if kind == "C":
-        value = coeff_C(lam, mu, nu)
-        checks.append(("symmetry", value == coeff_C(mu, lam, nu)))
+        value = _memoized_count("C", lam, mu, nu)
+        checks.append(("symmetry", value == _memoized_count("C", mu, lam, nu)))
         if psize(nu) == psize(lam) + psize(mu):
             checks.append(("classical", abs(value) == schur.lr_coefficient(lam, mu, nu)))
     elif kind in ("D", "F"):
         # F equals D, so F is confirmed by D's two independent routes
-        value = coeff_D(lam, mu, nu) if kind == "D" else coeff_F(lam, mu, nu)
-        checks.append(("buch", value == coeff_D_buch(lam, mu, nu)))
+        value = _memoized_count("D", lam, mu, nu)
+        checks.append(("buch", value == _memoized_count("D-buch", lam, mu, nu)))
         if frame is None:
             frame = _default_frame(lam, mu, nu)
-        checks.append(("identity", value == coeff_D_via_identity(lam, mu, nu, frame)))
+        checks.append(("identity", value == _D_via_identity(lam, mu, nu, frame)))
     elif kind == "E":
-        value = coeff_E(lam, mu, nu)
-        checks.append(("rook-strip", value == coeff_E_via_C(lam, mu, nu)))
+        value = _memoized_count("E", lam, mu, nu)
+        checks.append(("rook-strip", value == _E_via_C(lam, mu, nu)))
     elif kind == "c":
-        value = coeff_c_classical(lam, mu, nu)
+        value = _classical(lam, mu, nu)
         checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}")

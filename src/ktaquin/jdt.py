@@ -258,7 +258,7 @@ def _reverse_slide(
     ambient: AmbientRectangle,
     on_switch=None,
 ) -> tuple[Part, Part]:
-    """Slide in place into outer corners; returns (inner', outer')."""
+    """Slide in place into outer corners, after checking them; returns (inner', outer')."""
     if not corners:
         raise ShapeFitError("corner set must be nonempty")
     ambient.require_fit(outer)
@@ -267,6 +267,13 @@ def _reverse_slide(
         raise ShapeFitError(
             f"{sorted(set(corners) - legal)} are not outer corners of {outer} in the ambient"
         )
+    return _reverse_step(entries, inner, outer, corners, on_switch)
+
+
+def _reverse_step(
+    entries: dict[Box, int], inner: Part, outer: Part, corners: Iterable[Box], on_switch=None
+) -> tuple[Part, Part]:
+    """Slide in place into outer corners already known to be legal; returns (inner', outer')."""
     new_outer = add_boxes(outer, corners)
     final = _run_switches(entries, set(corners), reverse=True, on_switch=on_switch)
     try:
@@ -504,7 +511,8 @@ def rev_krect_in_ambient(
         corners = addable_corners(outer, max_rows=ambient.rows, max_cols=ambient.cols)
         if not corners:
             break
-        inner, outer = _reverse_slide(entries, inner, outer, frozenset(corners), ambient)
+        # the corners are exactly the legal ones, so the step skips the check
+        inner, outer = _reverse_step(entries, inner, outer, corners)
     expected_inner = partition(
         (ambient.cols,) * (ambient.rows - c) + (ambient.cols - d,) * c
     )

@@ -3,16 +3,32 @@
 Partitions are plain tuples of weakly decreasing positive integers, stored without
 trailing zeros so there is a single canonical form.  Boxes are 1-based
 (row, column) matrix coordinates, row 1 at the top.
+
+Public functions normalise their shape arguments through ``partition``; the
+private ones (``_star``, ``SkewShape._from_normal``) take them in normal form.
+
+The engine's one memo, ``_memo``, lives here, below every module that reads
+it; ``coefficients`` documents its keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 Part = tuple[int, ...]
 Box = tuple[int, int]
+
+_memo: dict[tuple, object] = {}
+
+
+def _memoized(key: tuple, compute: Callable, *args):
+    """The memo's one lookup: ``compute(*args)`` runs only when ``key`` is absent."""
+    value = _memo.get(key)
+    if value is None:
+        value = _memo[key] = compute(*args)
+    return value
 
 
 class ShapeFitError(ValueError):
@@ -25,9 +41,10 @@ def partition(parts: Iterable[int]) -> Part:
     Trailing zeros are dropped; anything not weakly decreasing or negative is
     rejected.
     """
-    t = tuple(int(p) for p in parts)
-    while t and t[-1] == 0:
-        t = t[:-1]
+    t = tuple(map(int, parts))
+    if t and t[-1] <= 0:  # only then can there be trailing zeros
+        while t and t[-1] == 0:
+            t = t[:-1]
     for a, b in zip(t, t[1:]):
         if b > a:
             raise ShapeFitError(f"rows must be weakly decreasing: {t}")
@@ -190,8 +207,21 @@ class SkewShape:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outer", partition(self.outer))
         object.__setattr__(self, "inner", partition(self.inner))
+        self._check()
+
+    def _check(self) -> None:
         if not contains(self.outer, self.inner):
             raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
+
+    @classmethod
+    def _from_normal(cls, outer: Part, inner: Part) -> "SkewShape":
+        """Build from partitions already in normal form: only normalisation is
+        skipped, and the containment check runs as in every build."""
+        shape = object.__new__(cls)
+        object.__setattr__(shape, "outer", outer)
+        object.__setattr__(shape, "inner", inner)
+        shape._check()
+        return shape
 
     @classmethod
     def straight(cls, lam: Iterable[int]) -> "SkewShape":
@@ -278,11 +308,15 @@ def dual_in_rectangle(lam: Part, rect: AmbientRectangle) -> Part:
 
 def star(lam: Part, mu: Part) -> SkewShape:
     """lam and mu corner to corner, lam southwest; the inner shape is a rectangle."""
-    lam, mu = partition(lam), partition(mu)
+    return _star(partition(lam), partition(mu))
+
+
+def _star(lam: Part, mu: Part) -> SkewShape:
+    """``star`` of two partitions already in normal form."""
     width = lam[0] if lam else 0
     outer = tuple(width + m for m in mu) + lam
-    inner = (width,) * len(mu)
-    return SkewShape(outer, inner)
+    inner = (width,) * len(mu) if width else ()
+    return SkewShape._from_normal(outer, inner)
 
 
 def omega(frame: DirectSumFrame) -> Part:

@@ -1,8 +1,18 @@
 """Shared deterministic generators for randomized property sweeps."""
 
 import random
+from functools import lru_cache
 
-from ktaquin.shapes import SkewShape, add_boxes, boxes_of, partition, remove_boxes, row_length
+from ktaquin.shapes import (
+    SkewShape,
+    add_boxes,
+    boxes_of,
+    partition,
+    partitions_of,
+    psize,
+    remove_boxes,
+    row_length,
+)
 from ktaquin.jdt import _check_corner_groups, _infuse, _order_groups
 from ktaquin.tableaux import (
     IncreasingTableau,
@@ -345,3 +355,72 @@ def append_records(path: str, records, barrier=None) -> None:
         barrier.wait()
     for rec in records:
         cache_append(path, rec)
+
+
+# The Schur-polynomial oracle as it was before monomials were packed into ints:
+# exponent vectors are tuples, products are built with zip, and the monomials
+# of each Schur polynomial sit in an lru_cache.
+
+@lru_cache(maxsize=None)
+def _ref_schur_monomials(lam, nvars):
+    """Monomial expansion of the Schur polynomial of lam in nvars variables."""
+    lam = partition(lam)
+    if len(lam) > nvars:
+        return ()
+    counts = {}
+    boxes = [(r, c) for r, width in enumerate(lam, start=1) for c in range(1, width + 1)]
+    entries = {}
+
+    def rec(idx):
+        if idx == len(boxes):
+            exp = [0] * nvars
+            for v in entries.values():
+                exp[v - 1] += 1
+            key = tuple(exp)
+            counts[key] = counts.get(key, 0) + 1
+            return
+        r, c = boxes[idx]
+        lo = max(entries.get((r, c - 1), 1), entries.get((r - 1, c), 0) + 1)
+        for v in range(lo, nvars + 1):
+            entries[(r, c)] = v
+            rec(idx + 1)
+            del entries[(r, c)]
+
+    rec(0)
+    return tuple(sorted(counts.items()))
+
+
+def _ref_multiply(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ea, eb))
+            out[key] = out.get(key, 0) + ca * cb
+    return out
+
+
+def _ref_extract_schur_basis(poly, degree, nvars):
+    """Write poly as a sum of Schur polynomials by descending-lex peeling."""
+    poly = {k: v for k, v in poly.items() if v}
+    out = {}
+    for eta in partitions_of(degree, max_rows=nvars):
+        exp = tuple(eta) + (0,) * (nvars - len(eta))
+        coeff = poly.get(exp, 0)
+        if coeff:
+            out[eta] = coeff
+            for mono, c in _ref_schur_monomials(eta, nvars):
+                key = mono
+                poly[key] = poly.get(key, 0) - coeff * c
+                if poly[key] == 0:
+                    del poly[key]
+    if any(poly.values()):
+        raise ArithmeticError("polynomial is not a nonnegative-length Schur combination")
+    return out
+
+
+def reference_schur_product(lam, mu):
+    """All classical LR coefficients of s_lam * s_mu, by the tuple-exponent oracle."""
+    lam, mu = partition(lam), partition(mu)
+    nvars = max(len(lam) + len(mu), 1)
+    prod = _ref_multiply(dict(_ref_schur_monomials(lam, nvars)), dict(_ref_schur_monomials(mu, nvars)))
+    return _ref_extract_schur_basis(prod, psize(lam) + psize(mu), nvars)

@@ -29,6 +29,8 @@ from ktaquin.coefficients import (
 )
 from ktaquin import coefficients, schur
 
+from helpers import reference_schur_product
+
 
 class TestCoeffC:
     def test_small_values(self):
@@ -171,14 +173,17 @@ class TestMemo:
 
     def _values(self):
         return [
-            (coeff_C(*t), coeff_D(*t), coeff_E(*t), coeff_c_classical(*t)) for t in self.SWEEP
+            (coeff_C(*t), coeff_D(*t), coeff_E(*t), coeff_c_classical(*t), schur.lr_coefficient(*t))
+            for t in self.SWEEP
         ]
 
     def test_cold_and_warm_sweeps_agree(self):
         coefficients._memo.clear()
+        assert not coefficients._memo
         cold = self._values()
         size = len(coefficients._memo)
-        assert size > 0
+        # the Schur oracle's monomials live in the one memo, so clear() reset them too
+        assert any(key[0] == "schur" for key in coefficients._memo)
         assert self._values() == cold
         assert len(coefficients._memo) == size  # the warm sweep computed nothing new
         assert sum(1 for row in cold for v in row if v) >= 50
@@ -287,3 +292,17 @@ class TestSchurOracle:
 
     def test_degree_mismatch(self):
         assert schur.lr_coefficient((2,), (1,), (2,)) == 0
+
+    def test_packed_oracle_matches_the_tuple_oracle(self):
+        pairs = [
+            (lam, mu)
+            for total in range(9)
+            for a in range(total + 1)
+            for lam in partitions_of(a)
+            for mu in partitions_of(total - a)
+        ]
+        assert len(pairs) == 434  # every pair with |lam| + |mu| <= 8
+        coefficients._memo.clear()
+        tables = {pair: schur.schur_product_expansion(*pair) for pair in pairs}
+        assert [pair for pair in pairs if tables[pair] != reference_schur_product(*pair)] == []
+        assert max(v for table in tables.values() for v in table.values()) == 2

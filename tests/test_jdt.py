@@ -110,6 +110,21 @@ class TestRevKjdtSlide:
         out = rev_kjdt_slide(t, {(1, 2)}, AmbientRectangle(1, 3))
         assert out == tab((2,), (1,), {(1, 2): 1})
 
+    @pytest.mark.parametrize(
+        "corner, ambient",
+        [((2, 2), AmbientRectangle(2, 4)), ((1, 2), AmbientRectangle(2, 3))],
+        ids=["not-addable", "outside-ambient"],
+    )
+    def test_illegal_corner_raises_on_both_checked_paths(self, corner, ambient):
+        t = tab((1,), (), {(1, 1): 1})
+        message = f"[{corner}] are not outer corners of (1,) in the ambient"
+        with pytest.raises(ShapeFitError) as err:
+            rev_kjdt_slide(t, {corner}, ambient)
+        assert str(err.value) == message
+        with pytest.raises(SlideStepError) as err:
+            switch_trace(t, [SlideStep("reverse", frozenset({corner}))], ambient)
+        assert str(err.value) == f"step 0: {message}"
+
     def test_round_trip_random(self):
         rng = random.Random(13)
         from ktaquin.shapes import boxes_of, removable_corners

@@ -74,6 +74,27 @@ class TestPartitionBasics:
         with pytest.raises(ShapeFitError):
             partition([1, 2])
 
+    @pytest.mark.parametrize(
+        "parts, expected",
+        [
+            ((3, 0, 0), (3,)),
+            ((1, 2), "rows must be weakly decreasing: (1, 2)"),
+            ((2, -1), "rows must be nonnegative: (2, -1)"),
+            ((2, 0, 1), "rows must be weakly decreasing: (2, 0, 1)"),
+            # both faults: the order check reports first
+            ((1, 2, -1), "rows must be weakly decreasing: (1, 2, -1)"),
+            (("3", "1"), (3, 1)),
+            ((), ()),
+        ],
+    )
+    def test_accepts_and_rejects(self, parts, expected):
+        if isinstance(expected, tuple):
+            assert partition(parts) == expected
+        else:
+            with pytest.raises(ShapeFitError) as err:
+                partition(parts)
+            assert str(err.value) == expected
+
     def test_text_round_trip(self):
         assert parse_partition("[4,3,1]") == (4, 3, 1)
         assert parse_partition("[]") == ()
