@@ -3,12 +3,15 @@
 Each family has a direct jeu-de-taquin rule plus at least one independent
 cross-check:
 
-* C: count skew increasing tableaux rectifying to the superstandard target.
+* C: count skew increasing tableaux rectifying to the superstandard target;
+  cross-checked against C with lam and mu swapped, against Buch's set-valued
+  rule in every range, and against the Schur oracle in the classical range.
 * D: count fillings of the corner-to-corner shape rectifying to a fixed target
   (well defined because the inner shape is a rectangle); cross-checked against
   the set-valued-tableau rule and against C through the direct-sum identity.
-* E: count X-augmented fillings whose erased part rectifies to the target;
-  cross-checked against the alternating rook-strip sum of C values.
+* E: count X-augmented fillings whose erased part rectifies to the target,
+  that is the alternating rook-strip sum of jdt C values; cross-checked
+  against the same sum over Buch's C.
 * F: equal to D by definition of the dual-basis splitting; cross-checked
   through D's two independent routes.
 * c: the classical limit (the unsigned D count), cross-checked against a Schur
@@ -18,8 +21,9 @@ One module-level dict, ``_memo`` (defined in ``shapes``, the lowest module
 that reads it, and bound here too), holds everything that is reused, under
 these keys:
 
-* ``(kind, lam, mu, nu)`` for kind "C", "E" and "D-buch", and for "D" with the
-  superstandard target (a D count for any other target is not memoized);
+* ``(kind, lam, mu, nu)`` for kind "C", "C-buch" and "D-buch", and for "D"
+  with the superstandard target (a D count for any other target is not
+  memoized); an E value is a sum of C entries and has no key of its own;
 * ``(outer, inner, m)`` for a row of superstandard rectification counts over
   the alphabet 1..m (``rect_tally``), shared by the C and D counts that read
   one shape of that row each;
@@ -33,9 +37,8 @@ Public functions normalise their shapes once and then reach the memoized
 counts directly; the private routes (``_memoized_count``, the ``_count_*``
 functions, ``rect_tally``) take normal-form shapes and never normalise.
 
-C and D count label by label (``_rect_count``), never filling by filling; E
-rectifies each filling on its own, so that its rook-strip check stays
-independent of the rows.
+Every jdt count (C, D, and E through C) goes label by label through
+``_rect_count``, never filling by filling.
 """
 
 from __future__ import annotations
@@ -50,28 +53,19 @@ from .shapes import (
     DirectSumFrame,
     Part,
     ShapeFitError,
-    SkewShape,
+    _dagger,
     _memoized,
     _star,
     add_boxes,
     boxes_of,
     contains,
-    dagger,
-    omega_dual,
     partition,
     partitions_in_rectangle,
     psize,
-    remove_boxes,
     rook_strip_contractions,
 )
-from .tableaux import (
-    IncreasingTableau,
-    eligible_x_boxes,
-    enumerate_set_valued,
-    iter_increasing_cells,
-    superstandard,
-)
-from .jdt import InternalInvariantError, _check_corner_groups, _infuse, _label_groups_desc, _order_groups
+from .tableaux import IncreasingTableau, enumerate_set_valued
+from .jdt import InternalInvariantError, _label_groups_desc
 from . import jdt, schur, shapes
 
 Kind = str  # a key of KINDS
@@ -205,6 +199,14 @@ def _count_C(lam: Part, mu: Part, nu: Part) -> int:
     return _sign(psize(nu) - psize(lam) - psize(mu)) * count
 
 
+def _count_C_buch(lam: Part, mu: Part, nu: Part) -> int:
+    """Buch's rule: set-valued tableaux of star(lam, mu) with content nu, reverse lattice on (1, len(nu))."""
+    shape = _star(lam, mu)
+    lattice = [(1, len(nu))] if nu else []
+    count = sum(1 for _ in enumerate_set_valued(shape.outer, nu, lattice, shape.inner))
+    return _sign(psize(nu) - psize(lam) - psize(mu)) * count
+
+
 def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
     """Splitting coefficient of the direct-sum pullback, by rectification counting."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
@@ -246,51 +248,30 @@ def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -
 
 def _D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
     frame.require_fits(lam, mu, nu)
-    rect, joined = omega_dual(frame), dagger(lam, mu, frame)
-    return _memoized_count("C", rect, nu, joined)
+    rect = (frame.n1 - frame.k1,) * frame.k2  # omega_dual(frame)
+    return _memoized_count("C", rect, nu, _dagger(lam, mu, frame))
 
 
 def coeff_E(lam: Part, mu: Part, nu: Part) -> int:
     """Ideal-sheaf product constant: X-augmented fillings, marks erased before rectifying."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _memoized_count("E", lam, mu, nu)
-
-
-def _count_E(lam: Part, mu: Part, nu: Part) -> int:
-    """Count the X-augmented fillings of nu/lam whose erased part rectifies to mu's target.
-
-    Marks are any subset of the outer corners inside the region; erasing them
-    leaves a surjective filling of the smaller shape, which is enumerated and
-    rectified as raw entries through the superstandard order of lam, checked
-    once.  No row or memo entry is read, so the rook-strip sum of C values
-    stays an independent check.
-    """
-    if not contains(nu, lam):
-        return 0
-    groups = _order_groups(superstandard(lam))
-    _check_corner_groups(lam, groups)
-    target = superstandard(mu).entries
-    alphabet = range(1, psize(mu) + 1)
-    eligible = eligible_x_boxes(SkewShape._from_normal(nu, lam))
-    count = 0
-    for mask in range(1 << len(eligible)):
-        erased = remove_boxes(nu, [b for i, b in enumerate(eligible) if mask >> i & 1])
-        for cells in iter_increasing_cells(erased, lam, alphabet, surjective=True):
-            entries = {(r, c): v for r, c, v in cells}
-            if _infuse(entries, erased, groups) == mu and entries == target:
-                count += 1
-    return _sign(psize(nu) - psize(lam) - psize(mu)) * count
+    return _rook_strip_sum("C", lam, mu, nu)
 
 
 def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
-    """Ideal-sheaf product constant as the alternating rook-strip sum of C values."""
+    """Ideal-sheaf product constant as the alternating rook-strip sum of Buch's C values."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _E_via_C(lam, mu, nu)
+    return _rook_strip_sum("C-buch", lam, mu, nu)
 
 
-def _E_via_C(lam: Part, mu: Part, nu: Part) -> int:
+def _rook_strip_sum(kind: str, lam: Part, mu: Part, nu: Part) -> int:
+    """Sum of (-1)^|nu/nubar| C(lam, mu, nubar), C counted by ``kind``, over nu minus a rook strip.
+
+    Erasing the X marks of a filling of nu/lam leaves one that C counts on some
+    such nubar; a mark inside lam leaves a nubar without lam, where C is 0.
+    """
     return sum(
-        _memoized_count("C", lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
+        _memoized_count(kind, lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
         for nubar in rook_strip_contractions(nu)
     )
 
@@ -315,7 +296,7 @@ def _classical(lam: Part, mu: Part, nu: Part) -> int:
 
 
 # each memoized count and the rule that computes it
-_COUNTS = {"C": _count_C, "D": _count_D, "D-buch": _count_D_buch, "E": _count_E}
+_COUNTS = {"C": _count_C, "C-buch": _count_C_buch, "D": _count_D, "D-buch": _count_D_buch}
 
 # each coefficient kind and its plain (unchecked) rule
 KINDS = {"C": coeff_C, "D": coeff_D, "E": coeff_E, "F": coeff_F, "c": coeff_c_classical}
@@ -413,6 +394,7 @@ def compute_with_checks(
     if kind == "C":
         value = _memoized_count("C", lam, mu, nu)
         checks.append(("symmetry", value == _memoized_count("C", mu, lam, nu)))
+        checks.append(("buch", value == _memoized_count("C-buch", lam, mu, nu)))
         if psize(nu) == psize(lam) + psize(mu):
             checks.append(("classical", abs(value) == schur.lr_coefficient(lam, mu, nu)))
     elif kind in ("D", "F"):
@@ -423,8 +405,8 @@ def compute_with_checks(
             frame = _default_frame(lam, mu, nu)
         checks.append(("identity", value == _D_via_identity(lam, mu, nu, frame)))
     elif kind == "E":
-        value = _memoized_count("E", lam, mu, nu)
-        checks.append(("rook-strip", value == _E_via_C(lam, mu, nu)))
+        value = _rook_strip_sum("C", lam, mu, nu)
+        checks.append(("rook-strip", value == _rook_strip_sum("C-buch", lam, mu, nu)))
     elif kind == "c":
         value = _classical(lam, mu, nu)
         checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))

@@ -29,10 +29,10 @@ class ParseError(ValueError):
 def format_tableau(t: Tableau) -> str:
     """Grid form: one line per row, '.' for inner holes, 'X' marks, '{a,b}' sets."""
     if isinstance(t, SetValuedTableau):
-        sets = {(r, c): vals for r, c, vals in t.cells}
+        sets = {(r, c): "{" + ",".join(map(str, vals)) + "}" for r, c, vals in t.cells}
         lines = []
         for r, width in enumerate(t.shape, start=1):
-            lines.append(" ".join("{" + ",".join(map(str, sets[(r, c)])) + "}" for c in range(1, width + 1)))
+            lines.append(" ".join(sets.get((r, c), ".") for c in range(1, width + 1)))
         return "\n".join(lines)
     marks = set(t.x_marks) if isinstance(t, AugmentedTableau) else set()
     entries = {(r, c): v for r, c, v in t.cells}
@@ -120,9 +120,9 @@ def _parse_grid(text: str) -> Tableau:
 def _make_tableau(outer: Part, inner: Part, nums: list, sets: list, marks: list[Box]) -> Tableau:
     """The set-valued tableau if any box holds a set, else augmented if marked, else increasing."""
     if sets:
-        if marks or inner != ():
-            raise ParseError(1, 1, "set-valued tableaux are straight and unmarked")
-        return SetValuedTableau(outer, tuple(sets) + tuple((r, c, (v,)) for r, c, v in nums))
+        if marks:
+            raise ParseError(1, 1, "set-valued tableaux are unmarked")
+        return SetValuedTableau(outer, tuple(sets) + tuple((r, c, (v,)) for r, c, v in nums), inner)
     if marks:
         return AugmentedTableau(outer, inner, tuple(nums), tuple(marks))
     return IncreasingTableau(outer, inner, tuple(nums))
@@ -132,7 +132,7 @@ def tableau_to_json_dict(t: Tableau) -> dict:
     if isinstance(t, SetValuedTableau):
         return {
             "outer": list(t.shape),
-            "inner": [],
+            "inner": list(t.inner),
             "cells": [[r, c, list(vals)] for r, c, vals in t.cells],
         }
     doc = {

@@ -5,7 +5,7 @@ trailing zeros so there is a single canonical form.  Boxes are 1-based
 (row, column) matrix coordinates, row 1 at the top.
 
 Public functions normalise their shape arguments through ``partition``; the
-private ones (``_star``, ``SkewShape._from_normal``) take them in normal form.
+private ones (``_star``, ``_dagger``, ``SkewShape._from_normal``) take them in normal form.
 
 The engine's one memo, ``_memo``, lives here, below every module that reads
 it; ``coefficients`` documents its keys.
@@ -334,11 +334,16 @@ def dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
     """mu to the right of, and lam below, the k2 x (n1-k1) rectangle."""
     lam, mu = partition(lam), partition(mu)
     frame.require_fits(lam, mu)
-    base = frame.n1 - frame.k1
-    rows = tuple(base + row_length(mu, i) for i in range(1, frame.k2 + 1)) + lam
-    result = partition(rows)
+    result = _dagger(lam, mu, frame)
     frame.ambient.require_fit(result)
     return result
+
+
+def _dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
+    """``dagger`` of normal-form parts that fit the frame; the rows over lam are
+    at least n1-k1 >= lam[0] long, so the result is normal and fits the ambient."""
+    base = frame.n1 - frame.k1
+    return tuple(base + row_length(mu, i) for i in range(1, frame.k2 + 1)) + lam
 
 
 def oslash(mu: Part, lam: Part, frame: DirectSumFrame) -> Part:

@@ -230,19 +230,23 @@ def eligible_x_boxes(shape: SkewShape) -> list[Box]:
 
 @dataclass(frozen=True)
 class SetValuedTableau:
-    """Straight shape whose boxes hold nonempty sets; weak rows, strict columns."""
+    """A skew shape whose boxes hold nonempty sets; weak rows, strict columns."""
 
     shape: Part
     cells: tuple[tuple[int, int, tuple[int, ...]], ...]
+    inner: Part = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", partition(self.shape))
+        object.__setattr__(self, "inner", partition(self.inner))
+        if not contains(self.shape, self.inner):
+            raise ShapeFitError(f"inner {self.inner} not contained in outer {self.shape}")
         cells = tuple(sorted((r, c, tuple(sorted(vals))) for r, c, vals in self.cells))
         object.__setattr__(self, "cells", cells)
-        region = {(r, c) for r, width in enumerate(self.shape, start=1) for c in range(1, width + 1)}
+        region = {(r, c) for r, lo, hi in _region_rows(self.shape, self.inner) for c in range(lo, hi + 1)}
         sets = {(r, c): vals for r, c, vals in cells}
         if set(sets) != region or len(sets) != len(cells):
-            raise TableauError(f"cells do not fill shape {self.shape} exactly once")
+            raise TableauError(f"cells do not fill {self.shape}/{self.inner} exactly once")
         for (r, c), vals in sets.items():
             if not vals or any(v < 1 for v in vals):
                 raise TableauError(f"box {(r, c)} must hold a nonempty set of positive integers")
@@ -253,13 +257,13 @@ class SetValuedTableau:
             if below is not None and max(vals) >= min(below):
                 raise TableauError(f"column {c} not strictly increasing at row {r}")
 
+
 def reading_word(t: SetValuedTableau) -> Word:
     """Rows bottom to top, boxes left to right, set elements increasing."""
     word: list[int] = []
-    nrows = len(t.shape)
     sets = {(r, c): vals for r, c, vals in t.cells}
-    for r in range(nrows, 0, -1):
-        for c in range(1, t.shape[r - 1] + 1):
+    for r, lo, hi in reversed(list(_region_rows(t.shape, t.inner))):
+        for c in range(lo, hi + 1):
             word.extend(sets[(r, c)])
     return tuple(word)
 
@@ -400,19 +404,22 @@ def enumerate_augmented(shape: SkewShape, alphabet: Iterable[int]) -> Iterator[A
 
 
 def enumerate_set_valued(
-    nu: Part, content: tuple[int, ...], lattice: Iterable[tuple[int, int]] = ()
+    nu: Part, content: tuple[int, ...], lattice: Iterable[tuple[int, int]] = (), inner: Part = ()
 ) -> Iterator[SetValuedTableau]:
-    """Set-valued tableaux of straight shape nu where letter i fills content[i-1] boxes.
+    """Set-valued tableaux of shape nu/inner where letter i fills content[i-1] boxes.
 
     With ``lattice``, only those whose reading word is a reverse lattice word
     on every interval (a, b) in it, as ``is_partial_reverse_lattice`` tests.
     Boxes are filled in reverse reading order: rows top to bottom, each row
     right to left, each set largest letter first.  So the lattice test runs on
     every prefix as it grows, and the box to the right and the box above are
-    already filled: a set's largest letter is at most the smallest letter to
-    its right, and its smallest exceeds the largest letter above.
+    already filled when they lie in the region: a set's largest letter is at
+    most the smallest letter to its right, and its smallest exceeds the
+    largest letter above.
     """
-    nu = partition(nu)
+    nu, inner = partition(nu), partition(inner)
+    if not contains(nu, inner):
+        raise ShapeFitError(f"inner {inner} not contained in outer {nu}")
     if any(m < 0 for m in content):
         raise ValueError(f"content entries must be nonnegative, got {tuple(content)}")
     letters = len(content)
@@ -422,7 +429,7 @@ def enumerate_set_valued(
             raise ValueError(f"need a <= b, got {(a, b)}")
         for x in range(max(a + 1, 1), min(b, letters) + 1):
             checked[x] = True
-    boxes = [(r, c) for r, width in enumerate(nu, start=1) for c in range(width, 0, -1)]
+    boxes = [(r, c) for r, lo, hi in _region_rows(nu, inner) for c in range(hi, lo - 1, -1)]
     n, total = len(boxes), sum(content)
     if total < n:  # no filling; most zero D counts end here, before the set-up below
         return
@@ -447,7 +454,7 @@ def enumerate_set_valued(
         """Fill boxes i.. with the remaining letters; one frame per box, so n boxes nest n deep."""
         if i == n:
             if not remaining:
-                yield SetValuedTableau(nu, tuple((r, c, s) for (r, c), s in zip(boxes, sets)))
+                yield SetValuedTableau(nu, tuple((r, c, s) for (r, c), s in zip(boxes, sets)), inner)
             return
         if remaining < n - i:  # some box would be left without a letter
             return

@@ -3,10 +3,12 @@
 import random
 from functools import lru_cache
 
+from ktaquin.coefficients import _sign
 from ktaquin.shapes import (
     SkewShape,
     add_boxes,
     boxes_of,
+    contains,
     partition,
     partitions_of,
     psize,
@@ -17,6 +19,7 @@ from ktaquin.jdt import _check_corner_groups, _infuse, _order_groups
 from ktaquin.tableaux import (
     IncreasingTableau,
     SetValuedTableau,
+    eligible_x_boxes,
     is_partial_reverse_lattice,
     iter_increasing_cells,
     reading_word,
@@ -279,15 +282,49 @@ def superstandard_row(tally):
 
 
 # ---------------------------------------------------------------------------
+# Reference E count: the per-filling loop that coefficients.coeff_E replaced
+# by the rook-strip sum of C rows.  Each X-augmented filling is enumerated and
+# rectified on its own, reading no row and no memo entry.  Test-only.
+
+
+def reference_count_E(lam, mu, nu):
+    """Count the X-augmented fillings of nu/lam whose erased part rectifies to mu's target.
+
+    Marks are any subset of the outer corners inside the region; erasing them
+    leaves a surjective filling of the smaller shape, which is enumerated and
+    rectified as raw entries through the superstandard order of lam, checked
+    once.  No row or memo entry is read, so the rook-strip sum of C values
+    stays an independent check.
+    """
+    if not contains(nu, lam):
+        return 0
+    groups = _order_groups(superstandard(lam))
+    _check_corner_groups(lam, groups)
+    target = superstandard(mu).entries
+    alphabet = range(1, psize(mu) + 1)
+    eligible = eligible_x_boxes(SkewShape._from_normal(nu, lam))
+    count = 0
+    for mask in range(1 << len(eligible)):
+        erased = remove_boxes(nu, [b for i, b in enumerate(eligible) if mask >> i & 1])
+        for cells in iter_increasing_cells(erased, lam, alphabet, surjective=True):
+            entries = {(r, c): v for r, c, v in cells}
+            if _infuse(entries, erased, groups) == mu and entries == target:
+                count += 1
+    return _sign(psize(nu) - psize(lam) - psize(mu)) * count
+
+
+# ---------------------------------------------------------------------------
 # Reference set-valued enumerator: the recursive generator that the pruned
 # backtracker in ktaquin.tableaux.enumerate_set_valued replaced, with the
 # reading-word filter its callers ran afterwards.  Test-only.
 
 
-def reference_set_valued(nu, content, lattice=()):
-    """Set-valued tableaux of nu with the given content, then filtered on each lattice interval."""
-    nu = partition(nu)
-    boxes = [(r, c) for r, width in enumerate(nu, start=1) for c in range(1, width + 1)]
+def reference_set_valued(nu, content, lattice=(), inner=()):
+    """Set-valued tableaux of nu/inner with the given content, then filtered on each lattice interval."""
+    nu, inner = partition(nu), partition(inner)
+    boxes = [
+        (r, c) for r, width in enumerate(nu, start=1) for c in range(row_length(inner, r) + 1, width + 1)
+    ]
     n = len(boxes)
     letters = len(content)
     total = sum(content)
@@ -295,7 +332,7 @@ def reference_set_valued(nu, content, lattice=()):
         return
     if n == 0:
         if total == 0:
-            yield SetValuedTableau((), ())
+            yield SetValuedTableau(nu, (), inner)
         return
 
     remaining = list(content)
@@ -316,7 +353,7 @@ def reference_set_valued(nu, content, lattice=()):
     def rec(idx, left_total):
         if idx == n:
             if left_total == 0:
-                yield SetValuedTableau(nu, tuple((r, c, vals) for (r, c), vals in chosen.items()))
+                yield SetValuedTableau(nu, tuple((r, c, vals) for (r, c), vals in chosen.items()), inner)
             return
         r, c = boxes[idx]
         left = chosen.get((r, c - 1))

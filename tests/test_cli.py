@@ -30,6 +30,20 @@ class TestCoeffCommand:
         assert code == EXIT_OK
         assert out.strip() == "F[2],[2,1]->[3,1] = -2  [buch:ok identity:ok]"
 
+    @pytest.mark.parametrize(
+        "kind, lam, mu, nu, line",
+        [
+            ("C", "[1]", "[1]", "[2,1]", "C[1],[1]->[2,1] = -1  [symmetry:ok buch:ok]"),
+            ("C", "[2,1]", "[2,1]", "[3,2,1]", "C[2,1],[2,1]->[3,2,1] = 2  [symmetry:ok buch:ok classical:ok]"),
+            ("E", "[1]", "[1]", "[2,1]", "E[1],[1]->[2,1] = -3  [rook-strip:ok]"),
+        ],
+        ids=["C-k-theory", "C-classical", "E"],
+    )
+    def test_checked_product_lines(self, capsys, kind, lam, mu, nu, line):
+        code, out, _ = run(capsys, "coeff", kind, "--lambda", lam, "--mu", mu, "--nu", nu, "--check")
+        assert code == EXIT_OK
+        assert out.strip() == line
+
     def test_ideal_sheaf_value(self, capsys):
         code, out, _ = run(capsys, "coeff", "E", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2,1]")
         assert code == EXIT_OK

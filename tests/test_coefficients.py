@@ -9,6 +9,7 @@ from ktaquin.shapes import (
     ShapeFitError,
     SkewShape,
     contains,
+    partitions_in_rectangle,
     partitions_of,
     psize,
 )
@@ -28,6 +29,8 @@ from ktaquin.coefficients import (
     expand_product,
 )
 from ktaquin import coefficients, schur
+
+from helpers import reference_count_E
 
 from helpers import reference_schur_product
 
@@ -136,6 +139,16 @@ class TestCoeffE:
                 for n in range(0, 7):
                     for nu in partitions_of(n, max_rows=3, max_cols=3):
                         assert coeff_E(lam, mu, nu) == coeff_E_via_C(lam, mu, nu), (lam, mu, nu)
+
+    def test_matches_the_per_filling_count(self):
+        """The rook-strip sum of C rows against each X-augmented filling rectified on its own."""
+        lams = list(partitions_in_rectangle(2, 3))
+        triples = [(lam, mu, nu) for lam in lams for mu in lams for nu in partitions_in_rectangle(3, 4)]
+        assert len(triples) == 3500
+        coefficients._memo.clear()
+        values = {t: coeff_E(*t) for t in triples}
+        assert [t for t in triples if values[t] != reference_count_E(*t)] == []
+        assert sum(1 for v in values.values() if v) == 892
 
     def test_raw_count_matches_augmented_tableaux(self):
         # the definition: each X-augmented tableau built, erased and rectified by krect
@@ -266,7 +279,9 @@ class TestRecords:
         assert dict(rec.checks) == {"buch": True, "identity": True}
         assert rec.agreed
         rec_e = compute_with_checks("E", (1,), (1,), (2, 1))
-        assert rec_e.value == -3 and rec_e.agreed
+        assert rec_e.value == -3 and rec_e.checks == (("rook-strip", True),)
+        rec_k = compute_with_checks("C", (1,), (1,), (2, 1))
+        assert rec_k.value == -1 and rec_k.checks == (("symmetry", True), ("buch", True))
         rec_c = compute_with_checks("c", (2, 1), (2, 1), (3, 2, 1))
         assert rec_c.value == 2 and rec_c.agreed
 

@@ -56,6 +56,21 @@ class TestGrid:
         assert t.cells == ((1, 1, (1, 2)), (1, 2, (2,)), (2, 1, (3,)))
         assert parse_tableau(format_tableau(t)) == t
 
+    def test_skew_set_valued_round_trips(self):
+        from ktaquin.tableaux import enumerate_set_valued
+
+        family = list(enumerate_set_valued((3, 2), (2, 1, 1), inner=(1,)))
+        assert family
+        for t in family:
+            assert t.inner == (1,)
+            text = format_tableau(t)
+            assert text.startswith(". ")
+            assert parse_tableau(text) == t
+            assert tableau_to_json_dict(t)["inner"] == [1]
+            assert tableau_from_json_dict(tableau_to_json_dict(t)) == t
+        with pytest.raises(ParseError):
+            parse_tableau(". {1,2} X\n3")
+
     def test_syntax_errors_carry_position(self):
         with pytest.raises(ParseError) as err:
             parse_tableau("1 ? 3")

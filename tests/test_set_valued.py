@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktaquin import coefficients
-from ktaquin.coefficients import coeff_D_buch
+from ktaquin.coefficients import coeff_C, coeff_D_buch
 from ktaquin.shapes import partitions_in_rectangle, psize
 from ktaquin.tableaux import enumerate_set_valued
 
@@ -45,6 +45,18 @@ class TestExhaustive:
                     nonzero += count != 0
         assert nonzero == 144
 
+    def test_C_buch(self):
+        """Buch's C against the jdt count: lambda, mu of at most 4 boxes in a 3x3 box,
+        nu of at most 9 boxes in a 4x4 box, |nu| >= |lambda| + |mu|."""
+        small = [p for p in partitions_in_rectangle(3, 3) if psize(p) <= 4]
+        nus = [p for p in partitions_in_rectangle(4, 4) if psize(p) <= 9]
+        triples = [(l, m, n) for l in small for m in small for n in nus if psize(n) >= psize(l) + psize(m)]
+        assert len(triples) == 3152
+        coefficients._memo.clear()
+        values = {t: coeff_C(*t) for t in triples}
+        assert [t for t in triples if coefficients._count_C_buch(*t) != values[t]] == []
+        assert sum(1 for v in values.values() if v) == 530
+
 
 @st.composite
 def set_valued_cases(draw):
@@ -53,14 +65,18 @@ def set_valued_cases(draw):
     content = tuple(draw(st.lists(st.integers(0, 3), max_size=4)))
     ends = st.integers(0, len(content) + 1)
     lattice = draw(st.lists(st.tuples(ends, ends).map(sorted).map(tuple), max_size=2))
-    return tuple(nu), content, lattice
+    inner = []  # each row at most nu's row and the inner row above
+    for width in nu:
+        inner.append(draw(st.integers(0, min(width, inner[-1]) if inner else width)))
+    return tuple(nu), content, lattice, tuple(inner)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, derandomize=True)
 @given(set_valued_cases())
 def test_matches_reference(case):
-    nu, content, lattice = case
-    assert cells(enumerate_set_valued(nu, content, lattice)) == cells(reference_set_valued(nu, content, lattice))
+    nu, content, lattice, inner = case
+    got = cells(enumerate_set_valued(nu, content, lattice, inner))
+    assert got == cells(reference_set_valued(nu, content, lattice, inner))
 
 
 @pytest.mark.parametrize("content, lattice", [((-1, 2, 1), ()), ((1, 1), [(2, 1)])])

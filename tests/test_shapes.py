@@ -181,7 +181,9 @@ class TestFrameShapes:
             f = DirectSumFrame(k1, n1, k2, n2)
             for lam in partitions_in_rectangle(f.k1, f.n1 - f.k1):
                 for mu in partitions_in_rectangle(f.k2, f.n2 - f.k2):
-                    assert psize(dagger(lam, mu, f)) == psize(omega_dual(f)) + psize(lam) + psize(mu)
+                    joined = dagger(lam, mu, f)
+                    assert partition(joined) == joined  # built in normal form, never renormalised
+                    assert psize(joined) == psize(omega_dual(f)) + psize(lam) + psize(mu)
 
     def test_fit_errors(self):
         f = DirectSumFrame(1, 2, 1, 2)

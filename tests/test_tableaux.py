@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_increasing_cells
-from ktaquin.shapes import SkewShape, partition, psize
+from ktaquin.shapes import ShapeFitError, SkewShape, partition, psize
 from ktaquin.tableaux import (
     AugmentedTableau,
     IncreasingTableau,
@@ -196,6 +196,14 @@ class TestSetValued:
         assert reading_word(t2) == (2, 3, 1, 1, 2)
         single = SetValuedTableau((1,), ((1, 1, (5,)),))
         assert reading_word(single) == (5,)
+
+    def test_skew_reading_word_skips_inner(self):
+        t = SetValuedTableau((3, 2), ((1, 2, (1,)), (1, 3, (1, 2)), (2, 1, (1,)), (2, 2, (2, 3))), (1,))
+        assert reading_word(t) == (1, 2, 3, 1, 1, 2)
+        with pytest.raises(ShapeFitError):
+            SetValuedTableau((1,), (), (2,))
+        with pytest.raises(TableauError):  # a box of the inner shape filled
+            SetValuedTableau((2,), ((1, 1, (1,)), (1, 2, (2,))), (1,))
 
     def test_invariants(self):
         with pytest.raises(TableauError):
