@@ -28,13 +28,16 @@ these keys:
   the alphabet 1..m (``rect_tally``), shared by the C and D counts that read
   one shape of that row each;
 * ``("schur", lam, nvars, base)`` for the packed monomials of a Schur
-  polynomial, which the classical oracle in ``schur`` multiplies and peels.
+  polynomial, which the classical oracle in ``schur`` multiplies and peels;
+* ``("partition", t)`` for the normal form of the int tuple ``t`` that
+  ``shapes.partition`` converted its argument to, so a shape seen before is
+  normalised by one lookup (rejected shapes are never stored).
 
 It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
 oracle included.
 
-Public functions normalise their shapes once and then reach the memoized
-counts directly; the private routes (``_memoized_count``, the ``_count_*``
+Public functions normalise their shapes once, through the memo, and then
+reach the memoized counts directly; the private routes (``_memoized_count``, the ``_count_*``
 functions, ``rect_tally``) take normal-form shapes and never normalise.
 
 Every jdt count (C, D, and E through C) goes label by label through
@@ -55,6 +58,7 @@ from .shapes import (
     ShapeFitError,
     _dagger,
     _memoized,
+    _require_fit,
     _star,
     add_boxes,
     boxes_of,
@@ -336,7 +340,7 @@ def expand_coproduct(
     ``mapper`` is as in :func:`expand_product`.
     """
     nu = partition(nu)
-    frame.ambient.require_fit(nu)
+    _require_fit(nu, frame.k, frame.n - frame.k)
     pairs = [
         (lam, mu)
         for lam in partitions_in_rectangle(frame.k1, frame.n1 - frame.k1)

@@ -8,7 +8,8 @@ Public functions normalise their shape arguments through ``partition``; the
 private ones (``_star``, ``_dagger``, ``SkewShape._from_normal``) take them in normal form.
 
 The engine's one memo, ``_memo``, lives here, below every module that reads
-it; ``coefficients`` documents its keys.
+it; ``coefficients`` documents its keys.  This module adds ``("partition", t)``:
+the normal form of the int tuple ``t``, stored only for accepted inputs.
 """
 
 from __future__ import annotations
@@ -39,9 +40,15 @@ def partition(parts: Iterable[int]) -> Part:
     """Normalize an iterable of row lengths into a canonical partition tuple.
 
     Trailing zeros are dropped; anything not weakly decreasing or negative is
-    rejected.
+    rejected.  The result is memoized under the converted int tuple, so a
+    repeated shape costs one lookup; a rejected one is never stored.
     """
     t = tuple(map(int, parts))
+    return _memoized(("partition", t), _normalise, t)
+
+
+def _normalise(t: Part) -> Part:
+    """``partition`` of an int tuple, without the memo."""
     if t and t[-1] <= 0:  # only then can there be trailing zeros
         while t and t[-1] == 0:
             t = t[:-1]
@@ -166,6 +173,12 @@ def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = No
     yield from rec(n, cap, n if max_rows is None else max_rows)
 
 
+def _require_fit(lam: Part, rows: int, cols: int) -> None:
+    """Refuse a normal-form lam that does not fit the rows x cols rectangle."""
+    if len(lam) > rows or (lam and lam[0] > cols):
+        raise ShapeFitError(f"{lam} does not fit the {rows}x{cols} rectangle")
+
+
 @dataclass(frozen=True)
 class AmbientRectangle:
     """The k x (n-k) rectangle every diagram of a Grassmannian sits in."""
@@ -185,12 +198,8 @@ class AmbientRectangle:
     def cols(self) -> int:
         return self.n - self.k
 
-    def fits(self, lam: Part) -> bool:
-        return len(lam) <= self.rows and (not lam or lam[0] <= self.cols)
-
     def require_fit(self, lam: Part) -> None:
-        if not self.fits(lam):
-            raise ShapeFitError(f"{lam} does not fit the {self.rows}x{self.cols} rectangle")
+        _require_fit(lam, self.k, self.n - self.k)
 
     @property
     def full(self) -> Part:
@@ -284,23 +293,18 @@ class DirectSumFrame:
     def ambient(self) -> AmbientRectangle:
         return AmbientRectangle(self.k, self.n)
 
-    @property
-    def first_rect(self) -> AmbientRectangle:
-        return AmbientRectangle(self.k1, self.n1)
-
-    @property
-    def second_rect(self) -> AmbientRectangle:
-        return AmbientRectangle(self.k2, self.n2)
-
     def require_fits(self, lam: Part, mu: Part, nu: Part | None = None) -> None:
-        self.first_rect.require_fit(lam)
-        self.second_rect.require_fit(mu)
+        """Refuse lam outside the first factor's rectangle, mu outside the second's,
+        or nu outside the ambient."""
+        _require_fit(lam, self.k1, self.n1 - self.k1)
+        _require_fit(mu, self.k2, self.n2 - self.k2)
         if nu is not None:
-            self.ambient.require_fit(nu)
+            _require_fit(nu, self.k1 + self.k2, self.n1 + self.n2 - self.k1 - self.k2)
 
 
 def dual_in_rectangle(lam: Part, rect: AmbientRectangle) -> Part:
     """180-degree rotation of the complement of lam in the rectangle; an involution."""
+    lam = partition(lam)
     rect.require_fit(lam)
     padded = list(lam) + [0] * (rect.rows - len(lam))
     return partition(rect.cols - padded[rect.rows - i] for i in range(1, rect.rows + 1))
@@ -335,7 +339,7 @@ def dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
     lam, mu = partition(lam), partition(mu)
     frame.require_fits(lam, mu)
     result = _dagger(lam, mu, frame)
-    frame.ambient.require_fit(result)
+    _require_fit(result, frame.k, frame.n - frame.k)
     return result
 
 
@@ -353,7 +357,7 @@ def oslash(mu: Part, lam: Part, frame: DirectSumFrame) -> Part:
     base = frame.n2 - frame.k2
     rows = tuple(base + row_length(lam, i) for i in range(1, frame.k1 + 1)) + mu
     result = partition(rows)
-    frame.ambient.require_fit(result)
+    _require_fit(result, frame.k, frame.n - frame.k)
     return result
 
 
@@ -371,6 +375,7 @@ def rook_strip_contractions(nu: Part) -> tuple[Part, ...]:
 
 def boundary_word(lam: Part, rect: AmbientRectangle) -> frozenset[int]:
     """Positions of the down steps when walking the boundary of lam from NE to SW."""
+    lam = partition(lam)
     rect.require_fit(lam)
     return frozenset(rect.cols - row_length(lam, t) + t for t in range(1, rect.rows + 1))
 

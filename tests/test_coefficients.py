@@ -195,11 +195,17 @@ class TestMemo:
         assert not coefficients._memo
         cold = self._values()
         size = len(coefficients._memo)
-        # the Schur oracle's monomials live in the one memo, so clear() reset them too
+        # the Schur oracle's monomials and the normal forms live in the one
+        # memo, so clear() reset them too
         assert any(key[0] == "schur" for key in coefficients._memo)
+        partitions = {key for key in coefficients._memo if key[0] == "partition"}
+        assert partitions
         assert self._values() == cold
         assert len(coefficients._memo) == size  # the warm sweep computed nothing new
+        assert {key for key in coefficients._memo if key[0] == "partition"} == partitions
         assert sum(1 for row in cold for v in row if v) >= 50
+        coefficients._memo.clear()
+        assert not any(key[0] == "partition" for key in coefficients._memo)
 
     def test_target_count_is_not_memoized(self):
         coefficients._memo.clear()

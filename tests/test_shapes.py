@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ktaquin import shapes
 from ktaquin.shapes import (
     AmbientRectangle,
     DirectSumFrame,
@@ -95,6 +96,39 @@ class TestPartitionBasics:
                 partition(parts)
             assert str(err.value) == expected
 
+    def test_memo_keeps_every_outcome(self):
+        """Cold and warm calls agree on every input kind, however the memo was filled."""
+        cases = [
+            (lambda: (3, 1), (3, 1)),
+            (lambda: [3, 1], (3, 1)),
+            (lambda: (x for x in (3, 1)), (3, 1)),
+            (lambda: (3.0, 1.0), (3, 1)),
+            (lambda: (True,), (1,)),
+            (lambda: ("3", "1"), (3, 1)),
+            (lambda: (3, 1, 0, 0), (3, 1)),
+            (lambda: (1, 2), (ShapeFitError, "rows must be weakly decreasing: (1, 2)")),
+            (lambda: (2, -1), (ShapeFitError, "rows must be nonnegative: (2, -1)")),
+            # (1,) is memoized by now, but a complex row is still refused by int()
+            (lambda: (1 + 0j,), (TypeError, "int() argument must be a string, a bytes-like object "
+                                             "or a real number, not 'complex'")),
+        ]
+
+        def outcome(make):
+            try:
+                return partition(make())
+            except (ShapeFitError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        shapes._memo.clear()
+        cold = [outcome(make) for make, _ in cases]
+        assert cold == [expected for _, expected in cases]
+        memo = dict(shapes._memo)
+        # keyed by the converted int tuple; rejected inputs leave no key
+        assert memo == {("partition", (3, 1)): (3, 1), ("partition", (1,)): (1,),
+                        ("partition", (3, 1, 0, 0)): (3, 1)}
+        assert [outcome(make) for make, _ in cases] == cold
+        assert shapes._memo == memo
+
     def test_text_round_trip(self):
         assert parse_partition("[4,3,1]") == (4, 3, 1)
         assert parse_partition("[]") == ()
@@ -119,8 +153,17 @@ class TestDual:
         assert dual_in_rectangle((3, 1), AmbientRectangle(3, 7)) == (4, 3, 1)
 
     def test_fit_error(self):
-        with pytest.raises(ShapeFitError):
+        with pytest.raises(ShapeFitError) as err:
             dual_in_rectangle((4,), AmbientRectangle(2, 5))
+        assert str(err.value) == "(4,) does not fit the 2x3 rectangle"
+
+    def test_normalises_its_argument(self):
+        rect = AmbientRectangle(2, 5)
+        assert dual_in_rectangle((2, 0, 0), rect) == dual_in_rectangle((2,), rect) == (3, 1)
+        assert dual_in_rectangle([2, 1], AmbientRectangle(3, 6)) == (3, 2, 1)
+        with pytest.raises(ShapeFitError) as err:
+            dual_in_rectangle((1, 2), rect)
+        assert str(err.value) == "rows must be weakly decreasing: (1, 2)"
 
     @given(partitions_small)
     @settings(max_examples=100)
@@ -192,6 +235,20 @@ class TestFrameShapes:
         with pytest.raises(ShapeFitError):
             oslash((), (1, 1), f)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (((3,), (), None), "(3,) does not fit the 1x2 rectangle"),  # lambda: first factor
+            (((), (1, 1, 1), None), "(1, 1, 1) does not fit the 2x2 rectangle"),  # mu: second factor
+            (((), (), (5,)), "(5,) does not fit the 3x4 rectangle"),  # nu: the ambient
+        ],
+        ids=["lambda", "mu", "nu"],
+    )
+    def test_misfit_messages(self, args, message):
+        with pytest.raises(ShapeFitError) as err:
+            DirectSumFrame(1, 3, 2, 4).require_fits(*args)
+        assert str(err.value) == message
+
 
 class TestRookStrips:
     def test_worked_values(self):
@@ -211,6 +268,13 @@ class TestBoundaryWord:
         assert boundary_word((3, 3), AmbientRectangle(2, 5)) == frozenset({1, 2})
         assert boundary_word((), AmbientRectangle(2, 5)) == frozenset({4, 5})
         assert boundary_word((1,), AmbientRectangle(1, 2)) == frozenset({1})
+
+    def test_normalises_its_argument(self):
+        rect = AmbientRectangle(2, 5)
+        assert boundary_word([3, 3], rect) == boundary_word((3, 3, 0), rect) == frozenset({1, 2})
+        with pytest.raises(ShapeFitError) as err:
+            boundary_word((1, 2), rect)
+        assert str(err.value) == "rows must be weakly decreasing: (1, 2)"
 
     def test_bijection(self):
         rect = AmbientRectangle(3, 7)
