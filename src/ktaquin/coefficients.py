@@ -37,8 +37,9 @@ It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
 oracle included.
 
 Public functions normalise their shapes once, through the memo, and then
-reach the memoized counts directly; the private routes (``_memoized_count``, the ``_count_*``
-functions, ``rect_tally``) take normal-form shapes and never normalise.
+reach the memoized counts directly; the private routes (``_memoized_count``,
+the ``_count_*`` functions, ``rect_tally``) take normal-form shapes and never
+normalise.
 
 Every jdt count (C, D, and E through C) goes label by label through
 ``_rect_count``, never filling by filling.

@@ -98,6 +98,10 @@ class TestPartitionBasics:
 
     def test_memo_keeps_every_outcome(self):
         """Cold and warm calls agree on every input kind, however the memo was filled."""
+        try:
+            int(1 + 0j)
+        except TypeError as exc:
+            complex_refused = (TypeError, str(exc))
         cases = [
             (lambda: (3, 1), (3, 1)),
             (lambda: [3, 1], (3, 1)),
@@ -109,8 +113,7 @@ class TestPartitionBasics:
             (lambda: (1, 2), (ShapeFitError, "rows must be weakly decreasing: (1, 2)")),
             (lambda: (2, -1), (ShapeFitError, "rows must be nonnegative: (2, -1)")),
             # (1,) is memoized by now, but a complex row is still refused by int()
-            (lambda: (1 + 0j,), (TypeError, "int() argument must be a string, a bytes-like object "
-                                             "or a real number, not 'complex'")),
+            (lambda: (1 + 0j,), complex_refused),
         ]
 
         def outcome(make):
@@ -239,14 +242,14 @@ class TestFrameShapes:
         "args, message",
         [
             (((3,), (), None), "(3,) does not fit the 1x2 rectangle"),  # lambda: first factor
-            (((), (1, 1, 1), None), "(1, 1, 1) does not fit the 2x2 rectangle"),  # mu: second factor
-            (((), (), (5,)), "(5,) does not fit the 3x4 rectangle"),  # nu: the ambient
+            (((), (1, 1, 1), None), "(1, 1, 1) does not fit the 2x3 rectangle"),  # mu: second factor
+            (((), (), (6,)), "(6,) does not fit the 3x5 rectangle"),  # nu: the ambient
         ],
         ids=["lambda", "mu", "nu"],
     )
     def test_misfit_messages(self, args, message):
         with pytest.raises(ShapeFitError) as err:
-            DirectSumFrame(1, 3, 2, 4).require_fits(*args)
+            DirectSumFrame(1, 3, 2, 5).require_fits(*args)
         assert str(err.value) == message
 
 
