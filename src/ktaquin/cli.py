@@ -18,6 +18,8 @@ from .shapes import (
     DirectSumFrame,
     ShapeFitError,
     SkewShape,
+    contains,
+    dual_in_rectangle,
     format_partition,
     parse_partition,
 )
@@ -149,6 +151,19 @@ def cmd_expand(args) -> int:
         ambient = _ambient(args.ambient)
         with _mapper(args.workers) as mapper:
             table = expand_product(lam, mu, ambient, args.basis, mapper)
+        if args.basis == "structure-sheaf":
+            # Euler characteristic (Brion, J. Algebra 258, 2002): the C's of one product in
+            # the ambient sum to 1 if lambda fits in mu's dual, else to 0
+            expected = int(contains(dual_in_rectangle(mu, ambient), lam))
+            total = sum(table.values())
+            if total != expected:
+                print(
+                    f"disagreement: the structure-sheaf table of {format_partition(lam)} x "
+                    f"{format_partition(mu)} in {ambient.k},{ambient.n} sums to {total}, "
+                    f"but the Euler characteristic rule gives {expected}",
+                    file=sys.stderr,
+                )
+                return EXIT_DISAGREEMENT
         payload = {format_partition(nu): v for nu, v in sorted(table.items())}
         lines = [f"{format_partition(nu)}: {v}" for nu, v in sorted(table.items())]
         _emit(args, payload, "\n".join(lines) if lines else "(zero)")

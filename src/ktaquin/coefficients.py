@@ -23,15 +23,25 @@ these keys:
 
 * ``(kind, lam, mu, nu)`` for kind "C", "C-buch" and "D-buch", and for "D"
   with the superstandard target (a D count for any other target is not
-  memoized); an E value is a sum of C entries and has no key of its own;
+  memoized, but the label steps it runs are); an E value is a sum of C entries
+  and has no key of its own;
 * ``(outer, inner, m)`` for a row of superstandard rectification counts over
   the alphabet 1..m (``rect_tally``), shared by the C and D counts that read
   one shape of that row each;
+* ``("label-step", filled, classes, placed)`` for one step of ``_rect_count``
+  (``_label_step``): the filled shape, the S classes and the boxes of the
+  placed label after it is switched past the S classes of the state
+  ``(filled, classes)``, where ``placed`` holds the rows of the corners it was
+  placed in; shared by every row, target or not, that reaches that state;
+* ``("boxes", s)`` for the one copy of a frozenset ``s`` of boxes that the
+  label steps keep (an S class or a landed class), so that the steps share
+  their sets;
 * ``("schur", lam, nvars, base)`` for the packed monomials of a Schur
   polynomial, which the classical oracle in ``schur`` multiplies and peels;
 * ``("partition", t)`` for the normal form of the int tuple ``t`` that
   ``shapes.partition`` converted its argument to, so a shape seen before is
-  normalised by one lookup (rejected shapes are never stored).
+  normalised by one lookup (rejected shapes are never stored); the label
+  steps store the shapes they fill here too, and keep the one copy.
 
 It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
 oracle included.
@@ -120,75 +130,103 @@ def _rect_count(
     row {mu: count}.  ``targets`` instead fixes the boxes of each target label
     in ascending order, and the result is {(): count}.
 
-    Each (S class, label) pair runs the kernel's checks, the adjacent-bullets
-    test on the S class included, and each new state must be tiled exactly by
-    the S classes and the landed boxes.  No two branches reach one state:
-    infusion is an involution, so (S classes, landed prefix) determines the
-    partial filling.
+    One step, the switches of one placed class and the checks of the state
+    they reach, is ``_label_step``, memoized under ``("label-step", filled,
+    classes, placed)`` with ``placed`` the rows of the chosen corners.  The
+    walk here chooses the corners inside outer and applies the landing test,
+    the only parts that depend on outer, m and the targets.  So every
+    distinct step runs the kernel's checks and the tiling check once, when
+    any row first meets it: a step met again would repeat the same
+    computation on the same input.  No two branches of one count reach one
+    state: infusion is an involution, so (S classes, landed prefix)
+    determines the partial filling.
     """
     row: dict[Part, int] = {}
     size = psize(outer)
     region = size - psize(inner)
     if m > region or m == 0 < region:
         return row
-    around, check_apart, switch = jdt._NEIGHBOURS, jdt._check_apart, jdt._switch
     last_row = len(outer)
-    # the boxes of each filled shape met, for the tiling check
-    filled_boxes: dict[Part, frozenset[Box]] = {}
 
-    def grow(j: int, filled: Part, classes: list, landed: frozenset[Box], shape: Part) -> None:
+    def grow(j: int, filled: Part, classes: tuple, shape: Part) -> None:
         if j == m:
             row[shape] = row.get(shape, 0) + 1
             return
         label = j + 1
-        corners = []
+        rows = []  # the rows of the addable corners of filled inside outer
         for r in range(1, min(len(filled) + 1, last_row) + 1):
-            c = (filled[r - 1] if r <= len(filled) else 0) + 1
-            if c <= outer[r - 1] and (r == 1 or filled[r - 2] >= c):
-                corners.append((r, c))
+            width = filled[r - 1] if r <= len(filled) else 0
+            if width < outer[r - 1] and (r == 1 or filled[r - 2] > width):
+                rows.append(r)
         room = size - psize(filled) - (m - label)  # most boxes this class may take
-        for k in (room,) if label == m else range(1, min(room, len(corners)) + 1):
-            for placed in combinations(corners, k):
-                entries = dict.fromkeys(placed, label)
-                new = list(classes)
-                for s in range(len(new) - 1, -1, -1):
-                    bullets = new[s]
-                    check_apart(bullets)
-                    pairs = [(b, x) for b in bullets for x in around[b] if x in entries]
-                    if pairs:
-                        new[s] = bullets = set(bullets)
-                        switch(entries, bullets, label, pairs)
+        for k in (room,) if label == m else range(1, min(room, len(rows)) + 1):
+            for placed in combinations(rows, k):
+                now, new, landed = _memoized(
+                    ("label-step", filled, classes, placed), _label_step, filled, classes, placed
+                )
                 if targets is not None:
-                    if entries.keys() != targets[j]:
+                    if landed != targets[j]:
                         continue
                     reached = shape
-                elif len(entries) != 1:
+                elif len(landed) != 1:
                     continue
                 else:
-                    box, = entries
+                    box, = landed
                     if shape and box == (len(shape), shape[-1] + 1):
                         reached = shape[:-1] + (shape[-1] + 1,)
                     elif box == (len(shape) + 1, 1):
                         reached = shape + (1,)
                     else:
                         continue
-                now = add_boxes(filled, placed)
-                now_landed = landed.union(entries)
-                tiles = set(now_landed)
-                for cls in new:
-                    tiles.update(cls)
-                expected = filled_boxes.get(now)
-                if expected is None:
-                    expected = filled_boxes[now] = frozenset(boxes_of(now))
-                if tiles != expected or len(now_landed) + sum(map(len, new)) != len(expected):
-                    raise InternalInvariantError(
-                        f"S classes and landed boxes do not tile {now} after label {label}"
-                    )
-                grow(label, now, new, now_landed, reached)
+                grow(label, now, new, reached)
 
     # the superstandard order labels the boxes of inner row by row: one S class each
-    grow(0, inner, [frozenset({box}) for box in boxes_of(inner)], frozenset(), ())
+    classes = tuple(_interned("boxes", frozenset({box})) for box in boxes_of(inner))
+    grow(0, _interned("partition", inner), classes, ())
     return row
+
+
+def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
+    """Switch the placed class past the S classes, largest first, and check the state reached.
+
+    ``classes`` are the S classes of a state of ``_rect_count`` that is tiled
+    by them and the boxes landed so far, and ``placed`` holds the rows, in
+    increasing order, of a set of addable corners of its filled shape.  Only
+    this class is in the entries, so the switches are geometric: the step
+    does not depend on the label's value, outer, m or the targets.  Each
+    (S class, class) pair runs the kernel's checks, the adjacent-bullets test
+    on the S class included, and the new state must be tiled exactly by the
+    S classes and the landed boxes.
+
+    Returns (the filled shape, the S classes, the boxes this class landed
+    on), with the shape and each set of boxes interned in the memo.
+    """
+    boxes = [(r, (filled[r - 1] if r <= len(filled) else 0) + 1) for r in placed]
+    entries = dict.fromkeys(boxes, 1)
+    around = jdt._NEIGHBOURS
+    new = list(classes)
+    for s in range(len(new) - 1, -1, -1):
+        bullets = new[s]
+        jdt._check_apart(bullets)
+        pairs = [(b, x) for b in bullets for x in around[b] if x in entries]
+        if pairs:
+            bullets = set(bullets)
+            jdt._switch(entries, bullets, 1, pairs)
+            new[s] = _interned("boxes", frozenset(bullets))
+    now = add_boxes(filled, boxes)
+    # the state stepped from was tiled, so it had landed its filled boxes outside the S classes
+    now_landed = set(boxes_of(filled)).difference(*classes)
+    now_landed.update(entries)
+    tiles = now_landed.union(*new)
+    expected = boxes_of(now)
+    if tiles != set(expected) or len(now_landed) + sum(map(len, new)) != len(expected):
+        raise InternalInvariantError(f"S classes and landed boxes do not tile {now} after placing {boxes}")
+    return _interned("partition", now), tuple(new), _interned("boxes", frozenset(entries))
+
+
+def _interned(tag: str, value):
+    """The memo's one copy of ``value`` under ``(tag, value)``; a "partition" value must be normal."""
+    return _memo.setdefault((tag, value), value)
 
 
 def coeff_C(lam: Part, mu: Part, nu: Part) -> int:

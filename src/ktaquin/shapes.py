@@ -289,10 +289,6 @@ class DirectSumFrame:
     def n(self) -> int:
         return self.n1 + self.n2
 
-    @property
-    def ambient(self) -> AmbientRectangle:
-        return AmbientRectangle(self.k, self.n)
-
     def require_fits(self, lam: Part, mu: Part, nu: Part | None = None) -> None:
         """Refuse lam outside the first factor's rectangle, mu outside the second's,
         or nu outside the ambient."""

@@ -7,6 +7,7 @@ import pytest
 
 from ktaquin import cli, coefficients, suites
 from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
+from ktaquin.shapes import format_partition, partitions_in_rectangle
 
 
 def run(capsys, *argv):
@@ -162,6 +163,39 @@ class TestExpandCommand:
         )
         assert code == EXIT_OK
         assert json.loads(out) == {"[]|[1]": 1, "[1]|[]": 1, "[1]|[1]": -1}
+
+    def test_every_product_table_passes_the_euler_characteristic_gate(self, capsys):
+        sums = set()
+        for k, n in [(2, 4), (3, 5)]:
+            parts = list(partitions_in_rectangle(k, n - k))
+            for lam in parts:
+                for mu in parts:
+                    code, out, err = run(
+                        capsys, "--json", "expand", "--op", "product", "--lambda", format_partition(lam),
+                        "--mu", format_partition(mu), "--ambient", f"{k},{n}",
+                    )
+                    assert (code, err) == (EXIT_OK, ""), (lam, mu, k, n)
+                    sums.add(sum(json.loads(out).values()))
+        assert sums == {0, 1}  # both sides of the rule are met
+
+    @pytest.mark.parametrize(
+        "lam, mu, change",
+        [("[1]", "[1]", {(2, 1): 0}), ("[2,2]", "[1]", {(2, 2): 1}), ("[2]", "[2]", {(2, 2): 2})],
+        ids=["zeroed-term", "term-beyond-the-dual", "wrong-value"],
+    )
+    def test_a_wrong_product_table_is_refused(self, capsys, monkeypatch, lam, mu, change):
+        real = cli.expand_product
+
+        def wrong(*args):
+            return {**real(*args), **change}
+
+        monkeypatch.setattr(cli, "expand_product", wrong)
+        code, out, err = run(
+            capsys, "expand", "--op", "product", "--lambda", lam, "--mu", mu, "--ambient", "2,4"
+        )
+        assert code == EXIT_DISAGREEMENT and out == ""
+        assert err.startswith(f"disagreement: the structure-sheaf table of {lam} x {mu} in 2,4 sums to")
+        assert "the Euler characteristic rule gives" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -200,9 +200,12 @@ class TestMemo:
         assert any(key[0] == "schur" for key in coefficients._memo)
         partitions = {key for key in coefficients._memo if key[0] == "partition"}
         assert partitions
+        steps = {key for key in coefficients._memo if key[0] == "label-step"}
+        assert steps  # the label steps of the rectification counts live there too
         assert self._values() == cold
         assert len(coefficients._memo) == size  # the warm sweep computed nothing new
         assert {key for key in coefficients._memo if key[0] == "partition"} == partitions
+        assert {key for key in coefficients._memo if key[0] == "label-step"} == steps
         assert sum(1 for row in cold for v in row if v) >= 50
 
     def test_target_count_is_not_memoized(self):
@@ -210,6 +213,7 @@ class TestMemo:
         target = IncreasingTableau.from_rows([[1, 2, 3], [2]])
         assert coeff_D((2,), (2, 1), (3, 1), target=target) == -2
         assert ("D", (2,), (2, 1), (3, 1)) not in coefficients._memo
+        assert any(key[0] == "label-step" for key in coefficients._memo)  # its steps are
         assert coeff_D((2,), (2, 1), (3, 1)) == -2
         assert coefficients._memo[("D", (2,), (2, 1), (3, 1))] == -2
 

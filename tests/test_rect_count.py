@@ -1,5 +1,7 @@
 """The label-by-label rectification count against the per-filling reference tally."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,7 +110,10 @@ class TestInvariants:
         assert row == {(3,): 1, (2, 1): 1}  # c^{31}_{1,3} = c^{31}_{1,21} = 1
         assert coefficients._memo[((3, 1), (1,), 3)] is row
 
-    def test_a_state_that_does_not_tile_is_refused(self, monkeypatch):
+    @staticmethod
+    def _lose_an_S_box(monkeypatch):
+        # a step met before is not run again, so the patched kernel needs a cold memo
+        coefficients._memo.clear()
         real = jdt._switch
 
         def losing(entries, bullets, label, pairs):
@@ -117,5 +122,55 @@ class TestInvariants:
             return moves
 
         monkeypatch.setattr(jdt, "_switch", losing)
+
+    def test_a_state_that_does_not_tile_is_refused(self, monkeypatch):
+        self._lose_an_S_box(monkeypatch)
         with pytest.raises(InternalInvariantError, match="do not tile"):
             _rect_count((3, 2), (1,), 3)
+
+    def test_a_state_that_does_not_tile_is_refused_on_the_target_path(self, monkeypatch):
+        self._lose_an_S_box(monkeypatch)
+        targets = [frozenset({(1, 1)}), frozenset({(1, 2)}), frozenset({(2, 1)})]
+        with pytest.raises(InternalInvariantError, match="do not tile"):
+            _rect_count((3, 2), (1,), 3, targets)
+
+
+def _exhaustive_rows():
+    """The (outer, inner, m) row of every C and every D in TestExhaustive's universes."""
+    rows = set()
+    for lam in SMALL:
+        for mu in SMALL:
+            for nu in partitions_in_rectangle(3, 4):
+                if psize(nu) >= psize(lam) + psize(mu) and contains(nu, lam):
+                    rows.add((nu, lam, psize(mu)))
+            shape = star(lam, mu)
+            for nu in partitions_in_rectangle(3, 3):
+                if psize(nu) <= psize(lam) + psize(mu):
+                    rows.add((shape.outer, shape.inner, psize(nu)))
+    return sorted(rows)
+
+
+class TestSharedSteps:
+    """Label steps shared across rows give every row its own count, whatever the order."""
+
+    def test_cold_canonical_and_shuffled_orders_agree(self):
+        rows = _exhaustive_rows()
+        coefficients._memo.clear()
+        canonical = {row: rect_tally(*row) for row in rows}
+        canonical_steps = self._steps()
+        shuffled_rows = list(rows)
+        random.Random(14).shuffle(shuffled_rows)
+        assert shuffled_rows != rows
+        coefficients._memo.clear()
+        shuffled = {row: rect_tally(*row) for row in shuffled_rows}
+        assert shuffled == canonical
+        for row in rows:
+            assert canonical[row] == superstandard_row(reference(*row)), row
+        # each order met the same steps and found the same outcome for each
+        assert self._steps() == canonical_steps
+        assert len(rows) >= 800 and len(canonical_steps) >= 1000
+        assert sum(1 for row in canonical.values() if row) >= 150
+
+    @staticmethod
+    def _steps():
+        return {key: value for key, value in coefficients._memo.items() if key[0] == "label-step"}

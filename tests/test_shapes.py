@@ -219,7 +219,7 @@ class TestFrameShapes:
 
     def test_omega_dual_relation(self):
         for frame in (DirectSumFrame(1, 3, 2, 4), DirectSumFrame(1, 2, 1, 2), DirectSumFrame(2, 4, 2, 3)):
-            assert omega_dual(frame) == dual_in_rectangle(omega(frame), frame.ambient)
+            assert omega_dual(frame) == dual_in_rectangle(omega(frame), AmbientRectangle(frame.k, frame.n))
         assert omega_dual(DirectSumFrame(1, 3, 2, 4)) == (2, 2)
 
     def test_dagger_size_bookkeeping(self):
