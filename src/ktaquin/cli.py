@@ -10,8 +10,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 
 from .shapes import (
     AmbientRectangle,
@@ -122,20 +120,7 @@ def cmd_coeff(args) -> int:
     return EXIT_OK
 
 
-@contextmanager
-def _mapper(workers: int):
-    """The builtin ``map`` for one worker, else a process pool's ``map``."""
-    if workers == 1:
-        yield map
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield pool.map
-
-
 def cmd_expand(args) -> int:
-    cpus = os.cpu_count() or 1
-    if not 1 <= args.workers <= cpus:
-        raise UsageError(f"--workers must be between 1 and {cpus} (the CPU count), got {args.workers}")
     # the options of the other operation
     foreign = {
         "product": {"--nu": args.nu, "--frame": args.frame},
@@ -149,8 +134,7 @@ def cmd_expand(args) -> int:
             raise UsageError("product expansion needs --lambda, --mu and --ambient k,n")
         lam, mu = parse_partition(args.lam), parse_partition(args.mu)
         ambient = _ambient(args.ambient)
-        with _mapper(args.workers) as mapper:
-            table = expand_product(lam, mu, ambient, args.basis, mapper)
+        table = expand_product(lam, mu, ambient, args.basis)
         if args.basis == "structure-sheaf":
             # Euler characteristic (Brion, J. Algebra 258, 2002): the C's of one product in
             # the ambient sum to 1 if lambda fits in mu's dual, else to 0
@@ -172,8 +156,7 @@ def cmd_expand(args) -> int:
             raise UsageError("coproduct expansion needs --nu and --frame k1,n1,k2,n2")
         nu = parse_partition(args.nu)
         frame = _frame(args.frame)
-        with _mapper(args.workers) as mapper:
-            table = expand_coproduct(nu, frame, mapper)
+        table = expand_coproduct(nu, frame)
         payload = {
             f"{format_partition(lam)}|{format_partition(mu)}": v
             for (lam, mu), v in sorted(table.items())
@@ -336,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ambient", help="k,n rectangle bound (product)")
     p.add_argument("--frame", help="k1,n1,k2,n2 (coproduct)")
     p.add_argument("--basis", choices=["structure-sheaf", "ideal-sheaf"], default="structure-sheaf")
-    p.add_argument("--workers", type=int, default=1, help="parallel worker processes, 1 to the CPU count")
     p.set_defaults(fn=cmd_expand)
 
     p = sub.add_parser("verify", help="run a named verification suite")

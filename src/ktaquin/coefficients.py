@@ -4,11 +4,13 @@ Each family has a direct jeu-de-taquin rule plus at least one independent
 cross-check:
 
 * C: count skew increasing tableaux rectifying to the superstandard target;
-  cross-checked against C with lam and mu swapped, against Buch's set-valued
-  rule in every range, and against the Schur oracle in the classical range.
+  cross-checked against C with lam and mu swapped (when they differ), against
+  Buch's set-valued rule in every range, and against the Schur oracle in the
+  classical range.
 * D: count fillings of the corner-to-corner shape rectifying to a fixed target
   (well defined because the inner shape is a rectangle); cross-checked against
-  the set-valued-tableau rule and against C through the direct-sum identity.
+  the set-valued-tableau rule and against C through the direct-sum identity
+  (whose default frame never makes that C count D's own).
 * E: count X-augmented fillings whose erased part rectifies to the target,
   that is the alternating rook-strip sum of jdt C values; cross-checked
   against the same sum over Buch's C.
@@ -58,8 +60,7 @@ Every jdt count (C, D, and E through C) goes label by label through
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from typing import Callable
+from itertools import combinations
 
 from .shapes import (
     AmbientRectangle,
@@ -286,10 +287,6 @@ def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
 def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
     """Splitting coefficient through the direct-sum identity D = C over the frame."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _D_via_identity(lam, mu, nu, frame)
-
-
-def _D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
     frame.require_fits(lam, mu, nu)
     rect = (frame.n1 - frame.k1,) * frame.k2  # omega_dual(frame)
     return _memoized_count("C", rect, nu, _dagger(lam, mu, frame))
@@ -327,10 +324,6 @@ def coeff_F(lam: Part, mu: Part, nu: Part) -> int:
 def coeff_c_classical(lam: Part, mu: Part, nu: Part) -> int:
     """Classical LR coefficient as the standard-filling count of the D rule."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _classical(lam, mu, nu)
-
-
-def _classical(lam: Part, mu: Part, nu: Part) -> int:
     if psize(nu) != psize(lam) + psize(mu):
         return 0
     # surjective fillings over 1..|nu| of a |nu|-box region are exactly the
@@ -346,17 +339,9 @@ KINDS = {"C": coeff_C, "D": coeff_D, "E": coeff_E, "F": coeff_F, "c": coeff_c_cl
 
 
 def expand_product(
-    lam: Part,
-    mu: Part,
-    ambient: AmbientRectangle,
-    basis: str = "structure-sheaf",
-    mapper: Callable = map,
+    lam: Part, mu: Part, ambient: AmbientRectangle, basis: str = "structure-sheaf"
 ) -> dict[Part, int]:
-    """Nonzero coefficients of a basis product, with targets inside the ambient.
-
-    ``mapper`` evaluates the coefficients like the builtin ``map``; pass an
-    executor's ``map`` to spread them over processes.
-    """
+    """Nonzero coefficients of a basis product, with targets inside the ambient."""
     lam, mu = partition(lam), partition(mu)
     ambient.require_fit(lam)
     ambient.require_fit(mu)
@@ -366,27 +351,23 @@ def expand_product(
         fn = coeff_E
     else:
         raise ValueError(f"basis must be structure-sheaf or ideal-sheaf, got {basis!r}")
-    nus = list(partitions_in_rectangle(ambient.rows, ambient.cols))
-    values = mapper(fn, repeat(lam), repeat(mu), nus)
-    return {nu: value for nu, value in zip(nus, values) if value}
+    return {
+        nu: value
+        for nu in partitions_in_rectangle(ambient.rows, ambient.cols)
+        if (value := fn(lam, mu, nu))
+    }
 
 
-def expand_coproduct(
-    nu: Part, frame: DirectSumFrame, mapper: Callable = map
-) -> dict[tuple[Part, Part], int]:
-    """Nonzero splitting coefficients of one class over a direct-sum frame.
-
-    ``mapper`` is as in :func:`expand_product`.
-    """
+def expand_coproduct(nu: Part, frame: DirectSumFrame) -> dict[tuple[Part, Part], int]:
+    """Nonzero splitting coefficients of one class over a direct-sum frame."""
     nu = partition(nu)
     _require_fit(nu, frame.k, frame.n - frame.k)
-    pairs = [
-        (lam, mu)
+    return {
+        (lam, mu): value
         for lam in partitions_in_rectangle(frame.k1, frame.n1 - frame.k1)
         for mu in partitions_in_rectangle(frame.k2, frame.n2 - frame.k2)
-    ]
-    values = mapper(coeff_D, [lam for lam, _ in pairs], [mu for _, mu in pairs], repeat(nu))
-    return {pair: value for pair, value in zip(pairs, values) if value}
+        if (value := coeff_D(lam, mu, nu))
+    }
 
 
 @dataclass(frozen=True)
@@ -420,9 +401,15 @@ class CoefficientRecord:
 
 
 def _default_frame(lam: Part, mu: Part, nu: Part) -> DirectSumFrame:
-    """Smallest frame whose rectangles accommodate all three shapes."""
+    """Smallest frame whose rectangles accommodate all three shapes, with one spare column for lam.
+
+    The identity reads C over dagger(lam, mu)/omega_dual, and omega_dual is
+    c1 columns wide.  With c1 = lam[0] and k2 = len(mu) that skew shape is
+    star(lam, mu), D's own, and the check would read D's count back; the spare
+    column makes it a different shape whatever mu and nu are.
+    """
     k1 = max(len(lam), 1)
-    c1 = max(lam[0] if lam else 0, 1)
+    c1 = (lam[0] if lam else 0) + 1
     k2 = max(len(mu), 1, len(nu) - k1)
     c2 = max(mu[0] if mu else 0, 1, (nu[0] if nu else 0) - c1)
     return DirectSumFrame(k1, k1 + c1, k2, k2 + c2)
@@ -436,7 +423,8 @@ def compute_with_checks(
     checks: list[tuple[str, bool]] = []
     if kind == "C":
         value = _memoized_count("C", lam, mu, nu)
-        checks.append(("symmetry", value == _memoized_count("C", mu, lam, nu)))
+        if lam != mu:  # with equal factors the swap reads the same memo entry
+            checks.append(("symmetry", value == _memoized_count("C", mu, lam, nu)))
         checks.append(("buch", value == _memoized_count("C-buch", lam, mu, nu)))
         if psize(nu) == psize(lam) + psize(mu):
             checks.append(("classical", abs(value) == schur.lr_coefficient(lam, mu, nu)))
@@ -446,12 +434,12 @@ def compute_with_checks(
         checks.append(("buch", value == _memoized_count("D-buch", lam, mu, nu)))
         if frame is None:
             frame = _default_frame(lam, mu, nu)
-        checks.append(("identity", value == _D_via_identity(lam, mu, nu, frame)))
+        checks.append(("identity", value == coeff_D_via_identity(lam, mu, nu, frame)))
     elif kind == "E":
         value = _rook_strip_sum("C", lam, mu, nu)
         checks.append(("rook-strip", value == _rook_strip_sum("C-buch", lam, mu, nu)))
     elif kind == "c":
-        value = _classical(lam, mu, nu)
+        value = coeff_c_classical(lam, mu, nu)
         checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))
     else:
         raise ValueError(f"unknown coefficient kind {kind!r}")

@@ -102,15 +102,11 @@ def _extract_schur_basis(poly: Monomials, degree: int, nvars: int, base: int) ->
 
 
 def schur_product_expansion(lam: Part, mu: Part) -> dict[Part, int]:
-    """All classical LR coefficients of s_lam * s_mu at once."""
-    return _product_expansion(partition(lam), partition(mu))
-
-
-def _product_expansion(lam: Part, mu: Part) -> dict[Part, int]:
-    """``schur_product_expansion`` of two normal-form partitions.
+    """All classical LR coefficients of s_lam * s_mu at once.
 
     len(lam) + len(mu) variables suffice: no shape in the product has more rows.
     """
+    lam, mu = partition(lam), partition(mu)
     nvars = max(len(lam) + len(mu), 1)
     degree = psize(lam) + psize(mu)
     base = degree + 1
@@ -123,4 +119,4 @@ def lr_coefficient(lam: Part, mu: Part, nu: Part) -> int:
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     if psize(nu) != psize(lam) + psize(mu):
         return 0
-    return _product_expansion(lam, mu).get(nu, 0)
+    return schur_product_expansion(lam, mu).get(nu, 0)

@@ -9,9 +9,12 @@ from ktaquin.shapes import (
     ShapeFitError,
     SkewShape,
     contains,
+    dagger,
+    omega_dual,
     partitions_in_rectangle,
     partitions_of,
     psize,
+    star,
 )
 from ktaquin.tableaux import IncreasingTableau, enumerate_augmented, superstandard
 from ktaquin.coefficients import (
@@ -110,6 +113,21 @@ class TestCoeffDIdentity:
     def test_fit_errors(self):
         with pytest.raises(ShapeFitError):
             coeff_D_via_identity((2,), (2, 1), (3, 1), DirectSumFrame(1, 2, 1, 2))
+
+    def test_default_frame_never_gives_the_d_shape(self):
+        # The identity counts C over dagger(lam, mu)/omega_dual.  If that skew shape
+        # were star(lam, mu), the check would read D's own row of the memo back.
+        box = list(partitions_in_rectangle(3, 3))
+        triples = [(lam, mu, nu) for lam in box for mu in box for nu in partitions_in_rectangle(4, 4)]
+        assert len(triples) == 28000
+        same = []
+        for lam, mu, nu in triples:
+            frame = coefficients._default_frame(lam, mu, nu)
+            frame.require_fits(lam, mu, nu)
+            d_shape = star(lam, mu)
+            if (dagger(lam, mu, frame), omega_dual(frame)) == (d_shape.outer, d_shape.inner):
+                same.append((lam, mu, nu))
+        assert same == []
 
 
 class TestCoeffE:
@@ -289,7 +307,10 @@ class TestRecords:
         rec_e = compute_with_checks("E", (1,), (1,), (2, 1))
         assert rec_e.value == -3 and rec_e.checks == (("rook-strip", True),)
         rec_k = compute_with_checks("C", (1,), (1,), (2, 1))
-        assert rec_k.value == -1 and rec_k.checks == (("symmetry", True), ("buch", True))
+        # equal factors: the swap would read the same memo entry, so no symmetry check
+        assert rec_k.value == -1 and rec_k.checks == (("buch", True),)
+        rec_s = compute_with_checks("C", (2,), (1,), (2, 1))
+        assert rec_s.value == 1 and [name for name, _ in rec_s.checks] == ["symmetry", "buch", "classical"]
         rec_c = compute_with_checks("c", (2, 1), (2, 1), (3, 2, 1))
         assert rec_c.value == 2 and rec_c.agreed
 

@@ -5,6 +5,9 @@ name it defines is referenced somewhere in the project.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -112,3 +115,17 @@ def test_every_name_is_referenced():
         if p.parent != SRC or p.name == "__init__.py"
     ]
     assert unreferenced_names(defining, referencing) == []
+
+
+def test_cli_import_starts_no_process_machinery():
+    # every CLI call and every benchmark worker pays for what ``ktaquin.cli`` imports
+    probe = (
+        "import sys\nimport ktaquin.cli\n"
+        "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"

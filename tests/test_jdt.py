@@ -283,13 +283,15 @@ class TestRectangularWellDefined:
                 enumerate_increasing(SkewShape.straight(rect), range(1, c * d + 2))
             )
             for n in range(c * d + 1, 9):
+                if rect in ((1,), (2,), (2, 2)) and n <= 7:
+                    continue  # acceptance criterion 5 checks these 1451 fillings
                 for nu in partitions_of(n):
                     if not contains(nu, rect):
                         continue
                     for t in enumerate_increasing(SkewShape(nu, rect), range(1, 5)):
                         assert len({krect(t, order) for order in orders}) == 1
                         checked += 1
-        assert checked > 1500
+        assert checked == 1646
 
 
 class TestRectificationOrders:
