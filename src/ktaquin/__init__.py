@@ -39,6 +39,7 @@ from .jdt import (
     SlideStep,
     SwitchState,
     SwitchTrace,
+    extend_trace,
     kinfusion,
     kjdt_slide,
     krect,
@@ -49,6 +50,7 @@ from .jdt import (
 )
 from .coefficients import (
     CoefficientRecord,
+    DisagreementError,
     coeff_C,
     coeff_D,
     coeff_D_buch,

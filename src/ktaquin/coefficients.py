@@ -75,6 +75,8 @@ from .shapes import (
     add_boxes,
     boxes_of,
     contains,
+    dual_in_rectangle,
+    format_partition,
     partition,
     partitions_in_rectangle,
     psize,
@@ -338,10 +340,18 @@ _COUNTS = {"C": _count_C, "C-buch": _count_C_buch, "D": _count_D, "D-buch": _cou
 KINDS = {"C": coeff_C, "D": coeff_D, "E": coeff_E, "F": coeff_F, "c": coeff_c_classical}
 
 
+class DisagreementError(RuntimeError):
+    """A computed table failed its independent check."""
+
+
 def expand_product(
     lam: Part, mu: Part, ambient: AmbientRectangle, basis: str = "structure-sheaf"
 ) -> dict[Part, int]:
-    """Nonzero coefficients of a basis product, with targets inside the ambient."""
+    """Nonzero coefficients of a basis product, with targets inside the ambient.
+
+    A structure-sheaf table is checked against Brion's Euler characteristic
+    rule and raises DisagreementError when its sum breaks it.
+    """
     lam, mu = partition(lam), partition(mu)
     ambient.require_fit(lam)
     ambient.require_fit(mu)
@@ -351,11 +361,23 @@ def expand_product(
         fn = coeff_E
     else:
         raise ValueError(f"basis must be structure-sheaf or ideal-sheaf, got {basis!r}")
-    return {
+    table = {
         nu: value
         for nu in partitions_in_rectangle(ambient.rows, ambient.cols)
         if (value := fn(lam, mu, nu))
     }
+    if basis == "structure-sheaf":
+        # Euler characteristic (Brion, J. Algebra 258, 2002): the C's of one product in
+        # the ambient sum to 1 if lambda fits in mu's dual, else to 0
+        expected = int(contains(dual_in_rectangle(mu, ambient), lam))
+        total = sum(table.values())
+        if total != expected:
+            raise DisagreementError(
+                f"the structure-sheaf table of {format_partition(lam)} x {format_partition(mu)} "
+                f"in {ambient.k},{ambient.n} sums to {total}, "
+                f"but the Euler characteristic rule gives {expected}"
+            )
+    return table
 
 
 def expand_coproduct(nu: Part, frame: DirectSumFrame) -> dict[tuple[Part, Part], int]:

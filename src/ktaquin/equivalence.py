@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Iterator, Sequence
 
 from .shapes import (
@@ -105,36 +106,40 @@ def _nw_comparable(x: Box, y: Box) -> bool:
     return (x[0] <= y[0] and x[1] <= y[1]) or (y[0] <= x[0] and y[1] <= x[1])
 
 
-def verify_origin_invariants(trace: SwitchTrace) -> OriginReport:
-    """Per-stage checks: uniformity, origin-row/column order, bullet-neighbor comparability."""
+def verify_origin_invariants(trace: SwitchTrace, start: int = 0) -> OriginReport:
+    """Per-stage checks: uniformity, origin-row/column order, bullet-neighbor comparability.
+
+    States before ``start`` are taken as already checked (``extend_trace``
+    adds states after them); violations keep their index in the whole trace.
+    """
     violations: list[OriginViolation] = []
-    for i, state in enumerate(trace.states):
+    for i in range(start, len(trace.states)):
+        state = trace.states[i]
         if not trace.uniform_flags[i]:
             violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
         origins = trace.origins[i]
         if origins is None:
             continue
-        entries = state.entries()
-        boxes = sorted(entries)
-        for x in boxes:
-            ox = origins[x]
-            for y in boxes:
-                if x == y:
-                    continue
-                oy = origins[y]
-                if ox[0] == oy[0] and oy[1] > ox[1]:
-                    if not (y[1] > x[1] and y[0] <= x[0]):
+        boxes = [(r, c) for r, c, _ in state.cells]
+        if not all(map(lt, boxes, boxes[1:])):  # cells not in order: a hand-built state
+            boxes = sorted(set(boxes))
+        placed = [(x, origins[x]) for x in boxes]
+        # every box has an origin, so equal sizes mean the origins' keys are the boxes
+        numeric = origins if len(origins) == len(boxes) else set(boxes)
+        for x, ox in placed:
+            for y, oy in placed:
+                if ox[0] == oy[0]:
+                    if oy[1] > ox[1] and not (y[1] > x[1] and y[0] <= x[0]):
                         violations.append(
                             OriginViolation(i, "row-order", f"origins {ox},{oy} boxes {x},{y}")
                         )
-                if ox[1] == oy[1] and oy[0] > ox[0]:
-                    if not (y[0] > x[0] and y[1] <= x[1]):
-                        violations.append(
-                            OriginViolation(i, "column-order", f"origins {ox},{oy} boxes {x},{y}")
-                        )
+                elif ox[1] == oy[1] and oy[0] > ox[0] and not (y[0] > x[0] and y[1] <= x[1]):
+                    violations.append(
+                        OriginViolation(i, "column-order", f"origins {ox},{oy} boxes {x},{y}")
+                    )
         for (r, c) in state.bullets:
             north, west = (r - 1, c), (r, c - 1)
-            if north in entries and west in entries:
+            if north in numeric and west in numeric:
                 if not _nw_comparable(origins[north], origins[west]):
                     violations.append(
                         OriginViolation(
@@ -143,7 +148,7 @@ def verify_origin_invariants(trace: SwitchTrace) -> OriginReport:
                             f"bullet {(r, c)} neighbors originate at {origins[north]}, {origins[west]}",
                         )
                     )
-    return OriginReport(tuple(violations), len(trace.states))
+    return OriginReport(tuple(violations), len(trace.states) - start)
 
 
 @dataclass(frozen=True)

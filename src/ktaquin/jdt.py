@@ -20,9 +20,16 @@ stage labels, and a ribbon with more than two boxes in one row or column.
 Slides into inner corners, infusion and rectification check their order of
 corner groups once (``_check_corner_groups``), since the inner shapes it
 walks through do not depend on the filling, and then slide the filling
-through ``_infuse``.  One stage is one call of ``_switch``: a slide loops it
-over labels, and the coefficient counts call it once per pair of an order
-class and a filling class.
+through ``_infuse``.  ``_run_switches`` loops over the stages of a slide.  A
+stage with one (bullet, label box) pair, the most common kind, runs inline
+there; a stage with several pairs is one call of ``_switch``, which also checks
+for blocks and long ribbons.  The coefficient counts call ``_switch`` once per
+pair of an order class and a filling class.
+
+``switch_trace`` records a state after the bullets are placed and after each
+stage, through the kernel's ``on_switch`` hook; ``extend_trace`` continues a
+trace from its final state, so a walk over slide sequences slides each step
+once.  States share one origins dict until a stage changes it.
 
 Every public call slides one entries dict in place, through all its steps,
 and builds one validated tableau per output at the end
@@ -33,6 +40,7 @@ not one per slide.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from .shapes import (
@@ -72,25 +80,42 @@ def _check_blocks(moves: Moves, bullets: set[Box]) -> None:
 
 
 def _check_ribbons(moves: Moves) -> None:
-    """No ribbon of one stage has more than two boxes in a row or a column."""
-    link: dict[Box, list[Box]] = {}
+    """No ribbon of one stage has more than two boxes in a row or a column.
+
+    A ribbon is a connected set of bullets and label boxes, linked through the
+    label boxes next to each bullet (bullets and label boxes are disjoint, as
+    in every stage).  A bullet with one label box that no other bullet shares
+    is a ribbon of two boxes, which cannot break the rule, so only the other
+    bullets are grouped, through the label boxes they share.
+    """
+    near: dict[Box, list[Box]] = {}  # label box -> the bullets next to it
     for b, hits in moves.items():
-        link.setdefault(b, []).extend(hits)
         for x in hits:
-            link.setdefault(x, []).append(b)
-    unvisited = set(link)
-    while unvisited:
-        frontier = [unvisited.pop()]
-        comp = list(frontier)
+            if x in near:
+                near[x].append(b)
+            else:
+                near[x] = [b]
+    seen: set[Box] = set()
+    for start, hits in moves.items():
+        if start in seen or (len(hits) == 1 and len(near[hits[0]]) == 1):
+            continue
+        seen.add(start)
+        ribbon = [start]
+        frontier = [start]
         while frontier:
-            for nb in link[frontier.pop()]:
-                if nb in unvisited:
-                    unvisited.discard(nb)
-                    comp.append(nb)
-                    frontier.append(nb)
-        rows = [r for r, _ in comp]
-        cols = [c for _, c in comp]
-        if any(rows.count(r) > 2 for r in rows) or any(cols.count(c) > 2 for c in cols):
+            for x in moves[frontier.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    ribbon.append(x)
+                    for b in near[x]:
+                        if b not in seen:
+                            seen.add(b)
+                            ribbon.append(b)
+                            frontier.append(b)
+        # sorted, a row or column holds three boxes when two values two apart are equal
+        rows = sorted([r for r, _ in ribbon])
+        cols = sorted([c for _, c in ribbon])
+        if any(map(eq, rows, rows[2:])) or any(map(eq, cols, cols[2:])):
             raise InternalInvariantError("ribbon has more than two boxes in a row or column")
 
 
@@ -126,20 +151,23 @@ def _switch(entries: dict[Box, int], bullets: set[Box], label: int, pairs: list[
     pairs holds every (bullet, label box) adjacency of the stage, at least
     one.  Raises InternalInvariantError on a 2x2 block, a long ribbon or two
     adjacent equal labels; returns the moves.  Within a stage the order of
-    bullets does not matter: the rule is local.
+    bullets does not matter: the rule is local.  A slide runs its stages of
+    one pair in ``_run_switches`` itself and calls this for the others; the
+    label steps of the coefficient counts call it for every stage.
     """
-    if len(pairs) == 1:  # one bullet, one neighbour: no block or long ribbon
-        (box, x), = pairs
-        moves: Moves = {box: [x]}
-        freed: Iterable[Box] = (x,)
-    else:
-        moves = {}
-        for box, nb in pairs:
-            moves.setdefault(box, []).append(nb)
-        freed = {nb for _, nb in pairs}
-        if len(pairs) > len(moves):
-            _check_blocks(moves, bullets)
+    moves: Moves = {}
+    for box, nb in pairs:
+        if box in moves:
+            moves[box].append(nb)
+        else:
+            moves[box] = [nb]
+    freed = {nb for _, nb in pairs}
+    if len(pairs) > len(moves):  # some bullet is next to two label boxes
+        _check_blocks(moves, bullets)
         _check_ribbons(moves)
+    elif len(pairs) > len(freed):  # some label box is next to two bullets
+        _check_ribbons(moves)
+    # else each ribbon is one bullet and one label box, which breaks no rule
     around = _NEIGHBOURS
     get = entries.get
     for x in freed:
@@ -192,7 +220,20 @@ def _run_switches(
             return bullets
         done = nearest
         label = sign * nearest
-        moves = _switch(entries, bullets, label, pairs)
+        if len(pairs) > 1:
+            moves = _switch(entries, bullets, label, pairs)
+        else:  # one bullet, one neighbour: no block or long ribbon to check
+            (box, x), = pairs
+            for nb in around[x]:
+                if get(nb) == label:
+                    raise InternalInvariantError(f"adjacent equal labels at {x}, {nb}")
+            entries[box] = label
+            del entries[x]
+            bullets.discard(box)
+            bullets.add(x)
+            if on_switch is None:
+                continue
+            moves = {box: [x]}
         if on_switch is not None:
             on_switch(label, moves, bullets)
 
@@ -408,7 +449,8 @@ class SwitchTrace:
     one simultaneous switch of all ribbons of a label stage.  uniform_flags[i]
     tells whether that transition kept boxes of origin well defined; origins[i]
     maps numeric boxes to boxes of the starting tableau, and is None from the
-    first non-uniform switch on (later flags are then reported False).
+    first non-uniform switch on (later flags are then reported False).  States
+    share one origins dict until a stage changes it, so the dicts are read-only.
     """
 
     start: IncreasingTableau
@@ -416,17 +458,20 @@ class SwitchTrace:
     uniform_flags: tuple[bool, ...]
     origins: tuple[dict[Box, Box] | None, ...]
 
-    def final_tableau(self) -> IncreasingTableau:
-        last = self.states[-1] if self.states else None
-        if last is None:
-            return self.start
+    def final_shape(self) -> tuple[Part, Part]:
+        """(outer, inner) once the last state's bullets have left the shape."""
+        if not self.states:
+            return self.start.outer, self.start.inner
+        last = self.states[-1]
         if last.direction == "forward":
-            outer = remove_boxes(last.outer, last.bullets)
-            inner = last.inner
-        else:
-            outer = last.outer
-            inner = add_boxes(last.inner, last.bullets)
-        return IncreasingTableau._from_kernel(outer, inner, last.entries())
+            return remove_boxes(last.outer, last.bullets), last.inner
+        return last.outer, add_boxes(last.inner, last.bullets)
+
+    def final_tableau(self) -> IncreasingTableau:
+        if not self.states:
+            return self.start
+        outer, inner = self.final_shape()
+        return IncreasingTableau._from_kernel(outer, inner, self.states[-1].entries())
 
 
 class SlideStepError(ValueError):
@@ -441,53 +486,76 @@ def switch_trace(
     t: IncreasingTableau, slides: Sequence[SlideStep], ambient: AmbientRectangle
 ) -> SwitchTrace:
     """Run the slides in slow motion, recording every switch state."""
-    entries = t.entries
-    inner, outer = t.inner, t.outer
-    origins: dict[Box, Box] | None = {box: box for box in entries}
+    return extend_trace(SwitchTrace(t, (), (), ()), slides, ambient)
+
+
+def extend_trace(
+    trace: SwitchTrace, slides: Sequence[SlideStep], ambient: AmbientRectangle
+) -> SwitchTrace:
+    """The trace continued through more slides from its final state.
+
+    Equals ``switch_trace`` of the trace's start through the slides already
+    traced and then these, without sliding the first ones again: the new
+    states start from the last state's entries, shape and origins.  A step
+    index in a SlideStepError counts the slides given here.
+    """
+    outer, inner = trace.final_shape()
+    if trace.states:
+        last = trace.states[-1]
+        entries = last.entries()
+        cells = last.cells
+        origins = trace.origins[-1]
+    else:
+        entries = trace.start.entries
+        cells = trace.start.cells
+        origins = {box: box for box in entries}
     states: list[SwitchState] = []
     flags: list[bool] = []
     origin_seq: list[dict[Box, Box] | None] = []
-    for i, step in enumerate(slides):
-        shape: tuple[Part, Part] = (outer, inner)
+    stages: list[tuple[Cells, frozenset[Box], int | None]] = []  # those of the current step
 
-        def on_switch(label: int | None, moves: Moves, bullets: set[Box]) -> None:
-            nonlocal origins, shape
-            if label is None:  # bullets placed: the corners leave inner or join outer
-                if step.direction == "forward":
-                    shape = (outer, remove_boxes(inner, step.corners))
-                else:
-                    shape = (add_boxes(outer, step.corners), inner)
-            elif origins is not None:
+    def on_switch(label: int | None, moves: Moves, bullets: set[Box]) -> None:
+        nonlocal origins, cells
+        if label is not None:  # placing bullets changes no entry
+            cells = tuple(sorted([(r, c, v) for (r, c), v in entries.items()]))
+            if origins is not None:
                 # origins stay uniform when every bullet's label neighbours share
-                # one origin: the bullets connect the label boxes of each ribbon
-                sources = {b: {origins[x] for x in hits} for b, hits in moves.items()}
-                if all(len(src) == 1 for src in sources.values()):
-                    for hits in moves.values():
-                        for x in hits:
-                            origins.pop(x, None)
-                    for b, (src,) in sources.items():
-                        origins[b] = src
-                else:
-                    origins = None
-            states.append(SwitchState(
-                shape[0],
-                shape[1],
-                tuple((r, c, v) for (r, c), v in sorted(entries.items())),
-                frozenset(bullets),
-                label,
-                step.direction,
-            ))
-            flags.append(origins is not None)
-            origin_seq.append(dict(origins) if origins is not None else None)
+                # one origin: the bullets connect the label boxes of each ribbon;
+                # a uniform stage gets a new dict
+                old, origins = origins, dict(origins)
+                for b, hits in moves.items():
+                    src = old[hits[0]]
+                    for x in hits:
+                        if old[x] != src:
+                            origins = None
+                            break
+                        origins.pop(x, None)
+                    if origins is None:
+                        break
+                    origins[b] = src
+        stages.append((cells, frozenset(bullets), label))
+        flags.append(origins is not None)
+        origin_seq.append(origins)
 
+    for i, step in enumerate(slides):
+        before = outer, inner
         try:
             if step.direction == "forward":
                 inner, outer = _forward_slide(entries, inner, outer, step.corners, on_switch)
+                shape = before[0], inner  # the corners left inner when the bullets were placed
             else:
                 inner, outer = _reverse_slide(entries, inner, outer, step.corners, ambient, on_switch)
+                shape = outer, before[1]  # the corners joined outer
         except ShapeFitError as exc:
             raise SlideStepError(i, str(exc)) from exc
-    return SwitchTrace(t, tuple(states), tuple(flags), tuple(origin_seq))
+        states.extend(SwitchState(*shape, *stage, step.direction) for stage in stages)
+        stages.clear()
+    return SwitchTrace(
+        trace.start,
+        trace.states + tuple(states),
+        trace.uniform_flags + tuple(flags),
+        trace.origins + tuple(origin_seq),
+    )
 
 
 def rev_krect_in_ambient(

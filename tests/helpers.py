@@ -15,7 +15,8 @@ from ktaquin.shapes import (
     remove_boxes,
     row_length,
 )
-from ktaquin.jdt import _check_corner_groups, _infuse, _order_groups
+from ktaquin.equivalence import OriginReport, OriginViolation
+from ktaquin.jdt import InternalInvariantError, _check_corner_groups, _infuse, _order_groups
 from ktaquin.tableaux import (
     IncreasingTableau,
     SetValuedTableau,
@@ -196,6 +197,80 @@ def reference_trace(t, steps):
         else:
             inner, outer = add_boxes(inner, bullets), mid[0]
     return states, flags, history
+
+
+# ---------------------------------------------------------------------------
+# Reference checks: the ribbon check and the origin check as they were before
+# the ribbon check grouped bullets through shared label boxes and the origin
+# check read its boxes from the cells and the origins.  Test-only.
+
+
+def reference_check_ribbons(moves) -> None:
+    """No ribbon of one stage has more than two boxes in a row or a column."""
+    link = {}
+    for b, hits in moves.items():
+        link.setdefault(b, []).extend(hits)
+        for x in hits:
+            link.setdefault(x, []).append(b)
+    unvisited = set(link)
+    while unvisited:
+        frontier = [unvisited.pop()]
+        comp = list(frontier)
+        while frontier:
+            for nb in link[frontier.pop()]:
+                if nb in unvisited:
+                    unvisited.discard(nb)
+                    comp.append(nb)
+                    frontier.append(nb)
+        rows = [r for r, _ in comp]
+        cols = [c for _, c in comp]
+        if any(rows.count(r) > 2 for r in rows) or any(cols.count(c) > 2 for c in cols):
+            raise InternalInvariantError("ribbon has more than two boxes in a row or column")
+
+
+def _ref_nw_comparable(x, y):
+    return (x[0] <= y[0] and x[1] <= y[1]) or (y[0] <= x[0] and y[1] <= x[1])
+
+
+def reference_verify_origin_invariants(trace) -> OriginReport:
+    """Per-stage checks: uniformity, origin-row/column order, bullet-neighbor comparability."""
+    violations = []
+    for i, state in enumerate(trace.states):
+        if not trace.uniform_flags[i]:
+            violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
+        origins = trace.origins[i]
+        if origins is None:
+            continue
+        entries = state.entries()
+        boxes = sorted(entries)
+        for x in boxes:
+            ox = origins[x]
+            for y in boxes:
+                if x == y:
+                    continue
+                oy = origins[y]
+                if ox[0] == oy[0] and oy[1] > ox[1]:
+                    if not (y[1] > x[1] and y[0] <= x[0]):
+                        violations.append(
+                            OriginViolation(i, "row-order", f"origins {ox},{oy} boxes {x},{y}")
+                        )
+                if ox[1] == oy[1] and oy[0] > ox[0]:
+                    if not (y[0] > x[0] and y[1] <= x[1]):
+                        violations.append(
+                            OriginViolation(i, "column-order", f"origins {ox},{oy} boxes {x},{y}")
+                        )
+        for (r, c) in state.bullets:
+            north, west = (r - 1, c), (r, c - 1)
+            if north in entries and west in entries:
+                if not _ref_nw_comparable(origins[north], origins[west]):
+                    violations.append(
+                        OriginViolation(
+                            i,
+                            "bullet-neighbors",
+                            f"bullet {(r, c)} neighbors originate at {origins[north]}, {origins[west]}",
+                        )
+                    )
+    return OriginReport(tuple(violations), len(trace.states))
 
 
 # ---------------------------------------------------------------------------

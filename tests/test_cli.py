@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from ktaquin import cli, suites
+from ktaquin import coefficients, suites
 from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
-from ktaquin.shapes import format_partition, partitions_in_rectangle
+from ktaquin.coefficients import DisagreementError, expand_product
+from ktaquin.shapes import AmbientRectangle, format_partition, parse_partition, partitions_in_rectangle
 
 
 def run(capsys, *argv):
@@ -184,12 +185,15 @@ class TestExpandCommand:
         ids=["zeroed-term", "term-beyond-the-dual", "wrong-value"],
     )
     def test_a_wrong_product_table_is_refused(self, capsys, monkeypatch, lam, mu, change):
-        real = cli.expand_product
+        # a mutant C: the library's gate raises, for Python callers and the CLI alike
+        real = coefficients.coeff_C
 
-        def wrong(*args):
-            return {**real(*args), **change}
+        def mutant(a, b, nu):
+            return change.get(nu, real(a, b, nu))
 
-        monkeypatch.setattr(cli, "expand_product", wrong)
+        monkeypatch.setattr(coefficients, "coeff_C", mutant)
+        with pytest.raises(DisagreementError, match="the Euler characteristic rule gives"):
+            expand_product(parse_partition(lam), parse_partition(mu), AmbientRectangle(2, 4))
         code, out, err = run(
             capsys, "expand", "--op", "product", "--lambda", lam, "--mu", mu, "--ambient", "2,4"
         )

@@ -1,12 +1,21 @@
 """Equivalence-lab checks: strong equivalence, origins, sharpness, independence."""
 
 import random
+from functools import cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ktaquin.shapes import AmbientRectangle, ShapeFitError, SkewShape, partitions_of
+from ktaquin.shapes import (
+    AmbientRectangle,
+    ShapeFitError,
+    SkewShape,
+    addable_corners,
+    partitions_of,
+    removable_corners,
+)
 from ktaquin.tableaux import IncreasingTableau, enumerate_increasing, superstandard
-from ktaquin.jdt import SlideStep, switch_trace
+from ktaquin.jdt import SlideStep, SwitchState, SwitchTrace, extend_trace, switch_trace
 from ktaquin.equivalence import (
     check_count_independence,
     check_strong_dual_equivalence,
@@ -17,6 +26,8 @@ from ktaquin.equivalence import (
     random_equivalence_run,
     verify_origin_invariants,
 )
+
+from helpers import random_increasing, random_skew, reference_verify_origin_invariants
 
 T = IncreasingTableau.from_rows
 
@@ -96,6 +107,125 @@ class TestOriginInvariants:
         report = verify_origin_invariants(switch_trace(t, [step], ambient))
         assert not report.clean
         assert any(v.kind == "bullet-neighbors" for v in report.violations)
+
+
+@cache
+def _origin_universe() -> tuple[tuple[SwitchTrace, SwitchTrace | None, SlideStep | None, AmbientRectangle], ...]:
+    """Every node of the origin-invariants suite's walk, in its order.
+
+    A node is (its trace replayed from the start tableau, its parent's trace,
+    its step, the ambient); a root has no parent and no step.  The walk is the
+    suite's: rectangles of at most 6 boxes over labels 1..4, reverse steps into
+    every nonempty set of outer corners, depth 3.
+    """
+    nodes = []
+
+    def walk(t, steps, trace, ambient, left):
+        if left == 0:
+            return
+        corners = addable_corners(trace.final_tableau().outer, max_rows=ambient.rows, max_cols=ambient.cols)
+        for mask in range(1, 1 << len(corners)):
+            step = SlideStep("reverse", frozenset(b for i, b in enumerate(corners) if mask >> i & 1))
+            child = switch_trace(t, steps + [step], ambient)
+            nodes.append((child, trace, step, ambient))
+            walk(t, steps + [step], child, ambient, left - 1)
+
+    for c in range(1, 4):
+        for d in range(1, 4):
+            if c * d > 6:
+                continue
+            ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
+            for t in enumerate_increasing(SkewShape.straight((d,) * c), range(1, 5)):
+                root = switch_trace(t, [], ambient)
+                nodes.append((root, None, None, ambient))
+                walk(t, [], root, ambient, 3)
+    return tuple(nodes)
+
+
+def _outcome(check, trace):
+    try:
+        return check(trace)
+    except KeyError as exc:
+        return KeyError, exc.args
+
+
+def _corrupted(trace: SwitchTrace, rng: random.Random) -> SwitchTrace:
+    """The trace with some origins moved, dropped or added, and some cells out of order."""
+    states, origins = [], []
+    for state, o in zip(trace.states, trace.origins):
+        if o is not None:
+            o = dict(o)
+            boxes = sorted(o)
+            roll = rng.random()
+            if roll < 0.5:  # one box takes another box's origin, or a nearby box
+                x = rng.choice(boxes)
+                r, c = rng.choice([o[rng.choice(boxes)], (o[x][0] + 1, o[x][1]), (o[x][0], o[x][1] - 1)])
+                o[x] = (r, c)
+            elif roll < 0.7 and state.bullets:  # keys beside a bullet that are no numeric boxes
+                r, c = min(state.bullets)
+                o.setdefault((r - 1, c), (r, c + 1))
+                o.setdefault((r, c - 1), (r + 1, c))
+            elif roll < 0.75:  # a numeric box without an origin
+                del o[rng.choice(boxes)]
+        if rng.random() < 0.1:  # cells out of order, one repeated
+            cells = state.cells[::-1] + state.cells[:1]
+            state = SwitchState(state.outer, state.inner, cells, state.bullets, state.stage, state.direction)
+        states.append(state)
+        origins.append(o)
+    return SwitchTrace(trace.start, tuple(states), trace.uniform_flags, tuple(origins))
+
+
+class TestAgainstReferenceOriginCheck:
+    """Extended traces and the origin check against full replays and the check they replaced."""
+
+    def test_universe_is_the_suites(self):
+        assert len(_origin_universe()) == 3896  # the count origin-invariants prints
+
+    def test_extended_traces_equal_full_replays(self):
+        for trace, parent, step, ambient in _origin_universe():
+            if parent is not None:
+                assert extend_trace(parent, [step], ambient) == trace
+
+    def test_reports_equal_the_reference_on_the_universe(self):
+        for trace, parent, _, _ in _origin_universe():
+            report = verify_origin_invariants(trace)
+            assert report == reference_verify_origin_invariants(trace)
+            assert report.clean
+            known = len(parent.states) if parent is not None else 0
+            tail = verify_origin_invariants(trace, known)
+            assert tail.clean and tail.stages_checked == len(trace.states) - known
+
+    def test_reports_equal_the_reference_on_corrupted_origins(self):
+        rng = random.Random(16)
+        kinds = set()
+        for trace, _, _, _ in _origin_universe()[::3]:
+            bad = _corrupted(trace, rng)
+            report = _outcome(verify_origin_invariants, bad)
+            assert report == _outcome(reference_verify_origin_invariants, bad)
+            if not isinstance(report, tuple):
+                kinds.update(v.kind for v in report.violations)
+        assert kinds == {"row-order", "column-order", "bullet-neighbors"}
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_extended_mixed_traces_equal_full_replays(self, rng):
+        t = random_increasing(rng, random_skew(rng, 9), slack=rng.randint(1, 3))
+        ambient = AmbientRectangle(len(t.outer) + 2, len(t.outer) + t.outer[0] + 4)
+        trace, steps = switch_trace(t, [], ambient), []
+        for _ in range(rng.randint(1, 4)):
+            outer, inner = trace.final_shape()
+            forward = [SlideStep("forward", frozenset({b})) for b in removable_corners(inner)]
+            reverse = [
+                SlideStep("reverse", frozenset({b}))
+                for b in addable_corners(outer, max_rows=ambient.rows, max_cols=ambient.cols)
+            ]
+            if not forward + reverse:
+                break
+            step = rng.choice(forward + reverse)
+            steps.append(step)
+            trace = extend_trace(trace, [step], ambient)
+            assert trace == switch_trace(t, steps, ambient)
+            assert verify_origin_invariants(trace) == reference_verify_origin_invariants(trace)
 
 
 class TestSharpness:

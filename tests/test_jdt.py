@@ -23,6 +23,7 @@ from ktaquin.jdt import (
     SlideStep,
     SlideStepError,
     _check_corner_groups,
+    _check_ribbons,
     _run_switches,
     kinfusion,
     kjdt_slide,
@@ -36,6 +37,7 @@ from ktaquin.jdt import (
 from helpers import (
     random_increasing,
     random_skew,
+    reference_check_ribbons,
     reference_kinfusion,
     reference_slide,
     reference_trace,
@@ -598,3 +600,81 @@ class TestAgainstReferenceKernel:
         )
         expected = Counter(u.outer for u in results if u == superstandard(u.outer))
         assert rect_tally(shape.outer, shape.inner, m) == dict(expected)
+
+
+GRID = [(r, c) for r in range(1, 6) for c in range(1, 6)]
+
+
+def _random_moves(rng):
+    """A move map in a 5x5 grid, bullets and label boxes disjoint as in a stage."""
+    bullets = rng.sample(GRID, rng.randint(1, 6))
+    labels = [x for x in GRID if x not in bullets]
+    moves = {}
+    for b in bullets:
+        near = [x for x in labels if abs(x[0] - b[0]) + abs(x[1] - b[1]) == 1]
+        pool = near if near and rng.random() < 0.5 else labels
+        moves[b] = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+    return moves
+
+
+def _raises(check, moves):
+    try:
+        check(moves)
+    except InternalInvariantError:
+        return True
+    return False
+
+
+class TestAgainstReferenceChecks:
+    """The kernel's checks against the versions they replaced, on the same inputs."""
+
+    def test_ribbon_check_on_random_move_maps(self):
+        rng = random.Random(16)
+        verdicts = Counter()
+        for _ in range(8000):
+            moves = _random_moves(rng)
+            raised = _raises(_check_ribbons, moves)
+            assert raised == _raises(reference_check_ribbons, moves), moves
+            verdicts[raised] += 1
+        # both verdicts are met often, so neither side passes vacuously
+        assert min(verdicts[True], verdicts[False]) > 1000
+
+    def test_ribbon_check_on_slide_stages(self):
+        rng = random.Random(17)
+        shared = 0
+        for _ in range(300):
+            t = _random_tableau(rng)
+            ambient = _ambient(t)
+            corners = _subset(rng, addable_corners(t.outer, max_rows=ambient.rows, max_cols=ambient.cols))
+            stages = []
+            _run_switches(t.entries, set(corners), True, lambda label, moves, _: stages.append(moves))
+            for moves in stages:
+                hits = [x for xs in moves.values() for x in xs]
+                shared += len(hits) > len(set(hits))
+                assert not _raises(_check_ribbons, moves) and not _raises(reference_check_ribbons, moves)
+        assert shared > 0  # stages with a label box shared by two bullets were met
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_run_switches_same_with_and_without_on_switch(self, rng):
+        if rng.random() < 0.5:  # a slide of an increasing tableau
+            t = _random_tableau(rng)
+            ambient = _ambient(t)
+            reverse = not t.inner or rng.random() < 0.5
+            if reverse:
+                boxes = addable_corners(t.outer, max_rows=ambient.rows, max_cols=ambient.cols)
+            else:
+                boxes = removable_corners(t.inner)
+            entries, bullets = t.entries, _subset(rng, boxes)
+        else:  # arbitrary labels, which the kernel mostly refuses
+            bullets = frozenset(rng.sample(GRID, rng.randint(1, 3)))
+            entries = {x: rng.randint(1, 4) for x in GRID if x not in bullets and rng.random() < 0.6}
+            reverse = rng.random() < 0.5
+        outcomes = []
+        for hook in (None, lambda *args: None):
+            e, b = dict(entries), set(bullets)
+            try:
+                outcomes.append((_run_switches(e, b, reverse, hook), e))
+            except InternalInvariantError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
