@@ -206,7 +206,7 @@ class TestAgainstReferenceOriginCheck:
                 kinds.update(v.kind for v in report.violations)
         assert kinds == {"row-order", "column-order", "bullet-neighbors"}
 
-    @settings(max_examples=150, deadline=None, derandomize=True)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.randoms(use_true_random=False))
     def test_extended_mixed_traces_equal_full_replays(self, rng):
         t = random_increasing(rng, random_skew(rng, 9), slack=rng.randint(1, 3))
