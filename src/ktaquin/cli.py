@@ -90,8 +90,10 @@ def _cache_path(args) -> str | None:
 
 
 def cmd_coeff(args) -> int:
+    if args.frame is not None and not (args.check and args.kind in ("D", "F")):
+        raise UsageError("--frame applies to coeff D and F with --check only")
     lam, mu, nu = (parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu))
-    frame = _frame(args.frame) if args.frame else None
+    frame = _frame(args.frame) if args.frame is not None else None
     if args.check:
         record = compute_with_checks(args.kind, lam, mu, nu, frame)
     else:
@@ -177,7 +179,8 @@ def cmd_verify(args) -> int:
             kwargs["seed"] = args.seed
         result = fn(**kwargs)
         results.append(result)
-        print(result.render())
+        if not args.json:
+            print(result.render())
         ok = ok and result.ok
     if args.json:
         print(json.dumps([

@@ -29,6 +29,7 @@ from .tableaux import iter_increasing_cells, superstandard
 from .jdt import (
     SlideStep,
     SwitchTrace,
+    extend_trace,
     krect,
     rectification_orders,
     switch_trace,
@@ -37,8 +38,17 @@ from .jdt import (
 
 @dataclass(frozen=True)
 class EquivalenceVerdict:
+    """Whether two tableaux keep equal configurations along slide sequences.
+
+    States are numbered along the whole diverging sequence, from its first
+    bullet placement: divergence_stage is the index of the first state that
+    differs, and stages_compared counts the states compared up to and
+    including it, or all of them when the tableaux stay equivalent.  When one
+    trace ends first, both are the length of the shorter one.
+    """
+
     equivalent: bool
-    divergence_stage: int | None  # global switch-state index of the first mismatch
+    divergence_stage: int | None
     stages_compared: int
 
 
@@ -50,7 +60,7 @@ def check_strong_dual_equivalence(
 ) -> EquivalenceVerdict:
     """Compare the switch-by-switch configurations of a common slide sequence."""
     _require_same_shape(a, b)
-    return _trace_pair(a, b, slides, ambient)[0]
+    return _divergence(switch_trace(a, slides, ambient), switch_trace(b, slides, ambient), 0)
 
 
 def _require_same_shape(a: IncreasingTableau, b: IncreasingTableau) -> None:
@@ -58,31 +68,20 @@ def _require_same_shape(a: IncreasingTableau, b: IncreasingTableau) -> None:
         raise ShapeFitError("tableaux must share one shape")
 
 
-def _trace_pair(
-    a: IncreasingTableau,
-    b: IncreasingTableau,
-    slides: Sequence[SlideStep],
-    ambient: AmbientRectangle,
-) -> tuple[EquivalenceVerdict, SwitchTrace, SwitchTrace]:
-    """Trace a and b through the slides; the verdict and both traces.
+def _divergence(trace_a: SwitchTrace, trace_b: SwitchTrace, start: int) -> EquivalenceVerdict:
+    """Compare the traces' configurations from state ``start`` on.
 
-    A caller that goes on from the slid pair reads each trace's
-    ``final_tableau()``, so every step is slid once and a pair that goes no
-    further builds no tableau.  Equal configurations at every stage keep the
-    two shapes equal.
+    The states before ``start`` are equal, as ``extend_trace`` keeps them;
+    equal configurations at every state keep the two shapes equal.
     """
-    trace_a = switch_trace(a, slides, ambient)
-    trace_b = switch_trace(b, slides, ambient)
-    traces = trace_a, trace_b
-    confs_a = [s.configuration() for s in trace_a.states]
-    confs_b = [s.configuration() for s in trace_b.states]
-    n = min(len(confs_a), len(confs_b))
-    for i in range(n):
-        if confs_a[i] != confs_b[i]:
-            return EquivalenceVerdict(False, i, i + 1), *traces
-    if len(confs_a) != len(confs_b):
-        return EquivalenceVerdict(False, n, n), *traces
-    return EquivalenceVerdict(True, None, n), *traces
+    states_a, states_b = trace_a.states, trace_b.states
+    n = min(len(states_a), len(states_b))
+    for i in range(start, n):
+        if states_a[i].configuration() != states_b[i].configuration():
+            return EquivalenceVerdict(False, i, i + 1)
+    if len(states_a) != len(states_b):
+        return EquivalenceVerdict(False, n, n)
+    return EquivalenceVerdict(True, None, n)
 
 
 @dataclass(frozen=True)
@@ -115,10 +114,9 @@ def verify_origin_invariants(trace: SwitchTrace, start: int = 0) -> OriginReport
     violations: list[OriginViolation] = []
     for i in range(start, len(trace.states)):
         state = trace.states[i]
-        if not trace.uniform_flags[i]:
-            violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
         origins = trace.origins[i]
         if origins is None:
+            violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
             continue
         boxes = [(r, c) for r, c, _ in state.cells]
         if not all(map(lt, boxes, boxes[1:])):  # cells not in order: a hand-built state
@@ -333,17 +331,18 @@ def random_equivalence_run(
     sequence is reproducible from the generator state.
     """
     _require_same_shape(a, b)
-    stages = 0
+    trace_a, trace_b = switch_trace(a, [], ambient), switch_trace(b, [], ambient)
     for _ in range(length):
-        choices = available_steps(a.shape, ambient)
+        choices = available_steps(SkewShape(*trace_a.final_shape()), ambient)
         if not choices:
             break
-        verdict, trace_a, trace_b = _trace_pair(a, b, [rng.choice(choices)], ambient)
+        step = rng.choice(choices)
+        known = len(trace_a.states)
+        trace_a, trace_b = extend_trace(trace_a, [step], ambient), extend_trace(trace_b, [step], ambient)
+        verdict = _divergence(trace_a, trace_b, known)
         if not verdict.equivalent:
-            return EquivalenceVerdict(False, stages + (verdict.divergence_stage or 0), stages)
-        a, b = trace_a.final_tableau(), trace_b.final_tableau()
-        stages += verdict.stages_compared
-    return EquivalenceVerdict(True, None, stages)
+            return verdict
+    return EquivalenceVerdict(True, None, len(trace_a.states))
 
 
 def exhaustive_equivalence(
@@ -354,25 +353,24 @@ def exhaustive_equivalence(
 ) -> EquivalenceVerdict | None:
     """First divergence over every slide sequence up to the given depth, else None.
 
-    Prefixes are shared: after an equal-configuration step the search
-    continues from the slid pair.  Steps move one corner at a time; see
-    available_steps.
+    Sequences are searched in pre-order of ``available_steps``, one corner
+    per step.  Prefixes are shared: after an equal-configuration step the
+    pair's traces are extended, so each step is slid once, and a verdict
+    numbers its states along the whole diverging sequence.
     """
     _require_same_shape(a, b)
-    return _first_divergence(a, b, ambient, depth)
 
-
-def _first_divergence(
-    a: IncreasingTableau, b: IncreasingTableau, ambient: AmbientRectangle, depth: int
-) -> EquivalenceVerdict | None:
-    if depth == 0:
+    def walk(trace_a: SwitchTrace, trace_b: SwitchTrace, left: int) -> EquivalenceVerdict | None:
+        known = len(trace_a.states)
+        for step in available_steps(SkewShape(*trace_a.final_shape()), ambient):
+            next_a, next_b = extend_trace(trace_a, [step], ambient), extend_trace(trace_b, [step], ambient)
+            verdict = _divergence(next_a, next_b, known)
+            if not verdict.equivalent:
+                return verdict
+            if left > 1:
+                found = walk(next_a, next_b, left - 1)
+                if found is not None:
+                    return found
         return None
-    for step in available_steps(a.shape, ambient):
-        verdict, trace_a, trace_b = _trace_pair(a, b, [step], ambient)
-        if not verdict.equivalent:
-            return verdict
-        if depth > 1:  # only a pair that slides on needs its slid tableaux
-            found = _first_divergence(trace_a.final_tableau(), trace_b.final_tableau(), ambient, depth - 1)
-            if found is not None:
-                return found
-    return None
+
+    return walk(switch_trace(a, [], ambient), switch_trace(b, [], ambient), depth) if depth > 0 else None

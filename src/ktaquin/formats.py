@@ -203,7 +203,7 @@ def format_trace(trace: SwitchTrace) -> str:
     blocks = []
     for i, state in enumerate(trace.states):
         stage = "place bullets" if state.stage is None else f"switch past {state.stage}"
-        header = f"[{i}] {state.direction} {stage}, uniform={trace.uniform_flags[i]}"
+        header = f"[{i}] {state.direction} {stage}, uniform={trace.origins[i] is not None}"
         blocks.append(header + "\n" + format_switch_state(state))
     return "\n\n".join(blocks)
 

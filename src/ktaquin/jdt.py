@@ -446,16 +446,15 @@ class SwitchTrace:
     """Slow-motion record of a slide sequence with box-of-origin bookkeeping.
 
     states[i] is reached from states[i-1] by placing bullets (stage None) or by
-    one simultaneous switch of all ribbons of a label stage.  uniform_flags[i]
-    tells whether that transition kept boxes of origin well defined; origins[i]
-    maps numeric boxes to boxes of the starting tableau, and is None from the
-    first non-uniform switch on (later flags are then reported False).  States
-    share one origins dict until a stage changes it, so the dicts are read-only.
+    one simultaneous switch of all ribbons of a label stage.  origins[i] maps
+    numeric boxes to boxes of the starting tableau; it is None when the switch
+    into state i, or an earlier one, was not uniform, that is, merged labels
+    from different boxes of origin.  States share one origins dict until a
+    stage changes it, so the dicts are read-only.
     """
 
     start: IncreasingTableau
     states: tuple[SwitchState, ...]
-    uniform_flags: tuple[bool, ...]
     origins: tuple[dict[Box, Box] | None, ...]
 
     def final_shape(self) -> tuple[Part, Part]:
@@ -486,7 +485,7 @@ def switch_trace(
     t: IncreasingTableau, slides: Sequence[SlideStep], ambient: AmbientRectangle
 ) -> SwitchTrace:
     """Run the slides in slow motion, recording every switch state."""
-    return extend_trace(SwitchTrace(t, (), (), ()), slides, ambient)
+    return extend_trace(SwitchTrace(t, (), ()), slides, ambient)
 
 
 def extend_trace(
@@ -510,7 +509,6 @@ def extend_trace(
         cells = trace.start.cells
         origins = {box: box for box in entries}
     states: list[SwitchState] = []
-    flags: list[bool] = []
     origin_seq: list[dict[Box, Box] | None] = []
     stages: list[tuple[Cells, frozenset[Box], int | None]] = []  # those of the current step
 
@@ -534,7 +532,6 @@ def extend_trace(
                         break
                     origins[b] = src
         stages.append((cells, frozenset(bullets), label))
-        flags.append(origins is not None)
         origin_seq.append(origins)
 
     for i, step in enumerate(slides):
@@ -550,12 +547,7 @@ def extend_trace(
             raise SlideStepError(i, str(exc)) from exc
         states.extend(SwitchState(*shape, *stage, step.direction) for stage in stages)
         stages.clear()
-    return SwitchTrace(
-        trace.start,
-        trace.states + tuple(states),
-        trace.uniform_flags + tuple(flags),
-        trace.origins + tuple(origin_seq),
-    )
+    return SwitchTrace(trace.start, trace.states + tuple(states), trace.origins + tuple(origin_seq))
 
 
 def rev_krect_in_ambient(

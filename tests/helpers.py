@@ -15,8 +15,14 @@ from ktaquin.shapes import (
     remove_boxes,
     row_length,
 )
-from ktaquin.equivalence import OriginReport, OriginViolation
-from ktaquin.jdt import InternalInvariantError, _check_corner_groups, _infuse, _order_groups
+from ktaquin.equivalence import (
+    EquivalenceVerdict,
+    OriginReport,
+    OriginViolation,
+    available_steps,
+    check_strong_dual_equivalence,
+)
+from ktaquin.jdt import InternalInvariantError, _check_corner_groups, _infuse, _order_groups, switch_trace
 from ktaquin.tableaux import (
     IncreasingTableau,
     SetValuedTableau,
@@ -236,10 +242,9 @@ def reference_verify_origin_invariants(trace) -> OriginReport:
     """Per-stage checks: uniformity, origin-row/column order, bullet-neighbor comparability."""
     violations = []
     for i, state in enumerate(trace.states):
-        if not trace.uniform_flags[i]:
-            violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
         origins = trace.origins[i]
         if origins is None:
+            violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
             continue
         entries = state.entries()
         boxes = sorted(entries)
@@ -271,6 +276,69 @@ def reference_verify_origin_invariants(trace) -> OriginReport:
                         )
                     )
     return OriginReport(tuple(violations), len(trace.states))
+
+
+# ---------------------------------------------------------------------------
+# Reference pair walks: the equivalence lab's walks before they extended the
+# pair's traces, which traced every step again.  Here every sequence is traced
+# in full from the start tableaux and compared state by state, so a verdict
+# numbers its states along the whole sequence; the walks find the next steps
+# by sliding a through the reference kernel.  Test-only.
+
+
+def reference_pair_verdict(a, b, slides, ambient) -> EquivalenceVerdict:
+    """Trace a and b through the slides and compare their configurations."""
+    confs_a = [s.configuration() for s in switch_trace(a, slides, ambient).states]
+    confs_b = [s.configuration() for s in switch_trace(b, slides, ambient).states]
+    n = min(len(confs_a), len(confs_b))
+    for i in range(n):
+        if confs_a[i] != confs_b[i]:
+            return EquivalenceVerdict(False, i, i + 1)
+    if len(confs_a) != len(confs_b):
+        return EquivalenceVerdict(False, n, n)
+    return EquivalenceVerdict(True, None, n)
+
+
+def reference_first_divergence(a, b, ambient, depth):
+    """The first divergent verdict over single-corner sequences up to depth, else None.
+
+    Sequences come in pre-order of ``available_steps``; each one is compared
+    in full through ``check_strong_dual_equivalence``.
+    """
+
+    def walk(t, slides, left):
+        for step in available_steps(t.shape, ambient):
+            seq = slides + [step]
+            verdict = check_strong_dual_equivalence(a, b, seq, ambient)
+            if not verdict.equivalent:
+                return verdict
+            if left > 1:
+                found = walk(reference_slide(t, step.corners, step.direction), seq, left - 1)
+                if found is not None:
+                    return found
+        return None
+
+    return walk(a, [], depth) if depth > 0 else None
+
+
+def reference_random_run(a, b, ambient, length, rng):
+    """One random single-corner sequence, drawn as ``random_equivalence_run`` draws it.
+
+    Each prefix is compared in full through ``reference_pair_verdict``.
+    """
+    t, slides = a, []
+    verdict = reference_pair_verdict(a, b, slides, ambient)
+    for _ in range(length):
+        choices = available_steps(t.shape, ambient)
+        if not choices:
+            break
+        step = rng.choice(choices)
+        slides.append(step)
+        verdict = reference_pair_verdict(a, b, slides, ambient)
+        if not verdict.equivalent:
+            break
+        t = reference_slide(t, step.corners, step.direction)
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,30 @@ class TestCoeffCommand:
         assert code == EXIT_OK
         assert out.strip() == f"{kind}{lam},{mu}->{nu} = {value}"
 
+    @pytest.mark.parametrize(
+        "kind, check",
+        [("C", True), ("E", True), ("c", True), ("D", False), ("F", False)],
+        ids=["C-check", "E-check", "c-check", "D", "F"],
+    )
+    def test_frame_outside_the_identity_check(self, capsys, kind, check):
+        argv = ["coeff", kind, "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--frame", "1,3,1,3"]
+        code, out, err = run(capsys, *argv, *(["--check"] if check else []))
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --frame applies to coeff D and F with --check only\n"
+
+    def test_empty_frame_is_refused(self, capsys):
+        argv = ["coeff", "D", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--check", "--frame", ""]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: bad frame ''")
+
+    @pytest.mark.parametrize("kind", ["D", "F"])
+    def test_frame_for_the_identity_check(self, capsys, kind):
+        argv = ["coeff", kind, "--lambda", "[2]", "--mu", "[2,1]", "--nu", "[3,1]", "--frame", "1,4,2,4"]
+        code, out, _ = run(capsys, *argv, "--check")
+        assert code == EXIT_OK
+        assert out.strip() == f"{kind}[2],[2,1]->[3,1] = -2  [buch:ok identity:ok]"
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "coeff", "D", "--lambda", "oops", "--mu", "[]", "--nu", "[]")
         assert code == EXIT_USAGE
@@ -241,6 +265,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "star-groups")
         assert code == EXIT_OK
         assert "[ok] star-groups" in out
+
+    def test_json_output_is_one_document(self, capsys):
+        code, out, _ = run(capsys, "--json", "verify", "products")
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert [(r["name"], r["ok"]) for r in doc] == [("products", True)]
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(capsys, "verify", "nope")

@@ -27,7 +27,13 @@ from ktaquin.equivalence import (
     verify_origin_invariants,
 )
 
-from helpers import random_increasing, random_skew, reference_verify_origin_invariants
+from helpers import (
+    random_increasing,
+    random_skew,
+    reference_first_divergence,
+    reference_random_run,
+    reference_verify_origin_invariants,
+)
 
 T = IncreasingTableau.from_rows
 
@@ -58,17 +64,18 @@ class TestStrongEquivalence:
 
     def test_divergence_found_only_after_a_slide(self):
         # every first step keeps this pair in step, so the search must carry
-        # on from the slid pair to find the split
+        # on from the slid pair to find the split; the stage counts the states
+        # of the whole sequence, the first step's included
         a, b = T([[1, 2, 3], [3]]), T([[1, 2, 3], [4]])
         ambient = AmbientRectangle(4, 9)
         assert exhaustive_equivalence(a, b, ambient, 1) is None
         verdict = exhaustive_equivalence(a, b, ambient, 3)
-        assert (verdict.equivalent, verdict.divergence_stage, verdict.stages_compared) == (False, 1, 2)
+        assert (verdict.equivalent, verdict.divergence_stage, verdict.stages_compared) == (False, 4, 5)
 
     def test_random_run_divergence_pinned(self):
         a, b = T([[1, 2, 3], [3]]), T([[1, 2, 3], [4]])
         verdict = random_equivalence_run(a, b, AmbientRectangle(4, 9), 4, random.Random(0))
-        assert (verdict.equivalent, verdict.divergence_stage, verdict.stages_compared) == (False, 8, 7)
+        assert (verdict.equivalent, verdict.divergence_stage, verdict.stages_compared) == (False, 8, 9)
 
     def test_shape_mismatch_rejected(self):
         a, b, ambient = T([[1, 2]]), T([[1], [2]]), AmbientRectangle(3, 6)
@@ -78,6 +85,40 @@ class TestStrongEquivalence:
             exhaustive_equivalence(a, b, ambient, 1)
         with pytest.raises(ShapeFitError):
             random_equivalence_run(a, b, ambient, 1, random.Random(0))
+
+
+@cache
+def _pair_universe() -> tuple[tuple[IncreasingTableau, IncreasingTableau, AmbientRectangle], ...]:
+    """Every pair of fillings over labels 1..4 of (2,1) and of (3,1), with the suite's ambient."""
+    pairs = []
+    for lam in ((2, 1), (3, 1)):
+        c, d = len(lam), lam[0]
+        ambient = AmbientRectangle(c + 2, c + d + 4)
+        tableaux = list(enumerate_increasing(SkewShape.straight(lam), range(1, 5)))
+        pairs.extend((a, b, ambient) for i, a in enumerate(tableaux) for b in tableaux[i + 1 :])
+    return tuple(pairs)
+
+
+class TestAgainstReferencePairWalks:
+    """Walks that extend the pair's traces against sequences replayed in full."""
+
+    def test_exhaustive_equals_the_preorder_replay(self):
+        divergent = 0
+        for a, b, ambient in _pair_universe():
+            verdict = exhaustive_equivalence(a, b, ambient, 3)
+            assert verdict == reference_first_divergence(a, b, ambient, 3)
+            divergent += verdict is not None
+        assert (len(_pair_universe()), divergent) == (146, 107)
+
+    def test_random_runs_equal_the_reference(self):
+        divergent = 0
+        for seed, (a, b, ambient) in enumerate(_pair_universe()):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            verdict = random_equivalence_run(a, b, ambient, 4, rng)
+            assert verdict == reference_random_run(a, b, ambient, 4, ref_rng)
+            assert rng.random() == ref_rng.random()  # both drew the same steps
+            divergent += not verdict.equivalent
+        assert divergent == 41
 
 
 class TestOriginInvariants:
@@ -172,7 +213,7 @@ def _corrupted(trace: SwitchTrace, rng: random.Random) -> SwitchTrace:
             state = SwitchState(state.outer, state.inner, cells, state.bullets, state.stage, state.direction)
         states.append(state)
         origins.append(o)
-    return SwitchTrace(trace.start, tuple(states), trace.uniform_flags, tuple(origins))
+    return SwitchTrace(trace.start, tuple(states), tuple(origins))
 
 
 class TestAgainstReferenceOriginCheck:

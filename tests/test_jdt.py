@@ -270,7 +270,7 @@ class TestUniformityFromRectangles:
                 steps.append(SlideStep("reverse", chosen))
                 current = rev_kjdt_slide(current, chosen, ambient)
             trace = switch_trace(t, steps, ambient)
-            assert all(trace.uniform_flags)
+            assert all(o is not None for o in trace.origins)
 
 
 class TestRectangularWellDefined:
@@ -320,7 +320,7 @@ class TestSwitchTrace:
         assert bullets[3] == frozenset({(1, 4), (2, 3), (3, 2)})
         # the second switch merges labels from two different boxes of origin,
         # so origins stop being well defined from that point on
-        assert trace.uniform_flags == (True, True, False, False)
+        assert [o is not None for o in trace.origins] == [True, True, False, False]
         assert trace.final_tableau() == SWSEQ_RESULT
 
     def test_rev_slide_divergent_configurations(self):
@@ -583,7 +583,7 @@ class TestAgainstReferenceKernel:
         assert [
             (s.outer, s.inner, s.cells, s.bullets, s.stage, s.direction) for s in trace.states
         ] == states
-        assert list(trace.uniform_flags) == flags
+        assert [o is not None for o in trace.origins] == flags
         assert list(trace.origins) == origins
         assert trace.final_tableau() == current
 
