@@ -12,8 +12,11 @@ cross-check:
   the set-valued-tableau rule and against C through the direct-sum identity
   (whose default frame never makes that C count D's own).
 * E: count X-augmented fillings whose erased part rectifies to the target,
-  that is the alternating rook-strip sum of jdt C values; cross-checked
-  against the same sum over Buch's C.
+  that is the alternating rook-strip sum of jdt C values; cross-checked by
+  the paper's own rule on Buch's C: marks on every subset of the outer
+  corners inside the region, which needs no rook-strip enumeration.  An
+  ideal-sheaf product table is also checked at the full rectangle, where the
+  duality of the two bases fixes its entry.
 * F: equal to D by definition of the dual-basis splitting; cross-checked
   through D's two independent routes.
 * c: the classical limit (the unsigned D count), cross-checked against a Schur
@@ -68,6 +71,7 @@ from .shapes import (
     DirectSumFrame,
     Part,
     ShapeFitError,
+    SkewShape,
     _dagger,
     _memoized,
     _require_fit,
@@ -80,9 +84,11 @@ from .shapes import (
     partition,
     partitions_in_rectangle,
     psize,
+    remove_boxes,
     rook_strip_contractions,
+    row_length,
 )
-from .tableaux import IncreasingTableau, enumerate_set_valued
+from .tableaux import IncreasingTableau, eligible_x_boxes, enumerate_set_valued
 from .jdt import InternalInvariantError, _label_groups_desc
 from . import jdt, schur, shapes
 
@@ -196,25 +202,21 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     by them and the boxes landed so far, and ``placed`` holds the rows, in
     increasing order, of a set of addable corners of its filled shape.  Only
     this class is in the entries, so the switches are geometric: the step
-    does not depend on the label's value, outer, m or the targets.  Each
-    (S class, class) pair runs the kernel's checks, the adjacent-bullets test
-    on the S class included, and the new state must be tiled exactly by the
-    S classes and the landed boxes.
+    does not depend on the label's value, outer, m or the targets.  Each S
+    class goes through ``jdt._run_switches`` as the bullets of one slide,
+    whose only stage is this class, so every switch runs the kernel's checks,
+    the adjacent-bullets test on the S class included.  The new state must
+    be tiled exactly by the S classes and the landed boxes.
 
     Returns (the filled shape, the S classes, the boxes this class landed
     on), with the shape and each set of boxes interned in the memo.
     """
     boxes = [(r, (filled[r - 1] if r <= len(filled) else 0) + 1) for r in placed]
     entries = dict.fromkeys(boxes, 1)
-    around = jdt._NEIGHBOURS
     new = list(classes)
     for s in range(len(new) - 1, -1, -1):
-        bullets = new[s]
-        jdt._check_apart(bullets)
-        pairs = [(b, x) for b in bullets for x in around[b] if x in entries]
-        if pairs:
-            bullets = set(bullets)
-            jdt._switch(entries, bullets, 1, pairs)
+        bullets = jdt._run_switches(entries, set(new[s]), False)
+        if bullets != new[s]:
             new[s] = _interned("boxes", frozenset(bullets))
     now = add_boxes(filled, boxes)
     # the state stepped from was tiled, so it had landed its filled boxes outside the S classes
@@ -297,25 +299,52 @@ def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -
 def coeff_E(lam: Part, mu: Part, nu: Part) -> int:
     """Ideal-sheaf product constant: X-augmented fillings, marks erased before rectifying."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _rook_strip_sum("C", lam, mu, nu)
+    return _rook_strip_sum(lam, mu, nu)
 
 
 def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
-    """Ideal-sheaf product constant as the alternating rook-strip sum of Buch's C values."""
+    """Ideal-sheaf product constant by the X-mark rule over Buch's C values.
+
+    The marks of an X-augmented filling of nu/lam are any subset of the outer
+    corners inside the region (``eligible_x_boxes``); erasing them leaves a
+    filling that Buch's C counts, with one sign per mark.  Each subset is a
+    bitmask, so no rook-strip enumeration is shared with ``coeff_E``.
+    """
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _rook_strip_sum("C-buch", lam, mu, nu)
+    return _marked_sum(lam, mu, nu)
 
 
-def _rook_strip_sum(kind: str, lam: Part, mu: Part, nu: Part) -> int:
-    """Sum of (-1)^|nu/nubar| C(lam, mu, nubar), C counted by ``kind``, over nu minus a rook strip.
+def _marked_sum(lam: Part, mu: Part, nu: Part) -> int:
+    """``coeff_E_via_C`` for normal-form shapes: sign x Buch's C over each subset of the marks."""
+    if not contains(nu, lam):
+        return 0
+    eligible = eligible_x_boxes(SkewShape._from_normal(nu, lam))
+    total = 0
+    for mask in range(1 << len(eligible)):
+        marks = [box for i, box in enumerate(eligible) if mask >> i & 1]
+        total += _sign(len(marks)) * _memoized_count("C-buch", lam, mu, remove_boxes(nu, marks))
+    return total
+
+
+def _rook_strip_sum(lam: Part, mu: Part, nu: Part) -> int:
+    """Sum of (-1)^|nu/nubar| C(lam, mu, nubar), jdt C, over nu minus a rook strip.
 
     Erasing the X marks of a filling of nu/lam leaves one that C counts on some
     such nubar; a mark inside lam leaves a nubar without lam, where C is 0.
     """
     return sum(
-        _memoized_count(kind, lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
+        _memoized_count("C", lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
         for nubar in rook_strip_contractions(nu)
     )
+
+
+def _is_rook_strip(outer: Part, inner: Part) -> bool:
+    """outer contains inner, and outer/inner has at most one box per row and per column."""
+    if not contains(outer, inner):
+        return False
+    grown = [(width, width - row_length(inner, r)) for r, width in enumerate(outer, start=1)]
+    cols = [width for width, added in grown if added]  # the column of each row's added box
+    return all(added <= 1 for _, added in grown) and len(set(cols)) == len(cols)
 
 
 def coeff_F(lam: Part, mu: Part, nu: Part) -> int:
@@ -350,7 +379,8 @@ def expand_product(
     """Nonzero coefficients of a basis product, with targets inside the ambient.
 
     A structure-sheaf table is checked against Brion's Euler characteristic
-    rule and raises DisagreementError when its sum breaks it.
+    rule, and an ideal-sheaf table against the duality of the two bases at
+    the full rectangle; either raises DisagreementError when the check fails.
     """
     lam, mu = partition(lam), partition(mu)
     ambient.require_fit(lam)
@@ -376,6 +406,18 @@ def expand_product(
                 f"the structure-sheaf table of {format_partition(lam)} x {format_partition(mu)} "
                 f"in {ambient.k},{ambient.n} sums to {total}, "
                 f"but the Euler characteristic rule gives {expected}"
+            )
+    else:
+        # [O_rho] and [I_{rho^vee}] are dual under the Euler pairing (Buch, Acta Math. 189,
+        # 2002), so the full rectangle's E is (-1)^|mu^vee/lambda| on a rook strip, else 0
+        dual = dual_in_rectangle(mu, ambient)
+        expected = _sign(psize(dual) - psize(lam)) if _is_rook_strip(dual, lam) else 0
+        entry = table.get(ambient.full, 0)
+        if entry != expected:
+            raise DisagreementError(
+                f"the ideal-sheaf table of {format_partition(lam)} x {format_partition(mu)} "
+                f"in {ambient.k},{ambient.n} has {entry} at the full rectangle, "
+                f"but the duality of the two bases gives {expected}"
             )
     return table
 
@@ -458,8 +500,8 @@ def compute_with_checks(
             frame = _default_frame(lam, mu, nu)
         checks.append(("identity", value == coeff_D_via_identity(lam, mu, nu, frame)))
     elif kind == "E":
-        value = _rook_strip_sum("C", lam, mu, nu)
-        checks.append(("rook-strip", value == _rook_strip_sum("C-buch", lam, mu, nu)))
+        value = _rook_strip_sum(lam, mu, nu)
+        checks.append(("rook-strip", value == _marked_sum(lam, mu, nu)))
     elif kind == "c":
         value = coeff_c_classical(lam, mu, nu)
         checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))

@@ -17,14 +17,16 @@ The kernel raises InternalInvariantError on every state the theory forbids:
 two adjacent bullets, two adjacent equal labels, a 2x2 block of bullets and
 stage labels, and a ribbon with more than two boxes in one row or column.
 
-Slides into inner corners, infusion and rectification check their order of
-corner groups once (``_check_corner_groups``), since the inner shapes it
-walks through do not depend on the filling, and then slide the filling
-through ``_infuse``.  ``_run_switches`` loops over the stages of a slide.  A
-stage with one (bullet, label box) pair, the most common kind, runs inline
-there; a stage with several pairs is one call of ``_switch``, which also checks
-for blocks and long ribbons.  The coefficient counts call ``_switch`` once per
-pair of an order class and a filling class.
+Every slide, forward or reverse, single or one group of a rectification,
+infusion or trace, is one call of ``_slide``, which runs the stages and
+returns both new shapes.  Its corners are checked by ``_check_corners`` when
+the slide is reached; only reverse rectification, whose corners are the
+legal ones by construction, skips the check.  ``_run_switches`` loops over
+the stages of a slide.  A stage with one (bullet, label box) pair, the most
+common kind, runs inline there; a stage with several pairs is one call of
+``_switch``, which also checks for blocks and long ribbons.  The label steps
+of the coefficient counts run each order class through ``_run_switches`` too,
+so no other module sees the switch protocol.
 
 ``switch_trace`` records a state after the bullets are placed and after each
 stage, through the kernel's ``on_switch`` hook; ``extend_trace`` continues a
@@ -151,9 +153,8 @@ def _switch(entries: dict[Box, int], bullets: set[Box], label: int, pairs: list[
     pairs holds every (bullet, label box) adjacency of the stage, at least
     one.  Raises InternalInvariantError on a 2x2 block, a long ribbon or two
     adjacent equal labels; returns the moves.  Within a stage the order of
-    bullets does not matter: the rule is local.  A slide runs its stages of
-    one pair in ``_run_switches`` itself and calls this for the others; the
-    label steps of the coefficient counts call it for every stage.
+    bullets does not matter: the rule is local.  Only ``_run_switches`` calls
+    this, for the stages of several pairs; it runs those of one pair itself.
     """
     moves: Moves = {}
     for box, nb in pairs:
@@ -238,96 +239,51 @@ def _run_switches(
             on_switch(label, moves, bullets)
 
 
-def _check_corner_groups(inner: Part, groups: Iterable[frozenset[Box]]) -> Part:
-    """Check a slide order before any filling slides through it.
+def _check_corners(
+    inner: Part, outer: Part, corners: frozenset[Box], reverse: bool, ambient: AmbientRectangle | None = None
+) -> None:
+    """Refuse an empty corner set, or corners that are not inner corners of inner.
 
-    Each group, when it is reached, must be a nonempty set of inner corners;
-    inner corners are pairwise non-adjacent, so its bullets start apart.  The
-    inner shapes met on the way do not depend on the filling, so a count that
-    slides many fillings through one order runs this once and ``_infuse`` once
-    per filling.  Returns the inner shape left after the last group.
+    A reverse slide's corners must instead be outer corners of outer within
+    the ambient.  Corners of either kind are pairwise non-adjacent, so the
+    bullets start apart.  Each slide runs this when it is reached.
     """
-    for corners in groups:
-        if not corners:
-            raise ShapeFitError("corner set must be nonempty")
+    if not corners:
+        raise ShapeFitError("corner set must be nonempty")
+    if not reverse:
         legal = set(removable_corners(inner))
         if not corners <= legal:
             raise ShapeFitError(f"{sorted(corners - legal)} are not inner corners of {inner}")
-        inner = remove_boxes(inner, corners)
-    return inner
-
-
-def _infuse(
-    entries: dict[Box, int],
-    outer: Part,
-    groups: Iterable[frozenset[Box]],
-    vacated: list[set[Box]] | None = None,
-    on_switch=None,
-) -> Part:
-    """Slide the filling in entries, in place, into each corner group in turn.
-
-    The groups must have passed ``_check_corner_groups`` for the filling's
-    inner shape; the kernel still refuses adjacent bullets.  Only the outer
-    shape depends on the filling, so it is the one shape updated here.
-    Returns the final outer shape; ``vacated``, when given, receives the boxes
-    each group vacated, in group order.
-    """
-    for corners in groups:
-        final = _run_switches(entries, set(corners), False, on_switch)
-        try:
-            outer = remove_boxes(outer, final)
-        except ShapeFitError as exc:  # pragma: no cover - theory forbids this
-            raise InternalInvariantError(f"slide left a non-partition shape: {exc}") from exc
-        if vacated is not None:
-            vacated.append(final)
-    return outer
-
-
-def _forward_slide(
-    entries: dict[Box, int], inner: Part, outer: Part, corners: frozenset[Box], on_switch=None
-) -> tuple[Part, Part]:
-    """Slide in place into inner corners; returns (inner', outer')."""
-    groups = (frozenset(corners),)
-    return _check_corner_groups(inner, groups), _infuse(entries, outer, groups, on_switch=on_switch)
-
-
-def _reverse_slide(
-    entries: dict[Box, int],
-    inner: Part,
-    outer: Part,
-    corners: frozenset[Box],
-    ambient: AmbientRectangle,
-    on_switch=None,
-) -> tuple[Part, Part]:
-    """Slide in place into outer corners, after checking them; returns (inner', outer')."""
-    if not corners:
-        raise ShapeFitError("corner set must be nonempty")
+        return
     ambient.require_fit(outer)
     legal = set(addable_corners(outer, max_rows=ambient.rows, max_cols=ambient.cols))
-    if not set(corners) <= legal:
-        raise ShapeFitError(
-            f"{sorted(set(corners) - legal)} are not outer corners of {outer} in the ambient"
-        )
-    return _reverse_step(entries, inner, outer, corners, on_switch)
+    if not corners <= legal:
+        raise ShapeFitError(f"{sorted(corners - legal)} are not outer corners of {outer} in the ambient")
 
 
-def _reverse_step(
-    entries: dict[Box, int], inner: Part, outer: Part, corners: Iterable[Box], on_switch=None
-) -> tuple[Part, Part]:
-    """Slide in place into outer corners already known to be legal; returns (inner', outer')."""
-    new_outer = add_boxes(outer, corners)
-    final = _run_switches(entries, set(corners), reverse=True, on_switch=on_switch)
+def _slide(
+    entries: dict[Box, int], inner: Part, outer: Part, corners: Iterable[Box], reverse: bool, on_switch=None
+) -> tuple[Part, Part, set[Box]]:
+    """Slide in place into corners already checked; returns (inner', outer', the bullets' final boxes).
+
+    A forward slide moves into inner corners and its bullets leave outer; a
+    reverse slide moves into outer corners and its bullets join inner.
+    """
+    final = _run_switches(entries, set(corners), reverse, on_switch)
     try:
-        new_inner = add_boxes(inner, final)
+        if reverse:
+            return add_boxes(inner, final), add_boxes(outer, corners), final
+        return remove_boxes(inner, corners), remove_boxes(outer, final), final
     except ShapeFitError as exc:  # pragma: no cover - theory forbids this
         raise InternalInvariantError(f"slide left a non-partition shape: {exc}") from exc
-    return new_inner, new_outer
 
 
 def kjdt_slide(t: IncreasingTableau, corners: Iterable[Box]) -> IncreasingTableau:
     """Forward slide of t into a nonempty set of inner corners."""
+    corners = frozenset(corners)
+    _check_corners(t.inner, t.outer, corners, False)
     entries = t.entries
-    inner, outer = _forward_slide(entries, t.inner, t.outer, frozenset(corners))
+    inner, outer, _ = _slide(entries, t.inner, t.outer, corners, False)
     return IncreasingTableau._from_kernel(outer, inner, entries)
 
 
@@ -335,8 +291,10 @@ def rev_kjdt_slide(
     t: IncreasingTableau, corners: Iterable[Box], ambient: AmbientRectangle
 ) -> IncreasingTableau:
     """Reverse slide of t into a nonempty set of outer corners within the ambient."""
+    corners = frozenset(corners)
+    _check_corners(t.inner, t.outer, corners, True, ambient)
     entries = t.entries
-    inner, outer = _reverse_slide(entries, t.inner, t.outer, frozenset(corners), ambient)
+    inner, outer, _ = _slide(entries, t.inner, t.outer, corners, True)
     return IncreasingTableau._from_kernel(outer, inner, entries)
 
 
@@ -361,15 +319,15 @@ def kinfusion(a: IncreasingTableau, b: IncreasingTableau) -> tuple[IncreasingTab
     """
     if b.inner != a.outer:
         raise ShapeFitError(f"inner shape of second tableau {b.inner} must equal outer of first {a.outer}")
-    labelled = _label_groups_desc(a.cells)
-    groups = [boxes for _, boxes in labelled]
-    inner = _check_corner_groups(b.inner, groups)
+    entries = b.entries
+    inner, outer = b.inner, b.outer
+    record: dict[Box, int] = {}
+    for label, corners in _label_groups_desc(a.cells):
+        _check_corners(inner, outer, corners, False)
+        inner, outer, vacated = _slide(entries, inner, outer, corners, False)
+        record.update(dict.fromkeys(vacated, label))
     if inner != a.inner:  # pragma: no cover - theory forbids this
         raise InternalInvariantError("infusion did not consume the inner tableau's shape")
-    entries = b.entries
-    vacated: list[set[Box]] = []
-    outer = _infuse(entries, b.outer, groups, vacated)
-    record = {box: label for (label, _), boxes in zip(labelled, vacated) for box in boxes}
     build = IncreasingTableau._from_kernel
     return build(outer, inner, entries), build(b.outer, outer, record)
 
@@ -384,11 +342,12 @@ def krect(t: IncreasingTableau, order: IncreasingTableau | None = None) -> Incre
         order = superstandard(t.inner)
     if order.inner != () or order.outer != t.inner:
         raise ShapeFitError(f"order must be a straight tableau of shape {t.inner}")
-    groups = _order_groups(order)
-    _check_corner_groups(t.inner, groups)
     entries = t.entries
-    outer = _infuse(entries, t.outer, groups)
-    return IncreasingTableau._from_kernel(outer, (), entries)
+    inner, outer = t.inner, t.outer
+    for corners in _order_groups(order):
+        _check_corners(inner, outer, corners, False)
+        inner, outer, _ = _slide(entries, inner, outer, corners, False)
+    return IncreasingTableau._from_kernel(outer, inner, entries)
 
 
 def rectification_orders(inner: Part) -> Iterator[IncreasingTableau]:
@@ -535,16 +494,15 @@ def extend_trace(
         origin_seq.append(origins)
 
     for i, step in enumerate(slides):
-        before = outer, inner
+        reverse = step.direction == "reverse"
         try:
-            if step.direction == "forward":
-                inner, outer = _forward_slide(entries, inner, outer, step.corners, on_switch)
-                shape = before[0], inner  # the corners left inner when the bullets were placed
-            else:
-                inner, outer = _reverse_slide(entries, inner, outer, step.corners, ambient, on_switch)
-                shape = outer, before[1]  # the corners joined outer
+            _check_corners(inner, outer, step.corners, reverse, ambient)
+            new_inner, new_outer, _ = _slide(entries, inner, outer, step.corners, reverse, on_switch)
         except ShapeFitError as exc:
             raise SlideStepError(i, str(exc)) from exc
+        # the corners joined outer, or left inner, when the bullets were placed
+        shape = (new_outer, inner) if reverse else (outer, new_inner)
+        inner, outer = new_inner, new_outer
         states.extend(SwitchState(*shape, *stage, step.direction) for stage in stages)
         stages.clear()
     return SwitchTrace(trace.start, trace.states + tuple(states), trace.origins + tuple(origin_seq))
@@ -567,12 +525,9 @@ def rev_krect_in_ambient(
     ambient.require_fit(lam)
     entries = t.entries
     inner, outer = t.inner, lam
-    while True:
-        corners = addable_corners(outer, max_rows=ambient.rows, max_cols=ambient.cols)
-        if not corners:
-            break
-        # the corners are exactly the legal ones, so the step skips the check
-        inner, outer = _reverse_step(entries, inner, outer, corners)
+    # the corners are exactly the legal ones, so the slides skip the check
+    while corners := addable_corners(outer, max_rows=ambient.rows, max_cols=ambient.cols):
+        inner, outer, _ = _slide(entries, inner, outer, corners, True)
     expected_inner = partition(
         (ambient.cols,) * (ambient.rows - c) + (ambient.cols - d,) * c
     )

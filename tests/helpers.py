@@ -3,6 +3,7 @@
 import random
 from functools import lru_cache
 
+from ktaquin import coefficients
 from ktaquin.coefficients import _sign
 from ktaquin.shapes import (
     SkewShape,
@@ -13,6 +14,7 @@ from ktaquin.shapes import (
     partitions_of,
     psize,
     remove_boxes,
+    removable_corners,
     row_length,
 )
 from ktaquin.equivalence import (
@@ -22,7 +24,7 @@ from ktaquin.equivalence import (
     available_steps,
     check_strong_dual_equivalence,
 )
-from ktaquin.jdt import InternalInvariantError, _check_corner_groups, _infuse, _order_groups, switch_trace
+from ktaquin.jdt import InternalInvariantError, _check_corners, _order_groups, _slide, switch_trace
 from ktaquin.tableaux import (
     IncreasingTableau,
     SetValuedTableau,
@@ -406,15 +408,25 @@ def reference_increasing_cells(outer, inner, alphabet, surjective=False):
 # results, whatever the target.  Test-only.
 
 
+def _rectify_entries(entries, outer, inner, groups):
+    """Slide raw entries in place through corner groups, each checked when reached; returns outer."""
+    for corners in groups:
+        _check_corners(inner, outer, corners, False)
+        inner, outer, _ = _slide(entries, inner, outer, corners, False)
+    return outer
+
+
 def reference_rect_tally(outer, inner, alphabet):
     """Histogram of the rectifications of every surjective filling of outer/inner."""
     outer, inner = partition(outer), partition(inner)
     groups = _order_groups(superstandard(inner))
-    _check_corner_groups(inner, groups)
     tally = {}
     for cells in iter_increasing_cells(outer, inner, alphabet, surjective=True):
         entries = {(r, c): v for r, c, v in cells}
-        key = (_infuse(entries, outer, groups), tuple(sorted((r, c, v) for (r, c), v in entries.items())))
+        key = (
+            _rectify_entries(entries, outer, inner, groups),
+            tuple(sorted((r, c, v) for (r, c), v in entries.items())),
+        )
         tally[key] = tally.get(key, 0) + 1
     return tally
 
@@ -435,14 +447,13 @@ def reference_count_E(lam, mu, nu):
 
     Marks are any subset of the outer corners inside the region; erasing them
     leaves a surjective filling of the smaller shape, which is enumerated and
-    rectified as raw entries through the superstandard order of lam, checked
-    once.  No row or memo entry is read, so the rook-strip sum of C values
-    stays an independent check.
+    rectified as raw entries through the superstandard order of lam.  No row
+    or memo entry is read, so the rook-strip sum of C values stays an
+    independent check.
     """
     if not contains(nu, lam):
         return 0
     groups = _order_groups(superstandard(lam))
-    _check_corner_groups(lam, groups)
     target = superstandard(mu).entries
     alphabet = range(1, psize(mu) + 1)
     eligible = eligible_x_boxes(SkewShape._from_normal(nu, lam))
@@ -451,9 +462,24 @@ def reference_count_E(lam, mu, nu):
         erased = remove_boxes(nu, [b for i, b in enumerate(eligible) if mask >> i & 1])
         for cells in iter_increasing_cells(erased, lam, alphabet, surjective=True):
             entries = {(r, c): v for r, c, v in cells}
-            if _infuse(entries, erased, groups) == mu and entries == target:
+            if _rectify_entries(entries, erased, lam, groups) == mu and entries == target:
                 count += 1
     return _sign(psize(nu) - psize(lam) - psize(mu)) * count
+
+
+def drop_the_all_corners_strip(monkeypatch):
+    """The strip mutant: coefficients' rook_strip_contractions without nu minus all its corners.
+
+    E's value sums over that enumeration, so the mutant moves E; a check of E
+    or of an ideal-sheaf table that shares no code with it must then fail.
+    """
+    real = coefficients.rook_strip_contractions
+
+    def dropped(nu):
+        every = remove_boxes(nu, removable_corners(nu))
+        return tuple(nubar for nubar in real(nu) if nubar != every)
+
+    monkeypatch.setattr(coefficients, "rook_strip_contractions", dropped)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 from ktaquin.coefficients import DisagreementError, expand_product
 from ktaquin.shapes import AmbientRectangle, format_partition, parse_partition, partitions_in_rectangle
 
+from helpers import drop_the_all_corners_strip
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -224,6 +226,18 @@ class TestExpandCommand:
         assert code == EXIT_DISAGREEMENT and out == ""
         assert err.startswith(f"disagreement: the structure-sheaf table of {lam} x {mu} in 2,4 sums to")
         assert "the Euler characteristic rule gives" in err
+
+    def test_a_wrong_ideal_sheaf_table_is_refused(self, capsys, monkeypatch):
+        drop_the_all_corners_strip(monkeypatch)
+        code, out, err = run(
+            capsys, "expand", "--op", "product", "--basis", "ideal-sheaf",
+            "--lambda", "[2]", "--mu", "[1]", "--ambient", "2,4",
+        )
+        assert code == EXIT_DISAGREEMENT and out == ""
+        assert err.startswith(
+            "disagreement: the ideal-sheaf table of [2] x [1] in 2,4 has 0 at the full rectangle, "
+            "but the duality of the two bases gives -1"
+        )
 
     @pytest.mark.parametrize(
         "argv",

@@ -19,6 +19,7 @@ from ktaquin.shapes import (
 from ktaquin.tableaux import IncreasingTableau, enumerate_augmented, superstandard
 from ktaquin.coefficients import (
     CoefficientRecord,
+    DisagreementError,
     coeff_C,
     coeff_D,
     coeff_D_buch,
@@ -33,7 +34,7 @@ from ktaquin.coefficients import (
 )
 from ktaquin import coefficients, schur
 
-from helpers import reference_count_E
+from helpers import drop_the_all_corners_strip, reference_count_E
 
 from helpers import reference_schur_product
 
@@ -184,6 +185,69 @@ class TestCoeffE:
                         )
                         sign = -1 if (n - psize(lam) - psize(mu)) % 2 else 1
                         assert coeff_E(lam, mu, nu) == sign * count, (lam, mu, nu)
+
+
+def ideal_sheaf_tables():
+    """(lam, mu, ambient) for every product table of five small ambients: 861 tables."""
+    for k, n in [(2, 4), (2, 5), (2, 6), (3, 5), (3, 6)]:
+        ambient = AmbientRectangle(k, n)
+        shapes = list(partitions_in_rectangle(ambient.rows, ambient.cols))
+        yield from ((lam, mu, ambient) for lam in shapes for mu in shapes)
+
+
+class TestChecksOfE:
+    """E's check and the ideal-sheaf table check share no rook-strip enumeration with E's value."""
+
+    TRIPLES = [
+        (lam, mu, nu)
+        for lam in partitions_in_rectangle(2, 2)
+        for mu in partitions_in_rectangle(2, 2)
+        for nu in partitions_in_rectangle(3, 3)
+    ]
+
+    def test_the_check_path_never_enumerates_rook_strips(self, monkeypatch):
+        def refuse(nu):
+            raise AssertionError("the check path enumerated rook strips")
+
+        monkeypatch.setattr(coefficients, "rook_strip_contractions", refuse)
+        values = [coeff_E_via_C(*t) for t in self.TRIPLES]
+        monkeypatch.undo()
+        assert values == [coeff_E(*t) for t in self.TRIPLES]
+
+    def test_the_e_check_catches_the_strip_mutant(self, monkeypatch):
+        assert len(self.TRIPLES) == 720
+        drop_the_all_corners_strip(monkeypatch)
+        refused = [t for t in self.TRIPLES if not compute_with_checks("E", *t).agreed]
+        assert len(refused) == 107
+        for t in refused:
+            assert compute_with_checks("E", *t).checks == (("rook-strip", False),)
+
+    def test_ideal_sheaf_tables_pass_their_check(self):
+        tables = list(ideal_sheaf_tables())
+        assert len(tables) == 861
+        for lam, mu, ambient in tables:
+            expand_product(lam, mu, ambient, "ideal-sheaf")
+
+    def test_the_ideal_sheaf_check_catches_the_strip_mutant(self, monkeypatch):
+        drop_the_all_corners_strip(monkeypatch)
+        refused = 0
+        for lam, mu, ambient in ideal_sheaf_tables():
+            try:
+                expand_product(lam, mu, ambient, "ideal-sheaf")
+            except DisagreementError as exc:
+                assert "the duality of the two bases gives" in str(exc)
+                refused += 1
+        assert refused == 106
+
+    def test_rook_strip_predicate_against_its_boxes(self):
+        shapes = list(partitions_in_rectangle(3, 3))
+        for outer in shapes:
+            for inner in shapes:
+                boxes = SkewShape(outer, inner).boxes() if contains(outer, inner) else None
+                expected = boxes is not None and (
+                    len({r for r, _ in boxes}) == len({c for _, c in boxes}) == len(boxes)
+                )
+                assert coefficients._is_rook_strip(outer, inner) == expected, (outer, inner)
 
 
 class TestCoeffF:

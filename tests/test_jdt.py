@@ -22,7 +22,7 @@ from ktaquin.jdt import (
     InternalInvariantError,
     SlideStep,
     SlideStepError,
-    _check_corner_groups,
+    _check_corners,
     _check_ribbons,
     _run_switches,
     kinfusion,
@@ -487,7 +487,7 @@ class TestKernelInvariants:
 
 
 class TestOrderCheck:
-    """An order is checked once before any filling slides; the kernel still guards each slide."""
+    """Each corner group is checked when it is reached; the kernel still guards each slide."""
 
     # skew tableau of inner shape (2,), and orders of that shape that no
     # IncreasingTableau would accept
@@ -496,12 +496,31 @@ class TestOrderCheck:
     ADJACENT = SimpleNamespace(outer=(2,), inner=(), cells=((1, 1, 1), (1, 2, 1)))
 
     def test_check_walks_the_inner_shapes(self):
-        groups = [frozenset({(2, 1), (1, 2)}), frozenset({(1, 1)})]
-        assert _check_corner_groups((2, 1), groups) == ()
+        # the groups of an order of (2, 1), each checked against the inner shape it meets
+        _check_corners((2, 1), (3, 2), frozenset({(2, 1), (1, 2)}), False)
+        _check_corners((1,), (3, 2), frozenset({(1, 1)}), False)
         with pytest.raises(ShapeFitError, match="nonempty"):
-            _check_corner_groups((2, 1), [frozenset()])
+            _check_corners((2, 1), (3, 2), frozenset(), False)
         with pytest.raises(ShapeFitError, match=r"\[\(1, 1\)\] are not inner corners of \(2, 1\)"):
-            _check_corner_groups((2, 1), [frozenset({(1, 1)})])
+            _check_corners((2, 1), (3, 2), frozenset({(1, 1)}), False)
+
+    def test_check_of_outer_corners_in_the_ambient(self):
+        ambient = AmbientRectangle(2, 5)
+        _check_corners((1,), (2, 1), frozenset({(1, 3), (2, 2)}), True, ambient)
+        with pytest.raises(ShapeFitError, match="nonempty"):
+            _check_corners((1,), (2, 1), frozenset(), True, ambient)
+        with pytest.raises(ShapeFitError, match=r"\[\(3, 1\)\] are not outer corners of \(2, 1\) in the ambient"):
+            _check_corners((1,), (2, 1), frozenset({(3, 1)}), True, ambient)
+
+    def test_krect_refuses_a_later_group_and_leaves_t_unchanged(self):
+        # the first group {(1, 2)} is a corner set of (2, 1); the second, {(1, 1), (2, 1)}, is
+        # not one of what is left, (1, 1), so the check fires only after one slide has run
+        t = tab((3, 3, 1), (2, 1), {(1, 3): 1, (2, 2): 1, (2, 3): 2, (3, 1): 2})
+        order = SimpleNamespace(outer=(2, 1), inner=(), cells=((1, 1, 1), (1, 2, 2), (2, 1, 1)))
+        cells = t.cells
+        with pytest.raises(ShapeFitError, match=r"\[\(1, 1\)\] are not inner corners of \(1, 1\)"):
+            krect(t, order)
+        assert t.cells == cells and t.entries == dict(((r, c), v) for r, c, v in cells)
 
     def test_krect_rejects_a_group_that_is_not_a_corner_set(self):
         with pytest.raises(ShapeFitError, match="not inner corners of"):
@@ -514,12 +533,12 @@ class TestOrderCheck:
     def test_krect_kernel_refuses_adjacent_bullets(self, monkeypatch):
         # the order check would refuse this group first; without it the
         # kernel's own test on the placed bullets must still fire
-        monkeypatch.setattr(jdt, "_check_corner_groups", lambda inner, groups: ())
+        monkeypatch.setattr(jdt, "_check_corners", lambda *args: None)
         with pytest.raises(InternalInvariantError, match="adjacent bullets"):
             krect(self.T, self.ADJACENT)
 
     def test_kinfusion_kernel_refuses_adjacent_bullets(self, monkeypatch):
-        monkeypatch.setattr(jdt, "_check_corner_groups", lambda inner, groups: ())
+        monkeypatch.setattr(jdt, "_check_corners", lambda *args: None)
         with pytest.raises(InternalInvariantError, match="adjacent bullets"):
             kinfusion(self.ADJACENT, self.T)
 

@@ -114,14 +114,14 @@ class TestInvariants:
     def _lose_an_S_box(monkeypatch):
         # a step met before is not run again, so the patched kernel needs a cold memo
         coefficients._memo.clear()
-        real = jdt._switch
+        real = jdt._run_switches
 
-        def losing(entries, bullets, label, pairs):
-            moves = real(entries, bullets, label, pairs)
+        def losing(entries, bullets, reverse, on_switch=None):
+            bullets = real(entries, bullets, reverse, on_switch)
             bullets.pop()  # an S box vanishes
-            return moves
+            return bullets
 
-        monkeypatch.setattr(jdt, "_switch", losing)
+        monkeypatch.setattr(jdt, "_run_switches", losing)
 
     def test_a_state_that_does_not_tile_is_refused(self, monkeypatch):
         self._lose_an_S_box(monkeypatch)
