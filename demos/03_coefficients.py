@@ -28,8 +28,8 @@ print(f"  by the direct-sum identity: {coeff_D_via_identity(lam, mu, nu, frame)}
 print(f"  ideal-sheaf splitting (F) : {coeff_F(lam, mu, nu)}")
 
 print(f"\nideal-sheaf product constant for (1) * (1) -> (2,1):")
-print(f"  by marked fillings        : {coeff_E((1,), (1,), (2, 1))}")
-print(f"  by the rook-strip sum     : {coeff_E_via_C((1,), (1,), (2, 1))}")
+print(f"  by the rook-strip sum     : {coeff_E((1,), (1,), (2, 1))}")
+print(f"  by marked fillings        : {coeff_E_via_C((1,), (1,), (2, 1))}")
 
 print("\nfull product of the single-box class with itself in a 2x2 world:")
 for basis in ("structure-sheaf", "ideal-sheaf"):

@@ -252,31 +252,28 @@ def cmd_counterexample(args) -> int:
     return EXIT_OK
 
 
+def _increasing(text: str, option: str) -> IncreasingTableau:
+    """Parse an option's tableau, refusing a marked or set-valued one."""
+    t = parse_tableau(text)
+    if not isinstance(t, IncreasingTableau):
+        raise UsageError(f"{option} must be an increasing tableau")
+    return t
+
+
 def cmd_product(args) -> int:
-    left = parse_tableau(args.left)
+    left = _increasing(args.left, "--left")
     if args.op == "insert":
         result = hecke_insert(left, int(args.right))
-    else:
-        right = parse_tableau(args.right)
-        if args.op == "odot":
-            result = odot(left, right)
-        elif args.op == "diamond":
-            result = diamond(left, right)
-        else:
-            raise UsageError(f"unknown product {args.op!r}")
+    else:  # the parser allows odot and diamond besides insert
+        product = odot if args.op == "odot" else diamond
+        result = product(left, _increasing(args.right, "--right"))
     _emit(args, tableau_to_json_dict(result), format_tableau(result))
     return EXIT_OK
 
 
 def cmd_rectify(args) -> int:
-    t = parse_tableau(args.tableau)
-    if not isinstance(t, IncreasingTableau):
-        raise UsageError("rectify expects an increasing tableau")
-    order = None
-    if args.order:
-        order = parse_tableau(args.order)
-        if not isinstance(order, IncreasingTableau):
-            raise UsageError("the order must be an increasing tableau")
+    t = _increasing(args.tableau, "--tableau")
+    order = _increasing(args.order, "--order") if args.order else None
     result = krect(t, order)
     _emit(args, tableau_to_json_dict(result), format_tableau(result))
     return EXIT_OK

@@ -297,7 +297,7 @@ def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -
 
 
 def coeff_E(lam: Part, mu: Part, nu: Part) -> int:
-    """Ideal-sheaf product constant: X-augmented fillings, marks erased before rectifying."""
+    """Ideal-sheaf product constant: the signed rook-strip sum of jdt C."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     return _rook_strip_sum(lam, mu, nu)
 
@@ -467,16 +467,29 @@ class CoefficientRecord:
 def _default_frame(lam: Part, mu: Part, nu: Part) -> DirectSumFrame:
     """Smallest frame whose rectangles accommodate all three shapes, with one spare column for lam.
 
-    The identity reads C over dagger(lam, mu)/omega_dual, and omega_dual is
-    c1 columns wide.  With c1 = lam[0] and k2 = len(mu) that skew shape is
-    star(lam, mu), D's own, and the check would read D's count back; the spare
-    column makes it a different shape whatever mu and nu are.
+    The spare column keeps the identity's C shape off star(lam, mu), as in ``_identity_frame``.
     """
     k1 = max(len(lam), 1)
     c1 = (lam[0] if lam else 0) + 1
     k2 = max(len(mu), 1, len(nu) - k1)
     c2 = max(mu[0] if mu else 0, 1, (nu[0] if nu else 0) - c1)
     return DirectSumFrame(k1, k1 + c1, k2, k2 + c2)
+
+
+def _identity_frame(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame | None) -> DirectSumFrame:
+    """The frame in which the direct-sum identity checks D, for normal-form shapes.
+
+    The identity reads C over dagger(lam, mu)/omega_dual.  If the first rectangle
+    is lam[0] wide and the second has len(mu) rows, that is star(lam, mu), D's own
+    shape, so the frame gets one more column in its first rectangle.  No frame
+    gives ``_default_frame``.  Fits are checked in the frame as given.
+    """
+    if frame is None:
+        return _default_frame(lam, mu, nu)
+    frame.require_fits(lam, mu, nu)
+    if lam and frame.n1 - frame.k1 == lam[0] and frame.k2 == len(mu):
+        return DirectSumFrame(frame.k1, frame.n1 + 1, frame.k2, frame.n2)
+    return frame
 
 
 def compute_with_checks(
@@ -496,8 +509,7 @@ def compute_with_checks(
         # F equals D, so F is confirmed by D's two independent routes
         value = _memoized_count("D", lam, mu, nu)
         checks.append(("buch", value == _memoized_count("D-buch", lam, mu, nu)))
-        if frame is None:
-            frame = _default_frame(lam, mu, nu)
+        frame = _identity_frame(lam, mu, nu, frame)
         checks.append(("identity", value == coeff_D_via_identity(lam, mu, nu, frame)))
     elif kind == "E":
         value = _rook_strip_sum(lam, mu, nu)

@@ -28,25 +28,21 @@ class ParseError(ValueError):
 
 def format_tableau(t: Tableau) -> str:
     """Grid form: one line per row, '.' for inner holes, 'X' marks, '{a,b}' sets."""
-    if isinstance(t, SetValuedTableau):
-        sets = {(r, c): "{" + ",".join(map(str, vals)) + "}" for r, c, vals in t.cells}
-        lines = []
-        for r, width in enumerate(t.shape, start=1):
-            lines.append(" ".join(sets.get((r, c), ".") for c in range(1, width + 1)))
-        return "\n".join(lines)
-    marks = set(t.x_marks) if isinstance(t, AugmentedTableau) else set()
-    entries = {(r, c): v for r, c, v in t.cells}
+    labels = {
+        (r, c): "{" + ",".join(map(str, v)) + "}" if isinstance(v, tuple) else str(v) for r, c, v in t.cells
+    }
+    if isinstance(t, AugmentedTableau):
+        labels.update(dict.fromkeys(t.x_marks, "X"))
+    return _grid(t.outer, t.inner, labels)
+
+
+def _grid(outer: Part, inner: Part, labels: dict[Box, str]) -> str:
+    """One line per row of outer: each box's label, else '.' in inner, else a blank."""
     lines = []
-    for r, width in enumerate(t.outer, start=1):
-        cells = []
-        for c in range(1, width + 1):
-            if c <= row_length(t.inner, r):
-                cells.append(".")
-            elif (r, c) in marks:
-                cells.append("X")
-            else:
-                cells.append(str(entries[(r, c)]))
-        lines.append(" ".join(cells))
+    for r, width in enumerate(outer, start=1):
+        hole = row_length(inner, r)
+        row = (labels.get((r, c), "." if c <= hole else " ") for c in range(1, width + 1))
+        lines.append(" ".join(row).rstrip())
     return "\n".join(lines)
 
 
@@ -129,20 +125,10 @@ def _make_tableau(outer: Part, inner: Part, nums: list, sets: list, marks: list[
 
 
 def tableau_to_json_dict(t: Tableau) -> dict:
-    if isinstance(t, SetValuedTableau):
-        return {
-            "outer": list(t.shape),
-            "inner": list(t.inner),
-            "cells": [[r, c, list(vals)] for r, c, vals in t.cells],
-        }
-    doc = {
-        "outer": list(t.outer),
-        "inner": list(t.inner),
-        "cells": [[r, c, v] for r, c, v in t.cells],
-    }
+    cells = [[r, c, list(v) if isinstance(v, tuple) else v] for r, c, v in t.cells]
     if isinstance(t, AugmentedTableau):
-        doc["cells"] += [[r, c, "X"] for r, c in t.x_marks]
-    return doc
+        cells += [[r, c, "X"] for r, c in t.x_marks]
+    return {"outer": list(t.outer), "inner": list(t.inner), "cells": cells}
 
 
 def tableau_from_json_dict(doc: dict) -> Tableau:
@@ -182,21 +168,10 @@ def tableau_from_json_dict(doc: dict) -> Tableau:
 
 
 def format_switch_state(state: SwitchState) -> str:
-    """Grid with '*' for bullets, annotated with the stage label."""
-    entries = {(r, c): str(v) for r, c, v in state.cells}
-    entries.update({b: "*" for b in state.bullets})
-    lines = []
-    for r, width in enumerate(state.outer, start=1):
-        cells = []
-        for c in range(1, width + 1):
-            if (r, c) in entries:
-                cells.append(entries[(r, c)])
-            elif c <= row_length(state.inner, r):
-                cells.append(".")
-            else:
-                cells.append(" ")
-        lines.append(" ".join(cells).rstrip())
-    return "\n".join(lines)
+    """Grid with '*' for bullets and a blank for an empty box."""
+    labels = {(r, c): str(v) for r, c, v in state.cells}
+    labels.update(dict.fromkeys(state.bullets, "*"))
+    return _grid(state.outer, state.inner, labels)
 
 
 def format_trace(trace: SwitchTrace) -> str:

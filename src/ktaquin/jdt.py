@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import eq
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .shapes import (
     AmbientRectangle,
@@ -381,8 +381,7 @@ class SlideStep:
             raise ValueError("corner set must be nonempty")
 
 
-@dataclass(frozen=True)
-class SwitchState:
+class SwitchState(NamedTuple):
     """Snapshot after placing bullets or after one switch stage."""
 
     outer: Part

@@ -45,6 +45,7 @@ from .jdt import (
     switch_trace,
 )
 from .coefficients import (
+    _identity_frame,
     coeff_C,
     coeff_D,
     coeff_D_buch,
@@ -151,7 +152,7 @@ def augmented_witnesses_suite() -> SuiteResult:
     return SuiteResult(
         "augmented-witnesses",
         ok,
-        f"value {direct} via marked fillings and {via_c} via rook strips, "
+        f"value {direct} via rook strips and {via_c} via marked fillings, "
         f"{len(witnesses)} witnesses",
     )
 
@@ -526,8 +527,8 @@ def triple_agreement_suite() -> SuiteResult:
     """Splitting coefficients agree across the slide rule, the set-valued rule,
     and the direct-sum identity, over every frame with each k <= 2 and n <= 4.
 
-    Where the frame would make the identity count D's own skew shape, it is
-    read in the frame with one more column in the first factor's rectangle.
+    Where the frame would make the identity count D's own skew shape,
+    ``_identity_frame`` gives it one more column in the first factor's rectangle.
     """
     checked = widened = 0
     distinct: set[tuple] = set()
@@ -536,18 +537,15 @@ def triple_agreement_suite() -> SuiteResult:
         lams = list(partitions_in_rectangle(frame.k1, frame.n1 - frame.k1))
         mus = list(partitions_in_rectangle(frame.k2, frame.n2 - frame.k2))
         nus = list(partitions_in_rectangle(frame.k, frame.n - frame.k))
-        wider = DirectSumFrame(frame.k1, frame.n1 + 1, frame.k2, frame.n2)
         for lam in lams:
             for mu in mus:
-                # here the identity's C shape would be star(lam, mu), D's own, and it
-                # would read D's row back; one spare column beside lam avoids that
-                own = bool(lam) and frame.n1 - frame.k1 == lam[0] and frame.k2 == len(mu)
                 for nu in nus:
                     jdt = coeff_D(lam, mu, nu)
                     buch = coeff_D_buch(lam, mu, nu)
-                    ident = coeff_D_via_identity(lam, mu, nu, wider if own else frame)
+                    used = _identity_frame(lam, mu, nu, frame)
+                    ident = coeff_D_via_identity(lam, mu, nu, used)
                     checked += 1
-                    widened += own
+                    widened += used is not frame
                     distinct.add((lam, mu, nu))
                     if not (jdt == buch == ident):
                         failures.append(f"{lam},{mu}->{nu} in {frame}: {jdt}/{buch}/{ident}")

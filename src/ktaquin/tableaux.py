@@ -189,7 +189,8 @@ class AugmentedTableau:
 
     The marks behave as infinity for the strictness condition, so they may only
     occupy removable corners of the outer shape that lie inside the region; the
-    numeric part must itself be an increasing tableau.
+    numeric part is the increasing tableau of the region minus the marks, built
+    and validated with the marked tableau and returned by ``erase_x``.
     """
 
     outer: Part
@@ -198,29 +199,29 @@ class AugmentedTableau:
     x_marks: tuple[Box, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outer", partition(self.outer))
-        object.__setattr__(self, "inner", partition(self.inner))
-        object.__setattr__(self, "cells", tuple(sorted(tuple(cell) for cell in self.cells)))
+        shape = SkewShape(self.outer, self.inner)
         object.__setattr__(self, "x_marks", tuple(sorted(self.x_marks)))
-        eligible = set(eligible_x_boxes(SkewShape(self.outer, self.inner)))
         marks = set(self.x_marks)
         if len(marks) != len(self.x_marks):
             raise TableauError("duplicate X mark")
+        eligible = set(eligible_x_boxes(shape))
         if not marks <= eligible:
             raise TableauError(f"X marks {sorted(marks - eligible)} are not outer corners of the region")
         if marks & {(r, c) for r, c, _ in self.cells}:
             raise TableauError("a box carries both a number and an X")
-        reduced = remove_boxes(self.outer, marks)
-        entries = {(r, c): v for r, c, v in self.cells}
-        _validate_increasing(reduced, self.inner, entries)
+        numeric = IncreasingTableau(remove_boxes(shape.outer, marks), shape.inner, self.cells)
+        object.__setattr__(self, "outer", shape.outer)
+        object.__setattr__(self, "inner", shape.inner)
+        object.__setattr__(self, "cells", numeric.cells)
+        object.__setattr__(self, "_numeric", numeric)
 
     def erase_x(self) -> IncreasingTableau:
         """Drop the marked boxes, keeping the numeric part."""
-        return IncreasingTableau(remove_boxes(self.outer, self.x_marks), self.inner, self.cells)
+        return self._numeric  # type: ignore[attr-defined]
 
     @property
     def values(self) -> frozenset[int]:
-        return frozenset(v for _, _, v in self.cells)
+        return self.erase_x().values
 
 
 def eligible_x_boxes(shape: SkewShape) -> list[Box]:
@@ -232,21 +233,21 @@ def eligible_x_boxes(shape: SkewShape) -> list[Box]:
 class SetValuedTableau:
     """A skew shape whose boxes hold nonempty sets; weak rows, strict columns."""
 
-    shape: Part
+    outer: Part
     cells: tuple[tuple[int, int, tuple[int, ...]], ...]
     inner: Part = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shape", partition(self.shape))
+        object.__setattr__(self, "outer", partition(self.outer))
         object.__setattr__(self, "inner", partition(self.inner))
-        if not contains(self.shape, self.inner):
-            raise ShapeFitError(f"inner {self.inner} not contained in outer {self.shape}")
+        if not contains(self.outer, self.inner):
+            raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
         cells = tuple(sorted((r, c, tuple(sorted(vals))) for r, c, vals in self.cells))
         object.__setattr__(self, "cells", cells)
-        region = {(r, c) for r, lo, hi in _region_rows(self.shape, self.inner) for c in range(lo, hi + 1)}
+        region = {(r, c) for r, lo, hi in _region_rows(self.outer, self.inner) for c in range(lo, hi + 1)}
         sets = {(r, c): vals for r, c, vals in cells}
         if set(sets) != region or len(sets) != len(cells):
-            raise TableauError(f"cells do not fill {self.shape}/{self.inner} exactly once")
+            raise TableauError(f"cells do not fill {self.outer}/{self.inner} exactly once")
         for (r, c), vals in sets.items():
             if not vals or any(v < 1 for v in vals):
                 raise TableauError(f"box {(r, c)} must hold a nonempty set of positive integers")
@@ -262,7 +263,7 @@ def reading_word(t: SetValuedTableau) -> Word:
     """Rows bottom to top, boxes left to right, set elements increasing."""
     word: list[int] = []
     sets = {(r, c): vals for r, c, vals in t.cells}
-    for r, lo, hi in reversed(list(_region_rows(t.shape, t.inner))):
+    for r, lo, hi in reversed(list(_region_rows(t.outer, t.inner))):
         for c in range(lo, hi + 1):
             word.extend(sets[(r, c)])
     return tuple(word)

@@ -7,7 +7,7 @@ import pytest
 from ktaquin import coefficients, suites
 from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 from ktaquin.coefficients import DisagreementError, expand_product
-from ktaquin.shapes import AmbientRectangle, format_partition, parse_partition, partitions_in_rectangle
+from ktaquin.shapes import AmbientRectangle, format_partition, parse_partition, partitions_in_rectangle, star
 
 from helpers import drop_the_all_corners_strip
 
@@ -99,6 +99,25 @@ class TestCoeffCommand:
         code, out, _ = run(capsys, *argv, "--check")
         assert code == EXIT_OK
         assert out.strip() == f"{kind}[2],[2,1]->[3,1] = -2  [buch:ok identity:ok]"
+
+    def test_identity_never_reads_d_own_row_in_a_user_frame(self, capsys, monkeypatch):
+        # in frame 1,3,2,5 the first rectangle is lambda[0] wide and the second has
+        # len(mu) rows, so read there the identity's C shape would be star(lambda, mu)
+        reads = []
+        count = coefficients._memoized_count
+
+        def spy(kind, lam, mu, nu):
+            reads.append((kind, lam, mu, nu))
+            return count(kind, lam, mu, nu)
+
+        monkeypatch.setattr(coefficients, "_memoized_count", spy)
+        argv = ["coeff", "D", "--lambda", "[2]", "--mu", "[2,1]", "--nu", "[3,1]", "--check", "--frame", "1,3,2,5"]
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert out.strip() == "D[2],[2,1]->[3,1] = -2  [buch:ok identity:ok]"
+        c_shapes = [(outer, inner) for kind, inner, _, outer in reads if kind == "C"]
+        own = star((2,), (2, 1))
+        assert len(c_shapes) == 1 and c_shapes[0] != (own.outer, own.inner)
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "coeff", "D", "--lambda", "oops", "--mu", "[]", "--nu", "[]")
@@ -373,6 +392,16 @@ class TestOtherCommands:
         code, out, _ = run(capsys, "product", "--op", "insert", "--left", "1", "--right", "2")
         assert code == EXIT_OK
         assert out.strip() == "1 2"
+
+    @pytest.mark.parametrize(
+        "op, left, right",
+        [("odot", "1 X", "1"), ("diamond", "1 2", "{1,2}"), ("insert", "{1,2}", "3")],
+        ids=["odot-marked", "diamond-set-valued", "insert-set-valued"],
+    )
+    def test_product_refuses_other_tableau_types(self, capsys, op, left, right):
+        code, out, err = run(capsys, "product", "--op", op, "--left", left, "--right", right)
+        assert code == EXIT_USAGE and out == ""
+        assert "must be an increasing tableau" in err and "Traceback" not in err
 
     def test_rectify_with_order(self, capsys):
         code, out, _ = run(

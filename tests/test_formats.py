@@ -31,6 +31,11 @@ from ktaquin.formats import (
 from helpers import random_increasing, random_skew
 
 
+def key(t):
+    """What a text form must carry: the shapes, the cells and any X marks."""
+    return (t.outer, t.inner, t.cells, getattr(t, "x_marks", ()))
+
+
 class TestGrid:
     def test_increasing_round_trip(self):
         text = ". 1\n1 ."
@@ -52,7 +57,7 @@ class TestGrid:
     def test_set_valued(self):
         t = parse_tableau("{1,2} 2\n3 .")
         assert isinstance(t, SetValuedTableau)
-        assert t.shape == (2, 1)
+        assert t.outer == (2, 1)
         assert t.cells == ((1, 1, (1, 2)), (1, 2, (2,)), (2, 1, (3,)))
         assert parse_tableau(format_tableau(t)) == t
 
@@ -89,14 +94,11 @@ class TestGrid:
         rng = random.Random(31)
         for _ in range(100):
             t = random_increasing(rng, random_skew(rng, 8))
-            assert parse_tableau(format_tableau(t)) == t
-            assert tableau_from_json_dict(tableau_to_json_dict(t)) == t
+            for back in (parse_tableau(format_tableau(t)), tableau_from_json_dict(tableau_to_json_dict(t))):
+                assert back == t and key(back) == key(t)
 
     def test_random_augmented_round_trips(self):
         from ktaquin.tableaux import enumerate_augmented
-
-        def key(t):
-            return (t.outer, t.inner, t.cells, getattr(t, "x_marks", ()))
 
         rng = random.Random(77)
         for _ in range(40):
@@ -115,8 +117,8 @@ class TestGrid:
         rng = random.Random(13)
         for shape, content in [((2, 1), (2, 1, 1)), ((3, 1), (2, 2, 1)), ((2, 2), (2, 2, 1))]:
             for t in enumerate_set_valued(shape, content):
-                assert parse_tableau(format_tableau(t)) == t
-                assert tableau_from_json_dict(tableau_to_json_dict(t)) == t
+                for back in (parse_tableau(format_tableau(t)), tableau_from_json_dict(tableau_to_json_dict(t))):
+                    assert back == t and key(back) == key(t)
 
 
 class TestJsonForm:
@@ -131,6 +133,11 @@ class TestJsonForm:
         assert tableau_from_json_dict(tableau_to_json_dict(aug)) == aug
         sv = SetValuedTableau((2,), ((1, 1, (1,)), (1, 2, (1, 2))))
         assert tableau_from_json_dict(tableau_to_json_dict(sv)) == sv
+
+    def test_duplicate_box_beside_a_mark_is_refused(self):
+        doc = '{"outer":[2,1],"cells":[[1,1,1],[1,2,2],[1,2,3],[2,1,"X"]]}'
+        with pytest.raises(TableauError, match="duplicate box in cells"):
+            parse_tableau(doc)
 
     def test_bad_document(self):
         with pytest.raises(ParseError):

@@ -186,6 +186,21 @@ class TestAugmented:
     def test_x_marks_validated(self):
         with pytest.raises(TableauError):
             AugmentedTableau((2, 1), (1,), ((2, 1, 1),), ((1, 1),))
+        with pytest.raises(TableauError, match="duplicate X mark"):
+            AugmentedTableau((2, 1), (1,), ((1, 2, 1),), ((2, 1), (2, 1)))
+        with pytest.raises(TableauError, match="a box carries both a number and an X"):
+            AugmentedTableau((2, 1), (1,), ((1, 2, 1), (2, 1, 1)), ((2, 1),))
+
+    def test_duplicate_box_is_refused(self):
+        # box (1, 2) holds both 2 and 3; the numeric part is validated as a whole
+        with pytest.raises(TableauError, match="duplicate box in cells"):
+            AugmentedTableau((2, 1), (), ((1, 1, 1), (1, 2, 2), (1, 2, 3)), ((2, 1),))
+
+    def test_erase_x_returns_the_validated_numeric_part(self):
+        t = AugmentedTableau([2, 1, 0], [1], [[2, 1, 1]], ((1, 2),))
+        assert (t.outer, t.inner, t.cells) == ((2, 1), (1,), ((2, 1, 1),))
+        assert t.erase_x() is t.erase_x()
+        assert t.erase_x() == IncreasingTableau((1, 1), (1,), ((2, 1, 1),))
 
 
 class TestSetValued:
