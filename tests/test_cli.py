@@ -111,8 +111,8 @@ class TestCoeffCommand:
             return count(kind, lam, mu, nu)
 
         monkeypatch.setattr(coefficients, "_memoized_count", spy)
-        argv = ["coeff", "D", "--lambda", "[2]", "--mu", "[2,1]", "--nu", "[3,1]", "--check", "--frame", "1,3,2,5"]
-        code, out, _ = run(capsys, *argv)
+        argv = ["coeff", "D", "--lambda", "[2]", "--mu", "[2,1]", "--nu", "[3,1]", "--frame", "1,3,2,5"]
+        code, out, _ = run(capsys, *argv, "--check")
         assert code == EXIT_OK
         assert out.strip() == "D[2],[2,1]->[3,1] = -2  [buch:ok identity:ok]"
         c_shapes = [(outer, inner) for kind, inner, _, outer in reads if kind == "C"]

@@ -184,7 +184,7 @@ class TestAugmented:
         )
 
     def test_x_marks_validated(self):
-        with pytest.raises(TableauError):
+        with pytest.raises(TableauError, match="not outer corners of the region"):
             AugmentedTableau((2, 1), (1,), ((2, 1, 1),), ((1, 1),))
         with pytest.raises(TableauError, match="duplicate X mark"):
             AugmentedTableau((2, 1), (1,), ((1, 2, 1),), ((2, 1), (2, 1)))
