@@ -43,6 +43,7 @@ from .formats import (
     ParseError,
     cache_append,
     cache_load,
+    coefficient_to_json_dict,
     format_tableau,
     parse_tableau,
     tableau_to_json_dict,
@@ -78,6 +79,13 @@ def _ambient(text: str) -> AmbientRectangle:
         raise UsageError(f"bad ambient {text!r}: expected k,n") from exc
 
 
+def _integer(text: str, option: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise UsageError(f"{option}: {text!r} is not an integer") from None
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
@@ -99,14 +107,7 @@ def cmd_coeff(args) -> int:
     else:
         record = CoefficientRecord(args.kind, lam, mu, nu, KINDS[args.kind](lam, mu, nu))
     checks_text = " ".join(f"{name}:{'ok' if ok else 'DISAGREE'}" for name, ok in record.checks)
-    payload = {
-        "kind": record.kind,
-        "lambda": list(record.lam),
-        "mu": list(record.mu),
-        "nu": list(record.nu),
-        "value": record.value,
-        "checks": [[name, ok] for name, ok in record.checks],
-    }
+    payload = coefficient_to_json_dict(record)
     path = _cache_path(args)
     if path:  # before printing, so a failed call prints no value
         try:
@@ -210,7 +211,7 @@ def cmd_enumerate(args) -> int:
             raise UsageError("set-valued enumeration takes its letters from --content; drop --max-entry")
         if not args.content:
             raise UsageError("set-valued enumeration needs --content a,b,c")
-        content = tuple(int(x) for x in args.content.split(","))
+        content = tuple(_integer(x, "--content") for x in args.content.split(","))
         stream = enumerate_set_valued(outer, content)
     else:
         raise UsageError(f"unknown kind {args.kind!r}")
@@ -263,7 +264,7 @@ def _increasing(text: str, option: str) -> IncreasingTableau:
 def cmd_product(args) -> int:
     left = _increasing(args.left, "--left")
     if args.op == "insert":
-        result = hecke_insert(left, int(args.right))
+        result = hecke_insert(left, _integer(args.right, "--right"))
     else:  # the parser allows odot and diamond besides insert
         product = odot if args.op == "odot" else diamond
         result = product(left, _increasing(args.right, "--right"))

@@ -117,7 +117,7 @@ def _make_tableau(outer: Part, inner: Part, nums: list, sets: list, marks: list[
     """The set-valued tableau if any box holds a set, else augmented if marked, else increasing."""
     if sets:
         if marks:
-            raise ParseError(1, 1, "set-valued tableaux are unmarked")
+            raise ParseError(*marks[0], "set-valued tableaux are unmarked")
         return SetValuedTableau(outer, tuple(sets) + tuple((r, c, (v,)) for r, c, v in nums), inner)
     if marks:
         return AugmentedTableau(outer, inner, tuple(nums), tuple(marks))
@@ -129,6 +129,13 @@ def tableau_to_json_dict(t: Tableau) -> dict:
     if isinstance(t, AugmentedTableau):
         cells += [[r, c, "X"] for r, c in t.x_marks]
     return {"outer": list(t.outer), "inner": list(t.inner), "cells": cells}
+
+
+def coefficient_to_json_dict(r: CoefficientRecord) -> dict:
+    """The record fields shared by ``coeff --json`` output and a cache line."""
+    checks = [[name, ok] for name, ok in r.checks]
+    return {"kind": r.kind, "lambda": list(r.lam), "mu": list(r.mu), "nu": list(r.nu), "value": r.value,
+            "checks": checks}
 
 
 def tableau_from_json_dict(doc: dict) -> Tableau:
@@ -215,20 +222,9 @@ class CacheRecord:
         return (r.kind, r.lam, r.mu, r.nu)
 
     def to_json(self) -> str:
-        r = self.record
-        return json.dumps(
-            {
-                "kind": r.kind,
-                "lambda": list(r.lam),
-                "mu": list(r.mu),
-                "nu": list(r.nu),
-                "value": r.value,
-                "checks": [[name, ok] for name, ok in r.checks],
-                "timestamp": self.timestamp,
-                "version": self.version,
-            },
-            sort_keys=True,
-        )
+        doc = coefficient_to_json_dict(self.record)
+        doc.update(timestamp=self.timestamp, version=self.version)
+        return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "CacheRecord":

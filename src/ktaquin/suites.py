@@ -2,14 +2,19 @@
 
 Each suite returns a SuiteResult; the CLI renders them and the acceptance tests
 assert on them.  Scales are fixed; only seeds and the scales tests shrink are parameters.
+``@_suite(name)`` registers a suite in ``SUITES`` in definition order, which is
+the order ``verify all`` runs, and stamps its result with the name and run time.
+Every sweep takes its verdict from ``_sweep``, which fails an empty sweep.
 """
 
 from __future__ import annotations
 
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterator
+from functools import wraps
+from typing import Callable, Iterator
 
 from .shapes import (
     AmbientRectangle,
@@ -69,12 +74,12 @@ from .products import diamond, odot, single_box
 
 @dataclass
 class SuiteResult:
-    name: str
     ok: bool
     summary: str
     details: list[str] = field(default_factory=list)
     seed: int | None = None
-    elapsed: float = 0.0
+    name: str = field(default="", init=False)  # set by @_suite, as is elapsed
+    elapsed: float = field(default=0.0, init=False)
 
     def render(self) -> str:
         status = "ok" if self.ok else "FAIL"
@@ -84,14 +89,40 @@ class SuiteResult:
         return "\n".join([head] + [f"  {line}" for line in self.details])
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> SuiteResult:
-        t0 = time.perf_counter()
-        result = fn(*args, **kwargs)
-        result.elapsed = time.perf_counter() - t0
-        return result
+SUITES: dict[str, Callable[..., SuiteResult]] = {}
 
-    return wrapper
+
+def _suite(name: str):
+    """Register the decorated suite under ``name``; its result carries the name and run time."""
+
+    def register(fn):
+        @wraps(fn)
+        def run(*args, **kwargs) -> SuiteResult:
+            t0 = time.perf_counter()
+            result = fn(*args, **kwargs)
+            result.name, result.elapsed = name, time.perf_counter() - t0
+            return result
+
+        SUITES[name] = run
+        return run
+
+    return register
+
+
+def _sweep(
+    checked: int, failures: list[str], passed: str, shown: int = 5, seed: int | None = None
+) -> SuiteResult:
+    """A sweep's verdict: ok only if it checked something and nothing failed."""
+    summary = f"{len(failures)} failures" if failures else f"{checked} {passed}"
+    return SuiteResult(not failures and checked > 0, summary, failures[:shown], seed)
+
+
+def _rectangles(max_rows: int, max_cols: int, max_area: int) -> Iterator[tuple[int, int]]:
+    """(rows, cols) of every rectangle within the bounds, by rows and then cols."""
+    for c in range(1, max_rows + 1):
+        for d in range(1, max_cols + 1):
+            if c * d <= max_area:
+                yield c, d
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +156,7 @@ AUGMENTED_WITNESSES = (
 )
 
 
-@_timed
+@_suite("star-groups")
 def star_groups_suite() -> SuiteResult:
     """The fifteen fillings of (2)*(2,1) over {1,2,3} and their target groups."""
     report = check_count_independence(star((2,), (2, 1)), {1, 2, 3})
@@ -137,10 +168,10 @@ def star_groups_suite() -> SuiteResult:
     for target_shape, grp in sorted(report.groups.items()):
         cells = ", ".join(f"{'/'.join(''.join(map(str, row)) for row in t.rows())} x{n}" for t, n in grp)
         details.append(f"shape {target_shape}: {cells}")
-    return SuiteResult("star-groups", ok, "corner-to-corner enumeration groups", details)
+    return SuiteResult(ok, "corner-to-corner enumeration groups", details)
 
 
-@_timed
+@_suite("augmented-witnesses")
 def augmented_witnesses_suite() -> SuiteResult:
     """The three marked witnesses and both routes to the ideal-sheaf value -3."""
     direct = coeff_E((1,), (1,), (2, 1))
@@ -150,14 +181,13 @@ def augmented_witnesses_suite() -> SuiteResult:
     witnesses = tuple(t for t in family if krect(t.erase_x()) == target)
     ok = direct == via_c == -3 and set(witnesses) == set(AUGMENTED_WITNESSES)
     return SuiteResult(
-        "augmented-witnesses",
         ok,
         f"value {direct} via rook strips and {via_c} via marked fillings, "
         f"{len(witnesses)} witnesses",
     )
 
 
-@_timed
+@_suite("rect-order-independence")
 def rect_order_independence_suite() -> SuiteResult:
     """Rectification from a rectangular inner shape ignores the order choice.
 
@@ -180,16 +210,10 @@ def rect_order_independence_suite() -> SuiteResult:
                     checked += 1
                     if len(results) != 1:
                         failures.append(f"{t} gives {len(results)} results")
-    ok = not failures and checked > 0
-    return SuiteResult(
-        "rect-order-independence",
-        ok,
-        f"{checked} fillings, every order agrees" if ok else f"{len(failures)} failures",
-        failures[:5],
-    )
+    return _sweep(checked, failures, "fillings, every order agrees")
 
 
-@_timed
+@_suite("strong-equivalence")
 def strong_equivalence_suite() -> SuiteResult:
     """Same-shape rectangular tableaux stay configuration-synchronized under slides.
 
@@ -200,32 +224,38 @@ def strong_equivalence_suite() -> SuiteResult:
     depth = 3
     pairs = 0
     failures: list[str] = []
-    for c in range(1, 4):
-        for d in range(1, 4):
-            if c * d > 6:
-                continue
-            alpha = 5 if c * d == 6 else 4
-            shape = SkewShape.straight((d,) * c)
-            ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
-            tableaux = list(enumerate_increasing(shape, range(1, alpha + 1)))
-            for i, a in enumerate(tableaux):
-                for b in tableaux[i + 1 :]:
-                    verdict = exhaustive_equivalence(a, b, ambient, depth)
-                    pairs += 1
-                    if verdict is not None:
-                        failures.append(f"{a.rows()} vs {b.rows()} diverged")
-    ok = not failures and pairs > 0
-    return SuiteResult(
-        "strong-equivalence",
-        ok,
-        f"{pairs} rectangular pairs equivalent on all single-corner sequences of depth <= {depth}"
-        if ok
-        else f"{len(failures)} divergent pairs",
-        failures[:5],
-    )
+    for c, d in _rectangles(3, 3, 6):
+        alpha = 5 if c * d == 6 else 4
+        shape = SkewShape.straight((d,) * c)
+        ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
+        tableaux = list(enumerate_increasing(shape, range(1, alpha + 1)))
+        for i, a in enumerate(tableaux):
+            for b in tableaux[i + 1 :]:
+                verdict = exhaustive_equivalence(a, b, ambient, depth)
+                pairs += 1
+                if verdict is not None:
+                    failures.append(f"{a.rows()} vs {b.rows()} diverged")
+    passed = f"rectangular pairs equivalent on all single-corner sequences of depth <= {depth}"
+    return _sweep(pairs, failures, passed)
 
 
-@_timed
+@_suite("random-equivalence")
+def random_equivalence_suite(runs: int = 100, seed: int = 11) -> SuiteResult:
+    """Random mixed slide sequences of 4 steps keep 2x2 pairs configuration-equal."""
+    rng = random.Random(seed)
+    shape = SkewShape.straight((2, 2))
+    ambient = AmbientRectangle(4, 8)
+    tableaux = list(enumerate_increasing(shape, range(1, 5)))
+    failures: list[str] = []
+    for _ in range(runs):
+        a, b = rng.choice(tableaux), rng.choice(tableaux)
+        verdict = random_equivalence_run(a, b, ambient, 4, rng)
+        if not verdict.equivalent:
+            failures.append(f"{a.rows()} vs {b.rows()} diverged at stage {verdict.divergence_stage}")
+    return _sweep(runs, failures, "random mixed runs equivalent", seed=seed)
+
+
+@_suite("sharpness")
 def sharpness_suite() -> SuiteResult:
     """Every non-rectangular inner shape of at most 6 boxes admits order-dependent rectification."""
     count = 0
@@ -243,7 +273,7 @@ def sharpness_suite() -> SuiteResult:
             if c.results[0] == c.results[1]:
                 failures.append(f"{lam}: results agree")
     seed_instance = nonrect_counterexample((2, 1))
-    golden_ok = (
+    if not (
         seed_instance.nu == (3, 3, 2)
         and seed_instance.tableau.cells
         == ((1, 3, 2), (2, 2, 1), (2, 3, 4), (3, 1, 1), (3, 2, 3))
@@ -251,24 +281,19 @@ def sharpness_suite() -> SuiteResult:
         and seed_instance.order2 == _t([[1, 3], [2]])
         and seed_instance.results[0] == _t([[1, 2, 4], [3]])
         and seed_instance.results[1] == _t([[1, 2, 4], [3, 4]])
-    )
+    ):
+        failures.append("(2, 1): not the golden seed instance")
     spread = nonrect_counterexample((6, 6, 3, 1))
-    golden_ok = golden_ok and spread.nu == (7, 6, 5, 2, 1) and spread.tableau.cells == (
+    if spread.nu != (7, 6, 5, 2, 1) or spread.tableau.cells != (
         (1, 7, 2),
         (3, 4, 1),
         (3, 5, 4),
         (4, 2, 3),
         (5, 1, 1),
-    )
-    ok = not failures and golden_ok
-    return SuiteResult(
-        "sharpness",
-        ok,
-        f"{count} non-rectangular shapes produce verified divergences; seed instances exact"
-        if ok
-        else "failures",
-        failures[:5],
-    )
+    ):
+        failures.append("(6, 6, 3, 1): not the golden seed instance")
+    passed = "non-rectangular shapes produce verified divergences; seed instances exact"
+    return _sweep(count, failures, passed)
 
 
 def _random_skew_instance(rng: random.Random, max_boxes: int) -> IncreasingTableau:
@@ -294,12 +319,12 @@ def _random_skew_instance(rng: random.Random, max_boxes: int) -> IncreasingTable
         return IncreasingTableau.make(outer, inner_rows, entries)
 
 
-@_timed
+@_suite("reversibility")
 def reversibility_suite(seed: int = 2024) -> SuiteResult:
     """Forward slides undo through reverse slides into the vacated boxes: 1000 instances."""
     rng = random.Random(seed)
     checked = 0
-    failures = 0
+    failures: list[str] = []
     while checked < 1000:
         t = _random_skew_instance(rng, 9)
         corners = removable_corners(t.inner)
@@ -310,22 +335,17 @@ def reversibility_suite(seed: int = 2024) -> SuiteResult:
         vacated = frozenset(set(boxes_of(t.outer)) - set(boxes_of(slid.outer)))
         ambient = AmbientRectangle(len(t.outer) + 1, len(t.outer) + 2 + t.outer[0])
         if rev_kjdt_slide(slid, vacated, ambient) != t:
-            failures += 1
+            failures.append(f"{t} slid at {sorted(chosen)} is not undone")
         checked += 1
-    return SuiteResult(
-        "reversibility",
-        failures == 0,
-        f"{checked} random slides undone exactly" if not failures else f"{failures} failures",
-        seed=seed,
-    )
+    return _sweep(checked, failures, "random slides undone exactly", seed=seed)
 
 
-@_timed
+@_suite("infusion-involution")
 def infusion_involution_suite(seed: int = 4096) -> SuiteResult:
     """Infusion applied twice returns the original nested pair: 1000 instances."""
     rng = random.Random(seed)
     checked = 0
-    failures = 0
+    failures: list[str] = []
     while checked < 1000:
         t = _random_skew_instance(rng, 9)
         if not (0 < psize(t.inner) <= 6):
@@ -334,45 +354,31 @@ def infusion_involution_suite(seed: int = 4096) -> SuiteResult:
         a = rng.choice(orders)
         c, w = kinfusion(a, t)
         if kinfusion(c, w) != (a, t):
-            failures += 1
+            failures.append(f"{t} with order {a.rows()} does not return")
         checked += 1
-    return SuiteResult(
-        "infusion-involution",
-        failures == 0,
-        f"{checked} nested pairs return exactly" if not failures else f"{failures} failures",
-        seed=seed,
-    )
+    return _sweep(checked, failures, "nested pairs return exactly", seed=seed)
 
 
-@_timed
+@_suite("rev-rect-anchor")
 def rev_rect_anchor_suite() -> SuiteResult:
     """Reverse rectification parks every rectangle of at most 6 boxes at the ambient's southeast corner."""
     checked = 0
     failures: list[str] = []
     max_rows, max_cols = 4, 5
-    for c in range(1, max_rows + 1):
-        for d in range(1, max_cols + 1):
-            if c * d > 6:
-                continue
-            shape = SkewShape.straight((d,) * c)
-            for k in range(c, max_rows + 1):
-                for cols in range(d, max_cols + 1):
-                    ambient = AmbientRectangle(k, k + cols)
-                    for t in enumerate_increasing(shape, range(1, c * d + 2)):
-                        out, anchor = rev_krect_in_ambient(t, ambient)
-                        checked += 1
-                        if anchor != (k - c + 1, cols - d + 1):
-                            failures.append(f"{t.rows()} in {k}x{cols} at {anchor}")
-    ok = not failures and checked > 0
-    return SuiteResult(
-        "rev-rect-anchor",
-        ok,
-        f"{checked} reverse rectifications anchored southeast" if ok else f"{len(failures)} failures",
-        failures[:5],
-    )
+    for c, d in _rectangles(max_rows, max_cols, 6):
+        shape = SkewShape.straight((d,) * c)
+        for k in range(c, max_rows + 1):
+            for cols in range(d, max_cols + 1):
+                ambient = AmbientRectangle(k, k + cols)
+                for t in enumerate_increasing(shape, range(1, c * d + 2)):
+                    out, anchor = rev_krect_in_ambient(t, ambient)
+                    checked += 1
+                    if anchor != (k - c + 1, cols - d + 1):
+                        failures.append(f"{t.rows()} in {k}x{cols} at {anchor}")
+    return _sweep(checked, failures, "reverse rectifications anchored southeast")
 
 
-@_timed
+@_suite("origin-invariants")
 def origin_invariants_suite(max_area: int = 6, depth: int = 3) -> SuiteResult:
     """Reverse-slide traces from rectangles keep origins clean and ordered."""
     checked = 0
@@ -395,24 +401,15 @@ def origin_invariants_suite(max_area: int = 6, depth: int = 3) -> SuiteResult:
             step = SlideStep("reverse", subset)
             check(extend_trace(trace, [step], ambient), len(trace.states), ambient, left - 1)
 
-    for c in range(1, 4):
-        for d in range(1, 4):
-            if c * d > max_area:
-                continue
-            ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
-            shape = SkewShape.straight((d,) * c)
-            for t in enumerate_increasing(shape, range(1, 5)):
-                check(switch_trace(t, [], ambient), 0, ambient, depth)
-    ok = not failures and checked > 0
-    return SuiteResult(
-        "origin-invariants",
-        ok,
-        f"{checked} reverse traces clean" if ok else f"{len(failures)} violations",
-        failures[:5],
-    )
+    for c, d in _rectangles(3, 3, max_area):
+        ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
+        shape = SkewShape.straight((d,) * c)
+        for t in enumerate_increasing(shape, range(1, 5)):
+            check(switch_trace(t, [], ambient), 0, ambient, depth)
+    return _sweep(checked, failures, "reverse traces clean")
 
 
-@_timed
+@_suite("count-independence")
 def count_independence_suite() -> SuiteResult:
     """Multiplicity tables for rectangular-inner shapes are target independent."""
     cases = [
@@ -431,10 +428,10 @@ def count_independence_suite() -> SuiteResult:
             f"{len(report.groups)} target shapes, across-alphabet uniform: "
             f"{report.uniform_across_alphabets}"
         )
-    return SuiteResult("count-independence", ok, f"{len(cases)} shapes grouped", details)
+    return SuiteResult(ok, f"{len(cases)} shapes grouped", details)
 
 
-@_timed
+@_suite("superstandard-independence")
 def superstandard_independence_suite(max_extra: int = 3) -> SuiteResult:
     """A superstandard rectification under one order forces it under all (inner shapes of 2 to 4 boxes)."""
     checked = 0
@@ -452,16 +449,10 @@ def superstandard_independence_suite(max_extra: int = 3) -> SuiteResult:
                         checked += 1
                         if not report.consistent:
                             failures.append(f"{t}")
-    ok = not failures and checked > 0
-    return SuiteResult(
-        "superstandard-independence",
-        ok,
-        f"{checked} skew fillings consistent" if ok else f"{len(failures)} failures",
-        failures[:5],
-    )
+    return _sweep(checked, failures, "skew fillings consistent")
 
 
-@_timed
+@_suite("products")
 def products_suite() -> SuiteResult:
     """The corner-to-corner and insertion products on their displayed instances."""
     z = _t([[1, 2, 3], [2, 4, 5]])
@@ -477,14 +468,10 @@ def products_suite() -> SuiteResult:
         and assoc_right == left
         and assoc_left != assoc_right
     )
-    return SuiteResult(
-        "products",
-        ok,
-        "corner-to-corner and insertion products differ exactly as displayed",
-    )
+    return SuiteResult(ok, "corner-to-corner and insertion products differ exactly as displayed")
 
 
-@_timed
+@_suite("degeneration")
 def degeneration_suite() -> SuiteResult:
     """When sizes add up to at most 8, all rules agree with the classical LR coefficient."""
     checked = 0
@@ -504,15 +491,8 @@ def degeneration_suite() -> SuiteResult:
                             failures.append(
                                 f"{lam},{mu}->{nu}: C={c_val} D={d_val} c={cls} schur={expected}"
                             )
-    ok = not failures and checked > 0
-    return SuiteResult(
-        "degeneration",
-        ok,
-        f"{checked} classical triples agree on the C rule, the D rule and the Schur oracle"
-        if ok
-        else f"{len(failures)} failures",
-        failures[:8],
-    )
+    passed = "classical triples agree on the C rule, the D rule and the Schur oracle"
+    return _sweep(checked, failures, passed, 8)
 
 
 def _frames(k_max: int, n_max: int) -> Iterator[DirectSumFrame]:
@@ -522,7 +502,7 @@ def _frames(k_max: int, n_max: int) -> Iterator[DirectSumFrame]:
             yield DirectSumFrame(k1, n1, k2, n2)
 
 
-@_timed
+@_suite("triple-agreement")
 def triple_agreement_suite() -> SuiteResult:
     """Splitting coefficients agree across the slide rule, the set-valued rule,
     and the direct-sum identity, over every frame with each k <= 2 and n <= 4.
@@ -549,22 +529,17 @@ def triple_agreement_suite() -> SuiteResult:
                     distinct.add((lam, mu, nu))
                     if not (jdt == buch == ident):
                         failures.append(f"{lam},{mu}->{nu} in {frame}: {jdt}/{buch}/{ident}")
-    ok = not failures and checked > 0
-    return SuiteResult(
-        "triple-agreement",
-        ok,
-        f"{checked} frame triples ({len(distinct)} distinct) agree on all three routes; "
+    passed = (
+        f"frame triples ({len(distinct)} distinct) agree on all three routes; "
         f"{widened} identities read in a frame one column wider"
-        if ok
-        else f"{len(failures)} disagreements",
-        failures[:8],
     )
+    return _sweep(checked, failures, passed, 8)
 
 
 SIGN_FLOOR = 100  # the sweep below has 210 nonzero values; fewer means it checked too little
 
 
-@_timed
+@_suite("sign-invariant")
 def sign_invariant_suite() -> SuiteResult:
     """Every nonzero C, D and E of a fixed sweep carries the parity-predicted sign.
 
@@ -591,48 +566,8 @@ def sign_invariant_suite() -> SuiteResult:
         summary = f"only {seen} nonzero coefficients checked, need {SIGN_FLOOR}"
     else:
         summary = f"{seen} nonzero coefficients match the parity sign"
-    return SuiteResult("sign-invariant", not bad and seen >= SIGN_FLOOR, summary, bad[:8])
+    return SuiteResult(not bad and seen >= SIGN_FLOOR, summary, bad[:8])
 
-
-@_timed
-def random_equivalence_suite(runs: int = 100, seed: int = 11) -> SuiteResult:
-    """Random mixed slide sequences of 4 steps keep 2x2 pairs configuration-equal."""
-    rng = random.Random(seed)
-    shape = SkewShape.straight((2, 2))
-    ambient = AmbientRectangle(4, 8)
-    tableaux = list(enumerate_increasing(shape, range(1, 5)))
-    failures = 0
-    for _ in range(runs):
-        a, b = rng.choice(tableaux), rng.choice(tableaux)
-        verdict = random_equivalence_run(a, b, ambient, 4, rng)
-        if not verdict.equivalent:
-            failures += 1
-    return SuiteResult(
-        "random-equivalence",
-        failures == 0,
-        f"{runs} random mixed runs equivalent" if not failures else f"{failures} failures",
-        seed=seed,
-    )
-
-
-SUITES = {
-    "star-groups": star_groups_suite,
-    "augmented-witnesses": augmented_witnesses_suite,
-    "rect-order-independence": rect_order_independence_suite,
-    "strong-equivalence": strong_equivalence_suite,
-    "random-equivalence": random_equivalence_suite,
-    "sharpness": sharpness_suite,
-    "reversibility": reversibility_suite,
-    "infusion-involution": infusion_involution_suite,
-    "rev-rect-anchor": rev_rect_anchor_suite,
-    "origin-invariants": origin_invariants_suite,
-    "count-independence": count_independence_suite,
-    "superstandard-independence": superstandard_independence_suite,
-    "products": products_suite,
-    "degeneration": degeneration_suite,
-    "triple-agreement": triple_agreement_suite,
-    "sign-invariant": sign_invariant_suite,
-}
 
 # the suites that take a ``seed``; ``ktaquin verify --seed`` passes it to these
-SEEDED_SUITES = frozenset({"reversibility", "infusion-involution", "random-equivalence"})
+SEEDED_SUITES = frozenset(name for name, fn in SUITES.items() if "seed" in inspect.signature(fn).parameters)

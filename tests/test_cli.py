@@ -150,6 +150,17 @@ class TestCoeffCommand:
         assert "disagreement" in err
 
 
+    def test_json_output_is_the_cache_line_without_provenance(self, capsys, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        code, out, _ = run(
+            capsys, "--json", "coeff", "D", "--lambda", "[2]", "--mu", "[2,1]", "--nu", "[3,1]",
+            "--check", "--cache", str(path),
+        )
+        assert code == EXIT_OK
+        line = json.loads(path.read_text())
+        assert line.pop("timestamp") and line.pop("version")
+        assert json.loads(out) == line
+
     def test_cache_torn_final_line(self, capsys, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         argv = ("coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path)
@@ -373,6 +384,11 @@ class TestOtherCommands:
         assert code == EXIT_USAGE and out == ""
         assert extra[0] in err
 
+    def test_enumerate_content_that_is_not_an_integer(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--outer", "[2]", "--kind", "set-valued", "--content", "1,x")
+        assert code == EXIT_USAGE and out == ""
+        assert "--content" in err and "invalid literal" not in err
+
     def test_enumerate_default_max_entry(self, capsys):
         code, out, _ = run(capsys, "--json", "enumerate", "--outer", "[1]")
         assert code == EXIT_OK
@@ -402,6 +418,11 @@ class TestOtherCommands:
         code, out, err = run(capsys, "product", "--op", op, "--left", left, "--right", right)
         assert code == EXIT_USAGE and out == ""
         assert "must be an increasing tableau" in err and "Traceback" not in err
+
+    def test_insert_letter_that_is_not_an_integer(self, capsys):
+        code, out, err = run(capsys, "product", "--op", "insert", "--left", "1", "--right", "x")
+        assert code == EXIT_USAGE and out == ""
+        assert "--right" in err and "invalid literal" not in err
 
     def test_rectify_with_order(self, capsys):
         code, out, _ = run(

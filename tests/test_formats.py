@@ -84,6 +84,11 @@ class TestGrid:
             parse_tableau("1 . 2")
         assert (err.value.row, err.value.col) == (1, 2)
 
+    def test_a_mark_in_a_set_valued_grid_is_reported_where_it_is(self):
+        with pytest.raises(ParseError, match="set-valued tableaux are unmarked") as err:
+            parse_tableau("1 {2,3}\nX")
+        assert (err.value.row, err.value.col) == (2, 1)
+
     def test_invariant_errors_distinct(self):
         with pytest.raises(TableauError):
             parse_tableau("2 1")  # decreasing row: well-formed grid, bad filling
@@ -138,6 +143,12 @@ class TestJsonForm:
         doc = '{"outer":[2,1],"cells":[[1,1,1],[1,2,2],[1,2,3],[2,1,"X"]]}'
         with pytest.raises(TableauError, match="duplicate box in cells"):
             parse_tableau(doc)
+
+    def test_a_mark_in_a_set_valued_document_is_reported_at_its_box(self):
+        doc = '{"outer":[2,2],"cells":[[1,1,[1,2]],[1,2,3],[2,1,2],[2,2,"X"]]}'
+        with pytest.raises(ParseError, match="set-valued tableaux are unmarked") as err:
+            parse_tableau(doc)
+        assert (err.value.row, err.value.col) == (2, 2)
 
     def test_bad_document(self):
         with pytest.raises(ParseError):

@@ -1,6 +1,7 @@
 """The verification suites not already exercised by the acceptance module."""
 
 from ktaquin import suites
+from ktaquin.tableaux import IncreasingTableau
 from ktaquin.shapes import dagger, omega_dual, star
 
 
@@ -62,3 +63,73 @@ def test_triple_agreement_reads_no_d_row_back(monkeypatch):
     assert result.ok and calls == 11134
     assert self_reads == 0
     assert "2772 identities read in a frame one column wider" in result.summary
+
+
+VERIFY_ALL_ORDER = [
+    "star-groups",
+    "augmented-witnesses",
+    "rect-order-independence",
+    "strong-equivalence",
+    "random-equivalence",
+    "sharpness",
+    "reversibility",
+    "infusion-involution",
+    "rev-rect-anchor",
+    "origin-invariants",
+    "count-independence",
+    "superstandard-independence",
+    "products",
+    "degeneration",
+    "triple-agreement",
+    "sign-invariant",
+]
+
+EMPTIED_SWEEPS = {
+    "rect-order-independence",
+    "strong-equivalence",
+    "sharpness",
+    "rev-rect-anchor",
+    "origin-invariants",
+    "superstandard-independence",
+    "degeneration",
+    "triple-agreement",
+}
+
+
+def test_registry_order_is_the_verify_all_order():
+    assert list(suites.SUITES) == VERIFY_ALL_ORDER
+
+
+def test_every_result_carries_its_registered_name(monkeypatch):
+    # the sweeps run on emptied universes and the seeded ones on one small
+    # tableau: the stamp is under test, and an emptied sweep must fail
+    for source in ("partitions_of", "_rectangles", "_frames"):
+        monkeypatch.setattr(suites, source, lambda *args: iter(()))
+    tiny = IncreasingTableau.from_rows([[1], [2]], inner=(1,))
+    monkeypatch.setattr(suites, "_random_skew_instance", lambda rng, max_boxes: tiny)
+    failed = set()
+    for name, fn in suites.SUITES.items():
+        result = fn()
+        assert result.name == name and result.elapsed > 0
+        if not result.ok:
+            failed.add(name)
+            assert result.summary.startswith("0 ") and not result.details
+    assert failed == EMPTIED_SWEEPS
+
+
+def test_seeded_suites_are_read_from_the_signatures():
+    assert suites.SEEDED_SUITES == {"reversibility", "infusion-involution", "random-equivalence"}
+
+
+def test_an_empty_sweep_fails():
+    assert not suites._sweep(0, [], "x").ok
+    assert suites._sweep(1, [], "x").summary == "1 x"
+    result = suites._sweep(3, ["a", "b"], "x", shown=1)
+    assert not result.ok and result.summary == "2 failures" and result.details == ["a"]
+
+
+def test_a_failing_seeded_sweep_names_its_instances(monkeypatch):
+    monkeypatch.setattr(suites, "rev_kjdt_slide", lambda t, boxes, ambient: t)
+    result = suites.reversibility_suite()
+    assert not result.ok and result.summary.endswith(" failures")
+    assert result.details and "is not undone" in result.details[0]
