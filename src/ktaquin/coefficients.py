@@ -43,10 +43,11 @@ these keys:
   their sets;
 * ``("schur", lam, nvars, base)`` for the packed monomials of a Schur
   polynomial, which the classical oracle in ``schur`` multiplies and peels;
-* ``("partition", t)`` for the normal form of the int tuple ``t`` that
-  ``shapes.partition`` converted its argument to, so a shape seen before is
-  normalised by one lookup (rejected shapes are never stored); the label
-  steps store the shapes they fill here too, and keep the one copy.
+* ``("partition", t)`` for the normal form of the int tuple ``t``:
+  ``shapes.partition`` serves a tuple of ints seen before by this one lookup
+  and converts everything else with ``int()`` first (rejected shapes are never
+  stored); the label steps store the shapes they fill here too, and keep the
+  one copy.
 
 It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
 oracle included.

@@ -40,9 +40,19 @@ def partition(parts: Iterable[int]) -> Part:
     """Normalize an iterable of row lengths into a canonical partition tuple.
 
     Trailing zeros are dropped; anything not weakly decreasing or negative is
-    rejected.  The result is memoized under the converted int tuple, so a
-    repeated shape costs one lookup; a rejected one is never stored.
+    rejected.  The result is memoized under the converted int tuple, and a
+    tuple of ints seen before is served by that one lookup; everything else
+    (lists, generators, tuple subclasses, non-int rows, new shapes) is
+    converted with ``int()`` first.  A rejected shape is never stored.
     """
+    if type(parts) is tuple:
+        try:
+            hit = _memo.get(("partition", parts))
+            # rows equal to ints but of another type (1.0, 1+0j) go on to int()
+            if hit is not None and type(sum(parts)) is int:
+                return hit
+        except TypeError:  # an unhashable row: int() raises the cold message
+            pass
     t = tuple(map(int, parts))
     return _memoized(("partition", t), _normalise, t)
 

@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -s` to see the lines as they pass.
 Every tolerance is exact; the two stated time budgets are asserted.
 """
 
-import pytest
-
 from ktaquin import suites
 
 
@@ -16,26 +14,22 @@ def _report(num: int, name: str, ok: bool, extra: str = "") -> None:
     assert ok, f"criterion {num} ({name}) failed: {extra}"
 
 
-@pytest.fixture(scope="module")
-def triple_agreement():
-    """Shared by criteria 2 and 3: every triple over every frame with k <= 2, n <= 4."""
-    return suites.triple_agreement_suite()
-
-
 def test_criterion_01_star_enumeration_golden():
     result = suites.star_groups_suite()
     _report(1, "fifteen-filling group table", result.ok and result.elapsed < 1.0, f"{result.elapsed:.2f}s")
 
 
 def test_criterion_02_buch_oracle_agreement(triple_agreement):
-    ok = triple_agreement.ok and triple_agreement.elapsed < 300.0
-    _report(2, "set-valued oracle agreement", ok, triple_agreement.render())
+    # the sweep is the session fixture in conftest.py, shared with test_suites.py
+    result = triple_agreement.result
+    _report(2, "set-valued oracle agreement", result.ok and result.elapsed < 300.0, result.render())
 
 
 def test_criterion_03_direct_sum_identity(triple_agreement):
     # the suite fails when any of its three routes disagrees, so this criterion
     # and criterion 2 fail together; its failure lines give all three values
-    _report(3, "direct-sum identity", triple_agreement.ok, triple_agreement.render())
+    result = triple_agreement.result
+    _report(3, "direct-sum identity", result.ok, result.render())
 
 
 def test_criterion_04_augmented_witnesses():

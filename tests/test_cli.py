@@ -1,6 +1,10 @@
 """CLI subcommands, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,6 +337,17 @@ class TestVerifyCommand:
 
 
 class TestOtherCommands:
+    def test_module_entry_point(self):
+        # ``python -m ktaquin`` runs the same main as the installed script
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "ktaquin", "--help"], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True,
+        )
+        assert out.returncode == EXIT_OK
+        assert out.stdout.startswith("usage:") and "coeff" in out.stdout
+
     def test_enumerate(self, capsys):
         code, out, _ = run(
             capsys, "--json", "enumerate", "--outer", "[4,3,2]", "--inner", "[2,2]",

@@ -1,6 +1,8 @@
 """Shape constructions against worked values and brute-force oracles."""
 
 import itertools
+from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +132,42 @@ class TestPartitionBasics:
         assert memo == {("partition", (3, 1)): (3, 1), ("partition", (1,)): (1,),
                         ("partition", (3, 1, 0, 0)): (3, 1)}
         assert [outcome(make) for make, _ in cases] == cold
+        assert shapes._memo == memo
+
+    def test_fast_path_serves_only_int_tuples(self):
+        """A warm int tuple is one lookup; other inputs equal to it get their cold outcome."""
+
+        class Rows(NamedTuple):
+            first: int
+            second: int
+
+        try:
+            int([3])
+        except TypeError as exc:
+            list_refused = (TypeError, str(exc))
+        cases = [(3.0, 1.0), (True, 1), (Fraction(3), 1), Rows(3, 1), ([3], 1)]
+
+        def outcome(parts):
+            try:
+                t = partition(parts)
+            except (ShapeFitError, TypeError) as exc:
+                return type(exc), str(exc)
+            return t, [type(x) for x in t]
+
+        cold = []
+        for parts in cases:
+            shapes._memo.clear()
+            cold.append(outcome(parts))
+        ints = ((3, 1), [int, int])
+        assert cold == [ints, ((1, 1), [int, int]), ints, ints, list_refused]
+
+        shapes._memo.clear()
+        normal = {t: partition(t) for t in ((3, 1), (1, 1))}
+        memo = dict(shapes._memo)
+        assert [outcome(parts) for parts in cases] == cold
+        # a hit hands back the memo's own tuple, even for an equal new object
+        assert partition(tuple([3, 1])) is normal[3, 1]
+        assert partition((True, 1)) is normal[1, 1]
         assert shapes._memo == memo
 
     def test_text_round_trip(self):

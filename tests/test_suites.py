@@ -2,7 +2,6 @@
 
 from ktaquin import suites
 from ktaquin.tableaux import IncreasingTableau
-from ktaquin.shapes import dagger, omega_dual, star
 
 
 def test_origin_invariants_suite():
@@ -45,23 +44,12 @@ def test_sign_invariant_fails_below_floor(monkeypatch):
     assert not result.ok and "need 100" in result.summary
 
 
-def test_triple_agreement_reads_no_d_row_back(monkeypatch):
+def test_triple_agreement_reads_no_d_row_back(triple_agreement):
     # the identity counts C on dagger(lam, mu)/omega_dual; that skew shape must
-    # never be star(lam, mu), whose count is D's own row
-    real = suites.coeff_D_via_identity
-    calls = self_reads = 0
-
-    def spy(lam, mu, nu, frame):
-        nonlocal calls, self_reads
-        calls += 1
-        own = star(lam, mu)
-        self_reads += (dagger(lam, mu, frame), omega_dual(frame)) == (own.outer, own.inner)
-        return real(lam, mu, nu, frame)
-
-    monkeypatch.setattr(suites, "coeff_D_via_identity", spy)
-    result = suites.triple_agreement_suite()
-    assert result.ok and calls == 11134
-    assert self_reads == 0
+    # never be star(lam, mu), whose count is D's own row (spied in conftest.py)
+    result = triple_agreement.result
+    assert result.ok and triple_agreement.calls == 11134
+    assert triple_agreement.self_reads == 0
     assert "2772 identities read in a frame one column wider" in result.summary
 
 
