@@ -14,14 +14,12 @@ import sys
 from .shapes import (
     AmbientRectangle,
     DirectSumFrame,
-    ShapeFitError,
     SkewShape,
     format_partition,
     parse_partition,
 )
 from .tableaux import (
     IncreasingTableau,
-    TableauError,
     enumerate_augmented,
     enumerate_increasing,
     enumerate_set_valued,
@@ -40,7 +38,6 @@ from .formats import (
     CacheConflictError,
     CacheFormatError,
     CacheRecord,
-    ParseError,
     cache_append,
     cache_load,
     coefficient_to_json_dict,
@@ -59,31 +56,27 @@ EXIT_INTERNAL = 3
 CACHE_ENV = "KTAQUIN_CACHE"
 
 
-class UsageError(ValueError):
-    pass
-
-
 def _frame(text: str) -> DirectSumFrame:
     try:
         k1, n1, k2, n2 = (int(x) for x in text.split(","))
         return DirectSumFrame(k1, n1, k2, n2)
-    except (ValueError, ShapeFitError) as exc:
-        raise UsageError(f"bad frame {text!r}: expected k1,n1,k2,n2") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad frame {text!r}: expected k1,n1,k2,n2") from exc
 
 
 def _ambient(text: str) -> AmbientRectangle:
     try:
         k, n = (int(x) for x in text.split(","))
         return AmbientRectangle(k, n)
-    except (ValueError, ShapeFitError) as exc:
-        raise UsageError(f"bad ambient {text!r}: expected k,n") from exc
+    except ValueError as exc:
+        raise ValueError(f"bad ambient {text!r}: expected k,n") from exc
 
 
 def _integer(text: str, option: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise UsageError(f"{option}: {text!r} is not an integer") from None
+        raise ValueError(f"{option}: {text!r} is not an integer") from None
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -99,7 +92,7 @@ def _cache_path(args) -> str | None:
 
 def cmd_coeff(args) -> int:
     if args.frame is not None and not (args.check and args.kind in ("D", "F")):
-        raise UsageError("--frame applies to coeff D and F with --check only")
+        raise ValueError("--frame applies to coeff D and F with --check only")
     lam, mu, nu = (parse_partition(args.lam), parse_partition(args.mu), parse_partition(args.nu))
     frame = _frame(args.frame) if args.frame is not None else None
     if args.check:
@@ -114,7 +107,7 @@ def cmd_coeff(args) -> int:
             cache_append(path, CacheRecord.now(record))
             cache_load(path)  # re-validate the whole file, conflicts are hard errors
         except OSError as exc:
-            raise UsageError(f"cannot use the cache: {exc}") from exc
+            raise ValueError(f"cannot use the cache: {exc}") from exc
     _emit(args, payload, f"{record.kind}{format_partition(record.lam)},{format_partition(record.mu)}"
           f"->{format_partition(record.nu)} = {record.value}" + (f"  [{checks_text}]" if checks_text else ""))
     if not record.agreed:
@@ -130,10 +123,10 @@ def cmd_expand(args) -> int:
     }.get(args.op, {})
     stray = [flag for flag, value in foreign.items() if value is not None]
     if stray:
-        raise UsageError(f"{args.op} expansion does not take {', '.join(stray)}")
+        raise ValueError(f"{args.op} expansion does not take {', '.join(stray)}")
     if args.op == "product":
         if None in (args.lam, args.mu, args.ambient):
-            raise UsageError("product expansion needs --lambda, --mu and --ambient k,n")
+            raise ValueError("product expansion needs --lambda, --mu and --ambient k,n")
         lam, mu = parse_partition(args.lam), parse_partition(args.mu)
         ambient = _ambient(args.ambient)
         table = expand_product(lam, mu, ambient, args.basis)  # raises DisagreementError
@@ -142,7 +135,7 @@ def cmd_expand(args) -> int:
         _emit(args, payload, "\n".join(lines) if lines else "(zero)")
     elif args.op == "coproduct":
         if None in (args.nu, args.frame):
-            raise UsageError("coproduct expansion needs --nu and --frame k1,n1,k2,n2")
+            raise ValueError("coproduct expansion needs --nu and --frame k1,n1,k2,n2")
         nu = parse_partition(args.nu)
         frame = _frame(args.frame)
         table = expand_coproduct(nu, frame)
@@ -156,7 +149,7 @@ def cmd_expand(args) -> int:
         ]
         _emit(args, payload, "\n".join(lines) if lines else "(zero)")
     else:
-        raise UsageError(f"unknown expansion {args.op!r}")
+        raise ValueError(f"unknown expansion {args.op!r}")
     return EXIT_OK
 
 
@@ -166,9 +159,9 @@ def cmd_verify(args) -> int:
     elif args.suite in suites.SUITES:
         names = [args.suite]
     else:
-        raise UsageError(f"unknown suite {args.suite!r}; options: {', '.join(suites.SUITES)}, all")
+        raise ValueError(f"unknown suite {args.suite!r}; options: {', '.join(suites.SUITES)}, all")
     if args.seed is not None and args.suite != "all" and args.suite not in suites.SEEDED_SUITES:
-        raise UsageError(
+        raise ValueError(
             f"suite {args.suite!r} takes no seed; --seed applies to {', '.join(sorted(suites.SEEDED_SUITES))}"
         )
     ok = True
@@ -197,24 +190,24 @@ def cmd_enumerate(args) -> int:
     max_entry = 4 if args.max_entry is None else args.max_entry
     alphabet = range(1, max_entry + 1)
     if args.kind != "set-valued" and args.content is not None:
-        raise UsageError(f"--content applies to --kind set-valued only, not {args.kind}")
+        raise ValueError(f"--content applies to --kind set-valued only, not {args.kind}")
     if args.kind != "increasing" and args.surjective:
-        raise UsageError(f"--surjective applies to --kind increasing only, not {args.kind}")
+        raise ValueError(f"--surjective applies to --kind increasing only, not {args.kind}")
     if args.kind == "increasing":
         stream = enumerate_increasing(shape, alphabet, args.surjective)
     elif args.kind == "augmented":
         stream = enumerate_augmented(shape, alphabet)
     elif args.kind == "set-valued":
         if args.inner is not None:
-            raise UsageError("set-valued enumeration takes a straight shape; drop --inner")
+            raise ValueError("set-valued enumeration takes a straight shape; drop --inner")
         if args.max_entry is not None:
-            raise UsageError("set-valued enumeration takes its letters from --content; drop --max-entry")
+            raise ValueError("set-valued enumeration takes its letters from --content; drop --max-entry")
         if not args.content:
-            raise UsageError("set-valued enumeration needs --content a,b,c")
+            raise ValueError("set-valued enumeration needs --content a,b,c")
         content = tuple(_integer(x, "--content") for x in args.content.split(","))
         stream = enumerate_set_valued(outer, content)
     else:
-        raise UsageError(f"unknown kind {args.kind!r}")
+        raise ValueError(f"unknown kind {args.kind!r}")
     count = 0
     blocks = []
     for t in stream:
@@ -257,7 +250,7 @@ def _increasing(text: str, option: str) -> IncreasingTableau:
     """Parse an option's tableau, refusing a marked or set-valued one."""
     t = parse_tableau(text)
     if not isinstance(t, IncreasingTableau):
-        raise UsageError(f"{option} must be an increasing tableau")
+        raise ValueError(f"{option} must be an increasing tableau")
     return t
 
 
@@ -355,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args)
-    except (UsageError, ParseError, ShapeFitError, TableauError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (CacheConflictError, DisagreementError) as exc:

@@ -19,8 +19,8 @@ cross-check:
   duality of the two bases fixes its entry.
 * F: equal to D by definition of the dual-basis splitting; cross-checked
   through D's two independent routes.
-* c: the classical limit (the unsigned D count), cross-checked against a Schur
-  polynomial oracle.
+* c: the classical limit (the D count at |nu| = |lam| + |mu|, where its sign
+  is +1), cross-checked against a Schur polynomial oracle.
 
 One module-level dict, ``_memo`` (defined in ``shapes``, the lowest module
 that reads it, and bound here too), holds everything that is reused, under
@@ -359,8 +359,9 @@ def coeff_c_classical(lam: Part, mu: Part, nu: Part) -> int:
     if psize(nu) != psize(lam) + psize(mu):
         return 0
     # surjective fillings over 1..|nu| of a |nu|-box region are exactly the
-    # standard ones, so the unsigned D count is the classical coefficient
-    return abs(_memoized_count("D", lam, mu, nu))
+    # standard ones, and D's sign is +1 at |nu| = |lam| + |mu|, so D is the
+    # classical coefficient
+    return _memoized_count("D", lam, mu, nu)
 
 
 # each memoized count and the rule that computes it
@@ -505,7 +506,7 @@ def compute_with_checks(
             checks.append(("symmetry", value == _memoized_count("C", mu, lam, nu)))
         checks.append(("buch", value == _memoized_count("C-buch", lam, mu, nu)))
         if psize(nu) == psize(lam) + psize(mu):
-            checks.append(("classical", abs(value) == schur.lr_coefficient(lam, mu, nu)))
+            checks.append(("classical", value == schur.lr_coefficient(lam, mu, nu)))
     elif kind in ("D", "F"):
         # F equals D, so F is confirmed by D's two independent routes
         value = _memoized_count("D", lam, mu, nu)

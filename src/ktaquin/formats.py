@@ -11,8 +11,7 @@ from .shapes import Box, Part, ShapeFitError, partition, row_length
 from .tableaux import AugmentedTableau, IncreasingTableau, SetValuedTableau
 from .jdt import SwitchState, SwitchTrace
 from .coefficients import CoefficientRecord
-
-TOOL_VERSION = "0.1.0"
+from . import __version__
 
 Tableau = IncreasingTableau | AugmentedTableau | SetValuedTableau
 
@@ -206,7 +205,17 @@ def _json_partition(doc: dict, field: str) -> tuple[int, ...]:
         raise ValueError(f"{field} must be a list of integers")
     for i, p in enumerate(parts):
         _json_int(p, field, i)
-    return partition(parts)
+    return partition(tuple(parts))  # a tuple seen before is one memo lookup
+
+
+def _json_checks(doc: dict) -> tuple[tuple[str, bool], ...]:
+    checks = doc.get("checks", [])
+    if not isinstance(checks, list):
+        raise ValueError("checks must be a list of [name, true|false] pairs")
+    for i, pair in enumerate(checks):
+        if not (isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is bool):
+            raise ValueError(f"checks[{i}] must be [name, true|false]")
+    return tuple(map(tuple, checks))
 
 
 @dataclass(frozen=True)
@@ -215,7 +224,7 @@ class CacheRecord:
 
     record: CoefficientRecord
     timestamp: float
-    version: str = TOOL_VERSION
+    version: str = __version__
 
     def key(self) -> tuple:
         r = self.record
@@ -231,7 +240,8 @@ class CacheRecord:
         """Parse one line; a malformed or incomplete record raises ValueError.
 
         ``value`` and the parts of ``lambda``, ``mu`` and ``nu`` must be JSON
-        integers: a float or a boolean is rejected, never truncated.
+        integers: a float or a boolean is rejected, never truncated.  Each
+        check must be a ``[name, true|false]`` pair: a flag is never converted.
         """
         doc = json.loads(line)
         if not isinstance(doc, dict):
@@ -245,7 +255,7 @@ class CacheRecord:
             _json_partition(doc, "mu"),
             _json_partition(doc, "nu"),
             _json_int(doc["value"], "value"),
-            tuple((name, bool(ok)) for name, ok in doc.get("checks", [])),
+            _json_checks(doc),
         )
         return cls(record, float(doc.get("timestamp", 0.0)), doc.get("version", "unknown"))
 

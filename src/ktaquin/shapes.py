@@ -99,13 +99,12 @@ def removable_corners(lam: Part) -> list[Box]:
     return out
 
 
-def addable_corners(lam: Part, max_rows: int | None = None, max_cols: int | None = None) -> list[Box]:
-    """Boxes that can be appended to lam keeping a Young diagram, within bounds."""
+def addable_corners(lam: Part, *, max_rows: int, max_cols: int) -> list[Box]:
+    """Boxes that can be appended to lam keeping a Young diagram, within the bounds."""
     out = []
-    last_row = len(lam) + 1 if max_rows is None else min(len(lam) + 1, max_rows)
-    for r in range(1, last_row + 1):
+    for r in range(1, min(len(lam) + 1, max_rows) + 1):
         c = row_length(lam, r) + 1
-        if max_cols is not None and c > max_cols:
+        if c > max_cols:
             continue
         if r == 1 or row_length(lam, r - 1) >= c:
             out.append((r, c))
@@ -245,14 +244,6 @@ class SkewShape:
     @classmethod
     def straight(cls, lam: Iterable[int]) -> "SkewShape":
         return cls(lam, ())
-
-    @property
-    def size(self) -> int:
-        return psize(self.outer) - psize(self.inner)
-
-    @property
-    def is_straight(self) -> bool:
-        return self.inner == ()
 
     def boxes(self) -> list[Box]:
         """Region boxes in row-major order."""

@@ -48,7 +48,7 @@ def _validate_increasing(outer: Part, inner: Part, entries: dict[Box, int]) -> N
         for (r, c), v in entries.items():
             if not (0 < r <= nrows and (inner[r - 1] if r <= ninner else 0) < c <= outer[r - 1]):
                 raise _region_error(outer, inner, entries)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # bool is a subclass of int
                 raise TableauError(f"entry at {(r, c)} must be a positive integer, got {v!r}")
             right = get((r, c + 1))
             if right is not None and right <= v:
@@ -126,17 +126,6 @@ class IncreasingTableau:
     def entries(self) -> dict[Box, int]:
         return dict(self._entries)  # type: ignore[attr-defined]
 
-    def entry(self, box: Box) -> int:
-        return self._entries[box]  # type: ignore[attr-defined]
-
-    @property
-    def shape(self) -> SkewShape:
-        return SkewShape(self.outer, self.inner)
-
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
     @property
     def is_straight(self) -> bool:
         return self.inner == ()
@@ -144,10 +133,6 @@ class IncreasingTableau:
     @property
     def values(self) -> frozenset[int]:
         return frozenset(v for _, _, v in self.cells)
-
-    @property
-    def max_entry(self) -> int:
-        return max((v for _, _, v in self.cells), default=0)
 
     def rows(self) -> list[list[int]]:
         """Region values per row, left to right (no placeholders)."""
@@ -218,10 +203,6 @@ class AugmentedTableau:
     def erase_x(self) -> IncreasingTableau:
         """Drop the marked boxes, keeping the numeric part."""
         return self._numeric  # type: ignore[attr-defined]
-
-    @property
-    def values(self) -> frozenset[int]:
-        return self.erase_x().values
 
 
 def eligible_x_boxes(shape: SkewShape) -> list[Box]:
@@ -324,6 +305,8 @@ def iter_increasing_cells(
     surjective.
     """
     outer, inner = partition(outer), partition(inner)
+    if not contains(outer, inner):
+        raise ShapeFitError(f"inner {inner} not contained in outer {outer}")
     boxes = [(r, c) for r, lo, hi in _region_rows(outer, inner) for c in range(lo, hi + 1)]
     alpha = sorted(set(alphabet))
     n = len(boxes)

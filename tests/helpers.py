@@ -309,7 +309,7 @@ def reference_first_divergence(a, b, ambient, depth):
     """
 
     def walk(t, slides, left):
-        for step in available_steps(t.shape, ambient):
+        for step in available_steps(SkewShape(t.outer, t.inner), ambient):
             seq = slides + [step]
             verdict = check_strong_dual_equivalence(a, b, seq, ambient)
             if not verdict.equivalent:
@@ -331,7 +331,7 @@ def reference_random_run(a, b, ambient, length, rng):
     t, slides = a, []
     verdict = reference_pair_verdict(a, b, slides, ambient)
     for _ in range(length):
-        choices = available_steps(t.shape, ambient)
+        choices = available_steps(SkewShape(t.outer, t.inner), ambient)
         if not choices:
             break
         step = rng.choice(choices)

@@ -92,6 +92,36 @@ class TestIntegerFields:
         assert f"{path}:1: value must be an integer" in err and "Traceback" not in err
 
 
+class TestCheckFlags:
+    """Each check is a [name, true|false] pair; a flag is never converted."""
+
+    @pytest.mark.parametrize(
+        "checks, reason",
+        [
+            ([["buch", "false"]], "checks[0] must be [name, true|false]"),
+            ([["buch", True], [7, 1]], "checks[1] must be [name, true|false]"),
+            ([["buch", 0]], "checks[0] must be [name, true|false]"),
+            ([["buch"]], "checks[0] must be [name, true|false]"),
+            ({"buch": True}, "checks must be a list of [name, true|false] pairs"),
+        ],
+        ids=["string-flag", "int-name", "int-flag", "no-flag", "not-a-list"],
+    )
+    def test_check_flags_are_booleans_not_coerced(self, tmp_path, checks, reason):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, (json.dumps(_doc(checks=checks)) + "\n").encode())
+        with pytest.raises(CacheFormatError) as err:
+            cache_load(path)
+        assert str(err.value) == f"{path}:1: {reason}"
+
+    def test_cli_exit_code(self, capsys, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, (json.dumps(_doc(checks=[["buch", "false"]])) + "\n").encode())
+        code = main(["coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_DISAGREEMENT
+        assert f"cache error: {path}:1: checks[0] must be [name, true|false]" in err
+
+
 class TestUtf8:
     def test_bad_byte_names_its_line(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

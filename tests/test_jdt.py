@@ -239,7 +239,7 @@ class TestRotationConjugation:
                 continue
             chosen = frozenset(rng.sample(corners, rng.randint(1, len(corners))))
             direct = rev_kjdt_slide(t, chosen, ambient)
-            span = t.max_entry
+            span = max(t.values, default=0)
             rotated = self._rotate(t, ambient, span)
             rotated_corners = {
                 (ambient.rows + 1 - r, ambient.cols + 1 - c) for r, c in chosen

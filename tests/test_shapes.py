@@ -235,7 +235,7 @@ class TestStar:
     def test_inner_is_rectangle(self, lam, mu):
         s = star(lam, mu)
         assert s.inner == ((lam[0],) * len(mu) if lam and mu else ())
-        assert s.size == psize(lam) + psize(mu)
+        assert psize(s.outer) - psize(s.inner) == psize(lam) + psize(mu)
 
 
 class TestFrameShapes:

@@ -41,7 +41,7 @@ def test_sign_invariant_fails_below_floor(monkeypatch):
     # a sweep that sees almost nothing must fail rather than pass vacuously
     monkeypatch.setattr(suites, "partitions_in_rectangle", lambda rows, cols: iter([()]))
     result = suites.sign_invariant_suite()
-    assert not result.ok and "need 100" in result.summary
+    assert not result.ok and "need 100" in result.details[0]
 
 
 def test_triple_agreement_reads_no_d_row_back(triple_agreement):

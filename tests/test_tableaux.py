@@ -53,10 +53,15 @@ class TestIncreasingTableau:
         with pytest.raises(TableauError, match="positions must be integers"):
             IncreasingTableau((2,), (), ((1, 1, 1), (1.0, 2, 2)))
 
+    def test_boolean_entry_is_refused(self):
+        # bool is a subclass of int, but its JSON form would not parse back
+        with pytest.raises(TableauError, match="must be a positive integer, got True"):
+            IncreasingTableau.from_rows([[True, 2]])
+
     def test_from_rows(self):
         t = IncreasingTableau.from_rows([[1, 2], [2]], inner=())
         assert t.outer == (2, 1)
-        assert t.entry((2, 1)) == 2
+        assert t.entries[(2, 1)] == 2
 
     def test_superstandard(self):
         assert superstandard((3, 2)).rows() == [[1, 2, 3], [4, 5]]
@@ -150,6 +155,12 @@ class TestIterativeEnumerator:
             assert list(iter_increasing_cells(outer, inner, alphabet, surjective)) == list(
                 reference_increasing_cells(outer, inner, alphabet, surjective)
             )
+
+    @pytest.mark.parametrize("outer, inner", [((3,), (1, 1)), ((1,), (2,))])
+    def test_inner_outside_outer_is_refused(self, outer, inner):
+        # as SkewShape and every tableau type refuse it
+        with pytest.raises(ShapeFitError, match=r"inner .* not contained in outer"):
+            list(iter_increasing_cells(outer, inner, [1, 2]))
 
 
 class TestAugmented:
