@@ -242,6 +242,7 @@ class CacheRecord:
         ``value`` and the parts of ``lambda``, ``mu`` and ``nu`` must be JSON
         integers: a float or a boolean is rejected, never truncated.  Each
         check must be a ``[name, true|false]`` pair: a flag is never converted.
+        A ``timestamp`` must be a JSON number and a ``version`` a string.
         """
         doc = json.loads(line)
         if not isinstance(doc, dict):
@@ -257,7 +258,13 @@ class CacheRecord:
             _json_int(doc["value"], "value"),
             _json_checks(doc),
         )
-        return cls(record, float(doc.get("timestamp", 0.0)), doc.get("version", "unknown"))
+        timestamp = doc.get("timestamp", 0.0)
+        if type(timestamp) not in (int, float):  # a bool or a string is never converted
+            raise ValueError("timestamp must be a number")
+        version = doc.get("version", "unknown")
+        if type(version) is not str:
+            raise ValueError("version must be a string")
+        return cls(record, timestamp, version)
 
     @classmethod
     def now(cls, record: CoefficientRecord) -> "CacheRecord":

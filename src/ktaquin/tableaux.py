@@ -413,10 +413,10 @@ def enumerate_set_valued(
             raise ValueError(f"need a <= b, got {(a, b)}")
         for x in range(max(a + 1, 1), min(b, letters) + 1):
             checked[x] = True
-    boxes = [(r, c) for r, lo, hi in _region_rows(nu, inner) for c in range(hi, lo - 1, -1)]
-    n, total = len(boxes), sum(content)
-    if total < n:  # no filling; most zero D counts end here, before the set-up below
+    n, total = psize(nu) - psize(inner), sum(content)
+    if total < n:  # no filling; most zero D counts end here, before the region is listed
         return
+    boxes = [(r, c) for r, lo, hi in _region_rows(nu, inner) for c in range(hi, lo - 1, -1)]
     index = {box: i for i, box in enumerate(boxes)}
     right = [index.get((r, c + 1)) for r, c in boxes]
     above = [index.get((r - 1, c)) for r, c in boxes]

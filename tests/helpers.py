@@ -436,6 +436,28 @@ def superstandard_row(tally):
     return {outer: n for (outer, cells), n in tally.items() if cells == superstandard(outer).cells}
 
 
+def reference_tiles(filled, classes, placed, result) -> bool:
+    """The full-shape tiling check of one label step, box by box over the filled shape.
+
+    ``(filled, classes, placed)`` is a ``("label-step", ...)`` memo key and
+    ``result`` its value ``(now, new classes, landed)``.  The state stepped
+    from must be tiled by its S classes and the boxes landed before, which
+    are the rest of ``filled``; the state reached must be tiled by the new
+    S classes, those boxes and the newly landed ones, each box exactly once.
+    """
+    now, new, landed = result
+    old = boxes_of(filled)
+    in_classes = [box for s in classes for box in s]
+    if len(set(in_classes)) != len(in_classes) or not set(in_classes) <= set(old):
+        return False
+    earlier = set(old).difference(in_classes)
+    boxes = [(r, row_length(filled, r) + 1) for r in placed]
+    if now != add_boxes(filled, boxes) or len(new) != len(classes):
+        return False
+    tiles = [*earlier, *landed, *(box for s in new for box in s)]
+    return len(tiles) == len(set(tiles)) and set(tiles) == set(boxes_of(now))
+
+
 # ---------------------------------------------------------------------------
 # Reference E count: the per-filling loop that coefficients.coeff_E replaced
 # by the rook-strip sum of C rows.  Each X-augmented filling is enumerated and

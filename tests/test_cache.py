@@ -122,6 +122,49 @@ class TestCheckFlags:
         assert f"cache error: {path}:1: checks[0] must be [name, true|false]" in err
 
 
+class TestProvenanceFields:
+    """A present timestamp is a JSON number and a present version a string; neither is converted."""
+
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("timestamp", "12", "timestamp must be a number"),
+            ("timestamp", True, "timestamp must be a number"),
+            ("timestamp", "nan", "timestamp must be a number"),
+            ("timestamp", None, "timestamp must be a number"),
+            ("version", 7, "version must be a string"),
+            ("version", None, "version must be a string"),
+        ],
+        ids=["string-timestamp", "bool-timestamp", "nan-string-timestamp", "null-timestamp",
+             "int-version", "null-version"],
+    )
+    def test_wrong_types_are_refused(self, tmp_path, field, value, reason):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, (json.dumps(_doc(**{field: value})) + "\n").encode())
+        with pytest.raises(CacheFormatError) as err:
+            cache_load(path)
+        assert str(err.value) == f"{path}:1: {reason}"
+
+    def test_numbers_and_strings_load_as_given(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        docs = [json.loads(_c_record(i).to_json()) for i in (1, 2, 3)]
+        docs[0].update(timestamp=12, version="0.0.9")
+        docs[1].update(timestamp=1.5)
+        del docs[2]["timestamp"], docs[2]["version"]
+        _write(path, "".join(json.dumps(d) + "\n" for d in docs).encode())
+        table = cache_load(path)
+        got = sorted((rec.record.nu, rec.timestamp, rec.version) for rec in table.values())
+        assert got == [((1,), 12, "0.0.9"), ((2,), 1.5, formats.__version__), ((3,), 0.0, "unknown")]
+
+    def test_cli_exit_code(self, capsys, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, (json.dumps(_doc(timestamp="12")) + "\n").encode())
+        code = main(["coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_DISAGREEMENT
+        assert f"cache error: {path}:1: timestamp must be a number" in err
+
+
 class TestUtf8:
     def test_bad_byte_names_its_line(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

@@ -11,7 +11,7 @@ from ktaquin.jdt import InternalInvariantError
 from ktaquin.shapes import SkewShape, contains, partitions_in_rectangle, partitions_of, psize, star
 from ktaquin.tableaux import enumerate_increasing
 
-from helpers import random_skew, reference_rect_tally, superstandard_row
+from helpers import random_skew, reference_rect_tally, reference_tiles, superstandard_row
 
 SMALL = list(partitions_in_rectangle(2, 2))
 _REFERENCE: dict[tuple, dict] = {}
@@ -134,6 +134,44 @@ class TestInvariants:
         with pytest.raises(InternalInvariantError, match="do not tile"):
             _rect_count((3, 2), (1,), 3, targets)
 
+    @staticmethod
+    def _keep_the_old_boxes(monkeypatch):
+        coefficients._memo.clear()
+        real = jdt._run_switches
+
+        def keeping(entries, bullets, reverse, on_switch=None):
+            old = set(bullets)
+            real(entries, bullets, reverse, on_switch)
+            return old  # a class that moved is reported where it started
+
+        monkeypatch.setattr(jdt, "_run_switches", keeping)
+
+    @staticmethod
+    def _drop_a_landed_box(monkeypatch):
+        coefficients._memo.clear()
+        real = jdt._run_switches
+
+        def dropping(entries, bullets, reverse, on_switch=None):
+            bullets = real(entries, bullets, reverse, on_switch)
+            if entries:
+                entries.popitem()  # a box of the placed class vanishes
+            return bullets
+
+        monkeypatch.setattr(jdt, "_run_switches", dropping)
+
+    @pytest.mark.parametrize("mutant", ["_keep_the_old_boxes", "_drop_a_landed_box"])
+    def test_a_wrong_move_is_refused(self, monkeypatch, mutant):
+        getattr(self, mutant)(monkeypatch)
+        with pytest.raises(InternalInvariantError, match="do not tile"):
+            _rect_count((3, 2), (1,), 3)
+
+    @pytest.mark.parametrize("mutant", ["_keep_the_old_boxes", "_drop_a_landed_box"])
+    def test_a_wrong_move_is_refused_on_the_target_path(self, monkeypatch, mutant):
+        getattr(self, mutant)(monkeypatch)
+        targets = [frozenset({(1, 1)}), frozenset({(1, 2)}), frozenset({(2, 1)})]
+        with pytest.raises(InternalInvariantError, match="do not tile"):
+            _rect_count((3, 2), (1,), 3, targets)
+
 
 def _exhaustive_rows():
     """The (outer, inner, m) row of every C and every D in TestExhaustive's universes."""
@@ -170,6 +208,15 @@ class TestSharedSteps:
         assert self._steps() == canonical_steps
         assert len(rows) >= 800 and len(canonical_steps) >= 1000
         assert sum(1 for row in canonical.values() if row) >= 150
+
+    def test_every_step_tiles_its_filled_shape(self):
+        """Every step that a cold sweep keeps passes the full-shape tiling check of the reference."""
+        coefficients._memo.clear()
+        for row in _exhaustive_rows():
+            rect_tally(*row)
+        steps = self._steps()
+        assert len(steps) >= 1000
+        assert [key for key, value in steps.items() if not reference_tiles(*key[1:], value)] == []
 
     @staticmethod
     def _steps():

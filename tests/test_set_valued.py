@@ -5,9 +5,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ktaquin import coefficients
+from ktaquin import coefficients, tableaux
 from ktaquin.coefficients import coeff_C, coeff_D_buch
-from ktaquin.shapes import partitions_in_rectangle, psize
+from ktaquin.shapes import ShapeFitError, partitions_in_rectangle, psize
 from ktaquin.tableaux import enumerate_set_valued
 
 from helpers import reference_set_valued
@@ -83,6 +83,30 @@ def test_matches_reference(case):
 def test_refused(content, lattice):
     with pytest.raises(ValueError):
         list(enumerate_set_valued((2,), content, lattice))
+
+
+@pytest.mark.parametrize("content, lattice", [((-1,), ()), ((1,), [(2, 1)])], ids=["negative", "interval"])
+def test_refused_with_too_few_letters(content, lattice):
+    """Fewer letters than boxes ends the stream early, but never before the input is checked."""
+    with pytest.raises(ValueError):
+        list(enumerate_set_valued((2,), content, lattice))
+
+
+def test_inner_outside_outer_is_refused_with_too_few_letters():
+    with pytest.raises(ShapeFitError, match="not contained"):
+        list(enumerate_set_valued((3,), (), inner=(1, 1)))
+
+
+def test_zero_by_size_D_buch_builds_no_region(monkeypatch):
+    """|lambda| + |mu| < |nu| leaves a box without a letter: 0, before the boxes are listed."""
+    coefficients._memo.clear()
+
+    def unreachable(nu, inner):
+        raise AssertionError("the region was built for a count that is zero by size")
+
+    monkeypatch.setattr(tableaux, "_region_rows", unreachable)
+    assert coeff_D_buch((1,), (1,), (2, 1)) == 0
+    assert coeff_D_buch((2, 1), (1,), (3, 2)) == 0
 
 
 def test_a_long_row_nests_once_per_box():
