@@ -52,10 +52,11 @@ these keys:
 It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
 oracle included.
 
-Public functions normalise their shapes once, through the memo, and then
-reach the memoized counts directly; the private routes (``_memoized_count``,
-the ``_count_*`` functions, ``rect_tally``) take normal-form shapes and never
-normalise.
+Each coefficient route has one function: ``compute_with_checks`` reads its
+value from ``KINDS``, the rule that an unchecked query runs, and each check
+calls its route's function.  Public functions normalise their shapes through
+the memo; only ``_memoized_count``, the ``_count_*`` functions and
+``rect_tally`` take normal-form shapes and never normalise.
 
 Every jdt count (C, D, and E through C) goes label by label through
 ``_rect_count``, never filling by filling.
@@ -82,6 +83,7 @@ from .shapes import (
     contains,
     dual_in_rectangle,
     format_partition,
+    omega_dual,
     partition,
     partitions_in_rectangle,
     psize,
@@ -262,9 +264,9 @@ def _count_C(lam: Part, mu: Part, nu: Part) -> int:
 
 def _count_C_buch(lam: Part, mu: Part, nu: Part) -> int:
     """Buch's rule: set-valued tableaux of star(lam, mu) with content nu, reverse lattice on (1, len(nu))."""
-    shape = _star(lam, mu)
+    outer, inner = _star(lam, mu)
     lattice = [(1, len(nu))] if nu else []
-    count = sum(1 for _ in enumerate_set_valued(shape.outer, nu, lattice, shape.inner))
+    count = sum(1 for _ in enumerate_set_valued(outer, nu, lattice, inner))
     return _sign(psize(nu) - psize(lam) - psize(mu)) * count
 
 
@@ -279,12 +281,12 @@ def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = No
 
 
 def _count_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
-    shape = _star(lam, mu)
+    outer, inner = _star(lam, mu)
     if target is None:
-        count = rect_tally(shape.outer, shape.inner, psize(nu)).get(nu, 0)
+        count = rect_tally(outer, inner, psize(nu)).get(nu, 0)
     else:
         targets = [boxes for _, boxes in reversed(_label_groups_desc(target.cells))]
-        count = _rect_count(shape.outer, shape.inner, len(targets), targets).get((), 0)
+        count = _rect_count(outer, inner, len(targets), targets).get((), 0)
     return _sign(psize(lam) + psize(mu) + psize(nu)) * count
 
 
@@ -305,14 +307,21 @@ def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -
     """Splitting coefficient through the direct-sum identity D = C over the frame."""
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     frame.require_fits(lam, mu, nu)
-    rect = (frame.n1 - frame.k1,) * frame.k2  # omega_dual(frame)
-    return _memoized_count("C", rect, nu, _dagger(lam, mu, frame))
+    return _memoized_count("C", omega_dual(frame), nu, _dagger(lam, mu, frame))
 
 
 def coeff_E(lam: Part, mu: Part, nu: Part) -> int:
-    """Ideal-sheaf product constant: the signed rook-strip sum of jdt C."""
+    """Ideal-sheaf product constant: the signed rook-strip sum of jdt C.
+
+    That is the sum of (-1)^|nu/nubar| C(lam, mu, nubar) over nu minus a rook
+    strip.  Erasing the X marks of a filling of nu/lam leaves one that C counts
+    on some such nubar; a mark inside lam leaves a nubar without lam, where C is 0.
+    """
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _rook_strip_sum(lam, mu, nu)
+    return sum(
+        _memoized_count("C", lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
+        for nubar in rook_strip_contractions(nu)
+    )
 
 
 def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
@@ -324,31 +333,14 @@ def coeff_E_via_C(lam: Part, mu: Part, nu: Part) -> int:
     bitmask, so no rook-strip enumeration is shared with ``coeff_E``.
     """
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    return _marked_sum(lam, mu, nu)
-
-
-def _marked_sum(lam: Part, mu: Part, nu: Part) -> int:
-    """``coeff_E_via_C`` for normal-form shapes: sign x Buch's C over each subset of the marks."""
     if not contains(nu, lam):
         return 0
-    eligible = eligible_x_boxes(SkewShape._from_normal(nu, lam))
+    eligible = eligible_x_boxes(SkewShape(nu, lam))
     total = 0
     for mask in range(1 << len(eligible)):
         marks = [box for i, box in enumerate(eligible) if mask >> i & 1]
         total += _sign(len(marks)) * _memoized_count("C-buch", lam, mu, remove_boxes(nu, marks))
     return total
-
-
-def _rook_strip_sum(lam: Part, mu: Part, nu: Part) -> int:
-    """Sum of (-1)^|nu/nubar| C(lam, mu, nubar), jdt C, over nu minus a rook strip.
-
-    Erasing the X marks of a filling of nu/lam leaves one that C counts on some
-    such nubar; a mark inside lam leaves a nubar without lam, where C is 0.
-    """
-    return sum(
-        _memoized_count("C", lam, mu, nubar) * _sign(psize(nu) - psize(nubar))
-        for nubar in rook_strip_contractions(nu)
-    )
 
 
 def _is_rook_strip(outer: Part, inner: Part) -> bool:
@@ -509,11 +501,14 @@ def _identity_frame(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame | None)
 def compute_with_checks(
     kind: Kind, lam: Part, mu: Part, nu: Part, frame: DirectSumFrame | None = None
 ) -> CoefficientRecord:
-    """Compute one coefficient and run every independent cross-check for its kind."""
+    """Compute one coefficient by its ``KINDS`` rule and run every independent cross-check for its kind."""
+    rule = KINDS.get(kind)
+    if rule is None:
+        raise ValueError(f"unknown coefficient kind {kind!r}")
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
+    value = rule(lam, mu, nu)
     checks: list[tuple[str, bool]] = []
     if kind == "C":
-        value = _memoized_count("C", lam, mu, nu)
         if lam != mu:  # with equal factors the swap reads the same memo entry
             checks.append(("symmetry", value == _memoized_count("C", mu, lam, nu)))
         checks.append(("buch", value == _memoized_count("C-buch", lam, mu, nu)))
@@ -521,16 +516,11 @@ def compute_with_checks(
             checks.append(("classical", value == schur.lr_coefficient(lam, mu, nu)))
     elif kind in ("D", "F"):
         # F equals D, so F is confirmed by D's two independent routes
-        value = _memoized_count("D", lam, mu, nu)
         checks.append(("buch", value == _memoized_count("D-buch", lam, mu, nu)))
         frame = _identity_frame(lam, mu, nu, frame)
         checks.append(("identity", value == coeff_D_via_identity(lam, mu, nu, frame)))
     elif kind == "E":
-        value = _rook_strip_sum(lam, mu, nu)
-        checks.append(("rook-strip", value == _marked_sum(lam, mu, nu)))
-    elif kind == "c":
-        value = coeff_c_classical(lam, mu, nu)
-        checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))
+        checks.append(("rook-strip", value == coeff_E_via_C(lam, mu, nu)))
     else:
-        raise ValueError(f"unknown coefficient kind {kind!r}")
+        checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))
     return CoefficientRecord(kind, lam, mu, nu, value, tuple(checks))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import fcntl
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -218,6 +219,11 @@ def _json_checks(doc: dict) -> tuple[tuple[str, bool], ...]:
     return tuple(map(tuple, checks))
 
 
+def _not_json(token: str):
+    """Refuse the ``NaN`` and ``Infinity`` tokens that Python's json module would accept."""
+    raise ValueError(f"{token} is not a JSON number")
+
+
 @dataclass(frozen=True)
 class CacheRecord:
     """A coefficient record plus provenance metadata, one JSON line each."""
@@ -233,7 +239,7 @@ class CacheRecord:
     def to_json(self) -> str:
         doc = coefficient_to_json_dict(self.record)
         doc.update(timestamp=self.timestamp, version=self.version)
-        return json.dumps(doc, sort_keys=True)
+        return json.dumps(doc, sort_keys=True, allow_nan=False)
 
     @classmethod
     def from_json(cls, line: str) -> "CacheRecord":
@@ -242,9 +248,10 @@ class CacheRecord:
         ``value`` and the parts of ``lambda``, ``mu`` and ``nu`` must be JSON
         integers: a float or a boolean is rejected, never truncated.  Each
         check must be a ``[name, true|false]`` pair: a flag is never converted.
-        A ``timestamp`` must be a JSON number and a ``version`` a string.
+        A ``timestamp`` must be a finite JSON number and a ``version`` a string;
+        ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON in any field.
         """
-        doc = json.loads(line)
+        doc = json.loads(line, parse_constant=_not_json)
         if not isinstance(doc, dict):
             raise ValueError("record is not a JSON object")
         for name in _REQUIRED_FIELDS:
@@ -261,6 +268,8 @@ class CacheRecord:
         timestamp = doc.get("timestamp", 0.0)
         if type(timestamp) not in (int, float):  # a bool or a string is never converted
             raise ValueError("timestamp must be a number")
+        if type(timestamp) is float and not math.isfinite(timestamp):  # 1e999 parses as inf
+            raise ValueError("timestamp must be a finite number")
         version = doc.get("version", "unknown")
         if type(version) is not str:
             raise ValueError("version must be a string")

@@ -5,7 +5,7 @@ trailing zeros so there is a single canonical form.  Boxes are 1-based
 (row, column) matrix coordinates, row 1 at the top.
 
 Public functions normalise their shape arguments through ``partition``; the
-private ones (``_star``, ``_dagger``, ``SkewShape._from_normal``) take them in normal form.
+private ones (``_star``, ``_dagger``) take them in normal form.
 
 The engine's one memo, ``_memo``, lives here, below every module that reads
 it; ``coefficients`` documents its keys.  This module adds ``("partition", t)``:
@@ -225,21 +225,8 @@ class SkewShape:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outer", partition(self.outer))
         object.__setattr__(self, "inner", partition(self.inner))
-        self._check()
-
-    def _check(self) -> None:
         if not contains(self.outer, self.inner):
             raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
-
-    @classmethod
-    def _from_normal(cls, outer: Part, inner: Part) -> "SkewShape":
-        """Build from partitions already in normal form: only normalisation is
-        skipped, and the containment check runs as in every build."""
-        shape = object.__new__(cls)
-        object.__setattr__(shape, "outer", outer)
-        object.__setattr__(shape, "inner", inner)
-        shape._check()
-        return shape
 
     @classmethod
     def straight(cls, lam: Iterable[int]) -> "SkewShape":
@@ -309,15 +296,15 @@ def dual_in_rectangle(lam: Part, rect: AmbientRectangle) -> Part:
 
 def star(lam: Part, mu: Part) -> SkewShape:
     """lam and mu corner to corner, lam southwest; the inner shape is a rectangle."""
-    return _star(partition(lam), partition(mu))
+    return SkewShape(*_star(partition(lam), partition(mu)))
 
 
-def _star(lam: Part, mu: Part) -> SkewShape:
-    """``star`` of two partitions already in normal form."""
+def _star(lam: Part, mu: Part) -> tuple[Part, Part]:
+    """The (outer, inner) pair of ``star`` for two partitions already in normal form."""
     width = lam[0] if lam else 0
     outer = tuple(width + m for m in mu) + lam
     inner = (width,) * len(mu) if width else ()
-    return SkewShape._from_normal(outer, inner)
+    return outer, inner
 
 
 def omega(frame: DirectSumFrame) -> Part:

@@ -230,8 +230,10 @@ class SetValuedTableau:
         if set(sets) != region or len(sets) != len(cells):
             raise TableauError(f"cells do not fill {self.outer}/{self.inner} exactly once")
         for (r, c), vals in sets.items():
-            if not vals or any(v < 1 for v in vals):
-                raise TableauError(f"box {(r, c)} must hold a nonempty set of positive integers")
+            # bool is a subclass of int; the letters are sorted, so vals[0] is the least
+            ints = vals and all(type(v) is int for v in vals)
+            if not ints or vals[0] < 1 or len(set(vals)) < len(vals):
+                raise TableauError(f"box {(r, c)} must hold a nonempty set of distinct positive integers")
             right = sets.get((r, c + 1))
             if right is not None and max(vals) > min(right):
                 raise TableauError(f"row {r} not weakly increasing at column {c}")

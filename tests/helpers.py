@@ -478,7 +478,7 @@ def reference_count_E(lam, mu, nu):
     groups = _order_groups(superstandard(lam))
     target = superstandard(mu).entries
     alphabet = range(1, psize(mu) + 1)
-    eligible = eligible_x_boxes(SkewShape._from_normal(nu, lam))
+    eligible = eligible_x_boxes(SkewShape(nu, lam))
     count = 0
     for mask in range(1 << len(eligible)):
         erased = remove_boxes(nu, [b for i, b in enumerate(eligible) if mask >> i & 1])

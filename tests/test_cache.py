@@ -165,6 +165,55 @@ class TestProvenanceFields:
         assert f"cache error: {path}:1: timestamp must be a number" in err
 
 
+class TestNonFiniteNumbers:
+    """``NaN`` and ``Infinity`` are not JSON, and a timestamp is a finite number."""
+
+    @staticmethod
+    def _line(field: str, token: str) -> bytes:
+        doc = _doc(**{field: 0})
+        return json.dumps(doc).replace(f'"{field}": 0', f'"{field}": {token}').encode() + b"\n"
+
+    @pytest.mark.parametrize(
+        "field, token, reason",
+        [
+            ("timestamp", "NaN", "NaN is not a JSON number"),
+            ("timestamp", "Infinity", "Infinity is not a JSON number"),
+            ("timestamp", "-Infinity", "-Infinity is not a JSON number"),
+            ("value", "NaN", "NaN is not a JSON number"),
+            ("timestamp", "1e999", "timestamp must be a finite number"),
+            ("timestamp", "-1e999", "timestamp must be a finite number"),
+        ],
+        ids=["nan", "infinity", "minus-infinity", "nan-value", "overflow", "minus-overflow"],
+    )
+    def test_refused_with_path_and_line(self, tmp_path, field, token, reason):
+        path = str(tmp_path / "cache.jsonl")
+        cache_append(path, _c_record(2))
+        with open(path, "ab") as fh:
+            fh.write(self._line(field, token))
+        with pytest.raises(CacheFormatError) as err:
+            cache_load(path)
+        assert str(err.value) == f"{path}:2: {reason}"
+
+    def test_a_huge_int_timestamp_loads_as_given(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, self._line("timestamp", "1" + "0" * 400))
+        (rec,) = cache_load(path).values()
+        assert rec.timestamp == 10**400
+
+    def test_non_finite_timestamp_is_never_written(self):
+        for stamp in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CacheRecord(_c_record(1).record, stamp).to_json()
+
+    def test_cli_exit_code(self, capsys, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, self._line("timestamp", "NaN"))
+        code = main(["coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_DISAGREEMENT
+        assert f"cache error: {path}:1: NaN is not a JSON number" in err
+
+
 class TestUtf8:
     def test_bad_byte_names_its_line(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

@@ -52,6 +52,18 @@ class TestCoeffCommand:
         assert code == EXIT_OK
         assert out.strip() == line
 
+    @pytest.mark.parametrize("kind", ["C", "D", "E", "F", "c"])
+    @pytest.mark.parametrize(
+        "lam, mu, nu", [("[2]", "[2,1]", "[3,1]"), ("[2,1]", "[1]", "[3,1]"), ("[1]", "[1]", "[2,1]")]
+    )
+    def test_check_prints_the_unchecked_value(self, capsys, kind, lam, mu, nu):
+        argv = ["coeff", kind, "--lambda", lam, "--mu", mu, "--nu", nu]
+        code, plain, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        code, checked, _ = run(capsys, *argv, "--check")
+        assert code == EXIT_OK
+        assert checked.startswith(plain.rstrip("\n") + "  [")
+
     def test_ideal_sheaf_value(self, capsys):
         code, out, _ = run(capsys, "coeff", "E", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2,1]")
         assert code == EXIT_OK

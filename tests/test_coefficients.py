@@ -383,6 +383,26 @@ class TestRecords:
         assert rec.value == -2
         assert rec.checks == (("buch", True), ("identity", True))
 
+    @pytest.mark.parametrize("kind", sorted(coefficients.KINDS))
+    def test_checked_value_is_the_kinds_rule(self, kind):
+        rule = coefficients.KINDS[kind]
+        small = list(partitions_in_rectangle(2, 2))
+        for lam in small:  # the sign-invariant sweep
+            for mu in small:
+                for nu in partitions_in_rectangle(2, 3):
+                    assert compute_with_checks(kind, lam, mu, nu).value == rule(lam, mu, nu)
+
+    def test_unknown_kind_is_refused_before_any_count(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a count ran for an unknown kind")
+
+        monkeypatch.setattr(coefficients, "_memoized_count", refuse)
+        monkeypatch.setattr(schur, "lr_coefficient", refuse)
+        for kind in list(coefficients.KINDS):
+            monkeypatch.setitem(coefficients.KINDS, kind, refuse)
+        with pytest.raises(ValueError, match=r"^unknown coefficient kind 'X'$"):
+            compute_with_checks("X", (1,), (1,), (2,))
+
 
 class TestSchurOracle:
     def test_pieri(self):

@@ -95,6 +95,10 @@ class TestGrid:
         with pytest.raises(ShapeFitError):
             parse_tableau("1 2\n3 4 5")  # outer rows increase
 
+    def test_a_repeated_set_letter_is_refused(self):
+        with pytest.raises(TableauError, match="distinct positive integers"):
+            parse_tableau("{1,1}")
+
     def test_random_round_trips(self):
         rng = random.Random(31)
         for _ in range(100):

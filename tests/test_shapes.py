@@ -229,6 +229,7 @@ class TestStar:
         s = star((2,), (2, 1))
         assert s.outer == (4, 3, 2)
         assert s.inner == (2, 2)
+        assert type(s) is SkewShape and s == SkewShape((4, 3, 2), (2, 2))
 
     @given(partitions_small, partitions_small)
     @settings(max_examples=100)

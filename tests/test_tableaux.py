@@ -237,6 +237,15 @@ class TestSetValued:
         with pytest.raises(TableauError):
             SetValuedTableau((1, 1), ((1, 1, (1, 2)), (2, 1, (2,))))
 
+    @pytest.mark.parametrize(
+        "letters",
+        [(True,), (1.5,), (1, 1), (2, 1, 2), (0, 1), ()],
+        ids=["bool", "float", "repeat", "unsorted-repeat", "zero", "empty"],
+    )
+    def test_letters_are_distinct_positive_ints(self, letters):
+        with pytest.raises(TableauError, match="distinct positive integers"):
+            SetValuedTableau((1,), ((1, 1, letters),))
+
     def test_enumerate_content(self):
         assert sum(1 for _ in enumerate_set_valued((1,), (1,))) == 1
         got = list(enumerate_set_valued((1,), (1, 1)))
