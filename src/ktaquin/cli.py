@@ -133,7 +133,7 @@ def cmd_expand(args) -> int:
         payload = {format_partition(nu): v for nu, v in sorted(table.items())}
         lines = [f"{format_partition(nu)}: {v}" for nu, v in sorted(table.items())]
         _emit(args, payload, "\n".join(lines) if lines else "(zero)")
-    elif args.op == "coproduct":
+    else:  # coproduct, the one other --op choice
         if None in (args.nu, args.frame):
             raise ValueError("coproduct expansion needs --nu and --frame k1,n1,k2,n2")
         nu = parse_partition(args.nu)
@@ -148,8 +148,6 @@ def cmd_expand(args) -> int:
             for (lam, mu), v in sorted(table.items())
         ]
         _emit(args, payload, "\n".join(lines) if lines else "(zero)")
-    else:
-        raise ValueError(f"unknown expansion {args.op!r}")
     return EXIT_OK
 
 
@@ -197,7 +195,7 @@ def cmd_enumerate(args) -> int:
         stream = enumerate_increasing(shape, alphabet, args.surjective)
     elif args.kind == "augmented":
         stream = enumerate_augmented(shape, alphabet)
-    elif args.kind == "set-valued":
+    else:  # set-valued, the one other --kind choice
         if args.inner is not None:
             raise ValueError("set-valued enumeration takes a straight shape; drop --inner")
         if args.max_entry is not None:
@@ -206,8 +204,6 @@ def cmd_enumerate(args) -> int:
             raise ValueError("set-valued enumeration needs --content a,b,c")
         content = tuple(_integer(x, "--content") for x in args.content.split(","))
         stream = enumerate_set_valued(outer, content)
-    else:
-        raise ValueError(f"unknown kind {args.kind!r}")
     count = 0
     blocks = []
     for t in stream:

@@ -470,28 +470,22 @@ class CoefficientRecord:
         return all(ok for _, ok in self.checks)
 
 
-def _default_frame(lam: Part, mu: Part, nu: Part) -> DirectSumFrame:
-    """Smallest frame whose rectangles accommodate all three shapes, with one spare column for lam.
-
-    The spare column keeps the identity's C shape off star(lam, mu), as in ``_identity_frame``.
-    """
-    k1 = max(len(lam), 1)
-    c1 = (lam[0] if lam else 0) + 1
-    k2 = max(len(mu), 1, len(nu) - k1)
-    c2 = max(mu[0] if mu else 0, 1, (nu[0] if nu else 0) - c1)
-    return DirectSumFrame(k1, k1 + c1, k2, k2 + c2)
-
-
 def _identity_frame(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame | None) -> DirectSumFrame:
     """The frame in which the direct-sum identity checks D, for normal-form shapes.
 
     The identity reads C over dagger(lam, mu)/omega_dual.  If the first rectangle
     is lam[0] wide and the second has len(mu) rows, that is star(lam, mu), D's own
     shape, so the frame gets one more column in its first rectangle.  No frame
-    gives ``_default_frame``.  Fits are checked in the frame as given.
+    gives the smallest frame whose rectangles hold all three shapes with one
+    spare column for lam, which keeps the identity's C shape off star(lam, mu)
+    for the same reason.  A given frame's fits are checked as given.
     """
     if frame is None:
-        return _default_frame(lam, mu, nu)
+        k1 = max(len(lam), 1)
+        c1 = (lam[0] if lam else 0) + 1
+        k2 = max(len(mu), 1, len(nu) - k1)
+        c2 = max(mu[0] if mu else 0, 1, (nu[0] if nu else 0) - c1)
+        return DirectSumFrame(k1, k1 + c1, k2, k2 + c2)
     frame.require_fits(lam, mu, nu)
     if lam and frame.n1 - frame.k1 == lam[0] and frame.k2 == len(mu):
         return DirectSumFrame(frame.k1, frame.n1 + 1, frame.k2, frame.n2)

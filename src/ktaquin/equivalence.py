@@ -165,11 +165,9 @@ def is_rectangle(lam: Part) -> bool:
 
 
 def _seed_instance(lam: Part) -> tuple[Part, dict[Box, int]] | None:
-    """The spread-out seed at the first descent; None when it does not fit."""
+    """The spread-out seed at the first descent of a non-rectangle; None when it does not fit."""
     ell = len(lam)
-    r = next((i for i in range(2, ell + 1) if lam[i - 2] > lam[i - 1]), None)
-    if r is None:
-        return None
+    r = next(i for i in range(2, ell + 1) if lam[i - 2] > lam[i - 1])
     entries: dict[Box, int] = {(1, lam[0] + 1): 2, (r, lam[r - 1] + 1): 1, (r, lam[r - 1] + 2): 4}
     rows = list(lam)
     rows[0] += 1

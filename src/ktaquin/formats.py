@@ -224,6 +224,10 @@ def _not_json(token: str):
     raise ValueError(f"{token} is not a JSON number")
 
 
+# built once: json.loads with parse_constant would build a decoder per cache line
+_DECODER = json.JSONDecoder(parse_constant=_not_json)
+
+
 @dataclass(frozen=True)
 class CacheRecord:
     """A coefficient record plus provenance metadata, one JSON line each."""
@@ -251,7 +255,7 @@ class CacheRecord:
         A ``timestamp`` must be a finite JSON number and a ``version`` a string;
         ``NaN``, ``Infinity`` and ``-Infinity`` are not JSON in any field.
         """
-        doc = json.loads(line, parse_constant=_not_json)
+        doc = _DECODER.decode(line)
         if not isinstance(doc, dict):
             raise ValueError("record is not a JSON object")
         for name in _REQUIRED_FIELDS:

@@ -24,9 +24,9 @@ the slide is reached; only reverse rectification, whose corners are the
 legal ones by construction, skips the check.  ``_run_switches`` loops over
 the stages of a slide.  A stage with one (bullet, label box) pair, the most
 common kind, runs inline there; a stage with several pairs is one call of
-``_switch``, which also checks for blocks and long ribbons.  The label steps
-of the coefficient counts run each order class through ``_run_switches`` too,
-so no other module sees the switch protocol.
+``_switch``, which also checks for blocks and long ribbons.  Outside this
+module only ``coefficients._label_step`` calls ``_run_switches``: each S class
+of a label step is the bullets of one slide, and gets the same checks.
 
 ``switch_trace`` records a state after the bullets are placed and after each
 stage, through the kernel's ``on_switch`` hook; ``extend_trace`` continues a
@@ -280,34 +280,33 @@ def _slide(
 
 def kjdt_slide(t: IncreasingTableau, corners: Iterable[Box]) -> IncreasingTableau:
     """Forward slide of t into a nonempty set of inner corners."""
-    corners = frozenset(corners)
-    _check_corners(t.inner, t.outer, corners, False)
-    entries = t.entries
-    inner, outer, _ = _slide(entries, t.inner, t.outer, corners, False)
-    return IncreasingTableau._from_kernel(outer, inner, entries)
+    return _slide_tableau(t, corners, False)
 
 
 def rev_kjdt_slide(
     t: IncreasingTableau, corners: Iterable[Box], ambient: AmbientRectangle
 ) -> IncreasingTableau:
     """Reverse slide of t into a nonempty set of outer corners within the ambient."""
+    return _slide_tableau(t, corners, True, ambient)
+
+
+def _slide_tableau(
+    t: IncreasingTableau, corners: Iterable[Box], reverse: bool, ambient: AmbientRectangle | None = None
+) -> IncreasingTableau:
+    """The one body of ``kjdt_slide`` and ``rev_kjdt_slide``: check the corners, slide, build."""
     corners = frozenset(corners)
-    _check_corners(t.inner, t.outer, corners, True, ambient)
+    _check_corners(t.inner, t.outer, corners, reverse, ambient)
     entries = t.entries
-    inner, outer, _ = _slide(entries, t.inner, t.outer, corners, True)
+    inner, outer, _ = _slide(entries, t.inner, t.outer, corners, reverse)
     return IncreasingTableau._from_kernel(outer, inner, entries)
 
 
 def _label_groups_desc(cells: Cells) -> list[tuple[int, frozenset[Box]]]:
+    """Each label with its boxes, largest label first: the corner sets of an order."""
     groups: dict[int, set[Box]] = {}
     for r, c, v in cells:
         groups.setdefault(v, set()).add((r, c))
     return [(v, frozenset(groups[v])) for v in sorted(groups, reverse=True)]
-
-
-def _order_groups(order: IncreasingTableau) -> list[frozenset[Box]]:
-    """The corner sets of a rectification order, largest label first."""
-    return [boxes for _, boxes in _label_groups_desc(order.cells)]
 
 
 def kinfusion(a: IncreasingTableau, b: IncreasingTableau) -> tuple[IncreasingTableau, IncreasingTableau]:
@@ -344,7 +343,7 @@ def krect(t: IncreasingTableau, order: IncreasingTableau | None = None) -> Incre
         raise ShapeFitError(f"order must be a straight tableau of shape {t.inner}")
     entries = t.entries
     inner, outer = t.inner, t.outer
-    for corners in _order_groups(order):
+    for _, corners in _label_groups_desc(order.cells):
         _check_corners(inner, outer, corners, False)
         inner, outer, _ = _slide(entries, inner, outer, corners, False)
     return IncreasingTableau._from_kernel(outer, inner, entries)

@@ -46,8 +46,6 @@ def _schur_monomials(lam: Part, nvars: int, base: int) -> Monomials:
 def _semistandard_weights(lam: Part, nvars: int, base: int) -> Monomials:
     """Count the semistandard fillings of lam over 1..nvars by packed content."""
     counts: Monomials = {}
-    if len(lam) > nvars:
-        return counts
     weight = [0] + [base ** (nvars - v) for v in range(1, nvars + 1)]  # x_v's packed monomial
     boxes = [(r, c) for r, width in enumerate(lam) for c in range(width)]
     index = {box: i for i, box in enumerate(boxes)}

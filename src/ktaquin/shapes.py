@@ -335,14 +335,9 @@ def _dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
 
 
 def oslash(mu: Part, lam: Part, frame: DirectSumFrame) -> Part:
-    """lam to the right of the k1 x (n2-k2) rectangle, mu below it."""
-    lam, mu = partition(lam), partition(mu)
-    frame.require_fits(lam, mu)
-    base = frame.n2 - frame.k2
-    rows = tuple(base + row_length(lam, i) for i in range(1, frame.k1 + 1)) + mu
-    result = partition(rows)
-    _require_fit(result, frame.k, frame.n - frame.k)
-    return result
+    """lam to the right of the k1 x (n2-k2) rectangle, mu below it: ``dagger`` of the
+    swapped frame (k2, n2, k1, n1), so a misfit raises ShapeFitError, naming mu if both misfit."""
+    return dagger(mu, lam, DirectSumFrame(frame.k2, frame.n2, frame.k1, frame.n1))
 
 
 def rook_strip_contractions(nu: Part) -> tuple[Part, ...]:

@@ -56,8 +56,8 @@ def _validate_increasing(outer: Part, inner: Part, entries: dict[Box, int]) -> N
             below = get((r + 1, c))
             if below is not None and below <= v:
                 raise TableauError(f"column {c} not strictly increasing at row {r}")
-    except TypeError:  # a position that is not an integer
-        raise TableauError(f"cell positions must be integers, got {list(entries)}") from None
+    except TypeError:  # a position, or a label next to the one checked, that is not an integer
+        raise _cell_error([(r, c, v) for (r, c), v in entries.items()]) from None
     if len(entries) != psize(outer) - psize(inner):
         raise _region_error(outer, inner, entries)
 
@@ -65,6 +65,31 @@ def _validate_increasing(outer: Part, inner: Part, entries: dict[Box, int]) -> N
 def _region_error(outer: Part, inner: Part, entries: dict[Box, int]) -> TableauError:
     region = [(r, c) for r, lo, hi in _region_rows(outer, inner) for c in range(lo, hi + 1)]
     return TableauError(f"entries fill {sorted(entries)} but the region of {outer}/{inner} is {region}")
+
+
+def _cell_error(cells, set_valued: bool = False) -> TableauError:
+    """The error for the first cell that is not a triple, or has a position or label of the wrong type.
+
+    Only a build that failed to sort, unpack or compare its cells runs this
+    scan, so well-formed cells pay nothing for it.
+    """
+    try:
+        cells = list(cells)
+    except TypeError:
+        return TableauError(f"cells must be (row, column, label) triples, got {cells!r}")
+    for cell in cells:
+        try:
+            r, c, v = cell
+        except (TypeError, ValueError):
+            return TableauError(f"cell {cell!r} must be a (row, column, label) triple")
+        if type(r) is not int or type(c) is not int:
+            return TableauError(f"cell positions must be integers, got {(r, c)!r}")
+        if set_valued:
+            if not (isinstance(v, Iterable) and all(type(x) is int for x in v)):
+                return TableauError(f"box {(r, c)} must hold a nonempty set of distinct positive integers")
+        elif type(v) is not int or v < 1:  # bool is a subclass of int
+            return TableauError(f"entry at {(r, c)} must be a positive integer, got {v!r}")
+    return TableauError(f"cells must be (row, column, label) triples of integers, got {cells!r}")
 
 
 @dataclass(frozen=True)
@@ -78,9 +103,13 @@ class IncreasingTableau:
     def __post_init__(self) -> None:
         object.__setattr__(self, "outer", partition(self.outer))
         object.__setattr__(self, "inner", partition(self.inner))
-        object.__setattr__(self, "cells", tuple(sorted(map(tuple, self.cells))))
-        entries = {(r, c): v for r, c, v in self.cells}
-        if len(entries) != len(self.cells):
+        try:
+            cells = tuple(sorted(map(tuple, self.cells)))
+            entries = {(r, c): v for r, c, v in cells}
+        except (TypeError, ValueError):  # a cell that is not a triple, or of incomparable types
+            raise _cell_error(self.cells) from None
+        object.__setattr__(self, "cells", cells)
+        if len(entries) != len(cells):
             raise TableauError("duplicate box in cells")
         self._check(entries)
 
@@ -185,14 +214,21 @@ class AugmentedTableau:
 
     def __post_init__(self) -> None:
         shape = SkewShape(self.outer, self.inner)
-        object.__setattr__(self, "x_marks", tuple(sorted(self.x_marks)))
-        marks = set(self.x_marks)
+        try:
+            object.__setattr__(self, "x_marks", tuple(sorted(self.x_marks)))
+            marks = set(self.x_marks)
+        except TypeError:  # marks of incomparable or unhashable types
+            raise TableauError(f"X marks must be (row, column) pairs of ints, got {self.x_marks!r}") from None
+        try:
+            numbered = {(r, c) for r, c, _ in self.cells}
+        except (TypeError, ValueError):
+            raise _cell_error(self.cells) from None
         if len(marks) != len(self.x_marks):
             raise TableauError("duplicate X mark")
         eligible = set(eligible_x_boxes(shape))
         if not marks <= eligible:
             raise TableauError(f"X marks {sorted(marks - eligible)} are not outer corners of the region")
-        if marks & {(r, c) for r, c, _ in self.cells}:
+        if marks & numbered:
             raise TableauError("a box carries both a number and an X")
         numeric = IncreasingTableau(remove_boxes(shape.outer, marks), shape.inner, self.cells)
         object.__setattr__(self, "outer", shape.outer)
@@ -223,10 +259,13 @@ class SetValuedTableau:
         object.__setattr__(self, "inner", partition(self.inner))
         if not contains(self.outer, self.inner):
             raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
-        cells = tuple(sorted((r, c, tuple(sorted(vals))) for r, c, vals in self.cells))
+        try:
+            cells = tuple(sorted((r, c, tuple(sorted(vals))) for r, c, vals in self.cells))
+            sets = {(r, c): vals for r, c, vals in cells}
+        except (TypeError, ValueError):  # a cell that is not a triple, or of incomparable types
+            raise _cell_error(self.cells, set_valued=True) from None
         object.__setattr__(self, "cells", cells)
         region = {(r, c) for r, lo, hi in _region_rows(self.outer, self.inner) for c in range(lo, hi + 1)}
-        sets = {(r, c): vals for r, c, vals in cells}
         if set(sets) != region or len(sets) != len(cells):
             raise TableauError(f"cells do not fill {self.outer}/{self.inner} exactly once")
         for (r, c), vals in sets.items():
@@ -441,8 +480,6 @@ def enumerate_set_valued(
         if i == n:
             if not remaining:
                 yield SetValuedTableau(nu, tuple((r, c, s) for (r, c), s in zip(boxes, sets)), inner)
-            return
-        if remaining < n - i:  # some box would be left without a letter
             return
         top = letters if right[i] is None else sets[right[i]][-1]
         floor = 0 if above[i] is None else sets[above[i]][0]

@@ -24,7 +24,7 @@ from ktaquin.equivalence import (
     available_steps,
     check_strong_dual_equivalence,
 )
-from ktaquin.jdt import InternalInvariantError, _check_corners, _order_groups, _slide, switch_trace
+from ktaquin.jdt import InternalInvariantError, _check_corners, _label_groups_desc, _slide, switch_trace
 from ktaquin.tableaux import (
     IncreasingTableau,
     SetValuedTableau,
@@ -419,7 +419,7 @@ def _rectify_entries(entries, outer, inner, groups):
 def reference_rect_tally(outer, inner, alphabet):
     """Histogram of the rectifications of every surjective filling of outer/inner."""
     outer, inner = partition(outer), partition(inner)
-    groups = _order_groups(superstandard(inner))
+    groups = [boxes for _, boxes in _label_groups_desc(superstandard(inner).cells)]
     tally = {}
     for cells in iter_increasing_cells(outer, inner, alphabet, surjective=True):
         entries = {(r, c): v for r, c, v in cells}
@@ -475,7 +475,7 @@ def reference_count_E(lam, mu, nu):
     """
     if not contains(nu, lam):
         return 0
-    groups = _order_groups(superstandard(lam))
+    groups = [boxes for _, boxes in _label_groups_desc(superstandard(lam).cells)]
     target = superstandard(mu).entries
     alphabet = range(1, psize(mu) + 1)
     eligible = eligible_x_boxes(SkewShape(nu, lam))

@@ -92,6 +92,16 @@ class TestIntegerFields:
         assert f"{path}:1: value must be an integer" in err and "Traceback" not in err
 
 
+class TestKind:
+    def test_unknown_kind_exits_2(self, capsys, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        _write(path, (json.dumps(_doc(kind="X")) + "\n").encode())
+        code = main(["coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--cache", path])
+        err = capsys.readouterr().err
+        assert code == EXIT_DISAGREEMENT
+        assert err == f"cache error: {path}:1: unknown coefficient kind 'X'\n"
+
+
 class TestCheckFlags:
     """Each check is a [name, true|false] pair; a flag is never converted."""
 

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ktaquin import coefficients, suites
-from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
+from ktaquin import cli, coefficients, suites
+from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from ktaquin.coefficients import DisagreementError, expand_product
+from ktaquin.jdt import InternalInvariantError
 from ktaquin.shapes import AmbientRectangle, format_partition, parse_partition, partitions_in_rectangle, star
 
 from helpers import drop_the_all_corners_strip
@@ -134,6 +135,12 @@ class TestCoeffCommand:
         c_shapes = [(outer, inner) for kind, inner, _, outer in reads if kind == "C"]
         own = star((2,), (2, 1))
         assert len(c_shapes) == 1 and c_shapes[0] != (own.outer, own.inner)
+
+    def test_a_failed_check_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(coefficients, "coeff_E_via_C", lambda lam, mu, nu: 0)
+        code, out, err = run(capsys, "coeff", "E", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2,1]", "--check")
+        assert code == EXIT_DISAGREEMENT and err == ""
+        assert out == "E[1],[1]->[2,1] = -3  [rook-strip:DISAGREE]\n"
 
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "coeff", "D", "--lambda", "oops", "--mu", "[]", "--nu", "[]")
@@ -301,6 +308,12 @@ class TestExpandCommand:
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {argv[1]} expansion needs")
 
+    def test_malformed_ambient(self, capsys):
+        argv = ["expand", "--op", "product", "--lambda", "[1]", "--mu", "[1]", "--ambient", "3"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: bad ambient '3': expected k,n\n"
+
     @pytest.mark.parametrize(
         "argv, stray",
         [
@@ -349,6 +362,20 @@ class TestVerifyCommand:
 
 
 class TestOtherCommands:
+    def test_help(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == EXIT_OK
+        assert out.startswith("usage: ktaquin")
+
+    def test_invariant_violation_exits_3(self, capsys, monkeypatch):
+        def broken(t, order):
+            raise InternalInvariantError("adjacent bullets at (1, 1), (1, 2)")
+
+        monkeypatch.setattr(cli, "krect", broken)
+        code, out, err = run(capsys, "rectify", "--tableau", ". 1\n1")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal invariant violation: adjacent bullets at (1, 1), (1, 2)\n"
+
     def test_module_entry_point(self):
         # ``python -m ktaquin`` runs the same main as the installed script
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -374,6 +401,18 @@ class TestOtherCommands:
         )
         assert code == EXIT_OK
         assert json.loads(out)["count"] == 4
+
+    def test_enumerate_augmented_as_text(self, capsys):
+        code, out, _ = run(
+            capsys, "enumerate", "--outer", "[2,1]", "--inner", "[1]", "--kind", "augmented", "--max-entry", "1"
+        )
+        assert code == EXIT_OK
+        assert out == "3 tableaux\n. 1\n1\n\n. X\n1\n\n. 1\nX\n"
+
+    def test_enumerate_set_valued_needs_content(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--outer", "[2]", "--kind", "set-valued")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: set-valued enumeration needs --content a,b,c\n"
 
     def test_enumerate_negative_content(self, capsys):
         code, out, err = run(capsys, "enumerate", "--outer", "[2]", "--kind", "set-valued", "--content=-1,2,1")

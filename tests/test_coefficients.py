@@ -123,7 +123,7 @@ class TestCoeffDIdentity:
         assert len(triples) == 28000
         same = []
         for lam, mu, nu in triples:
-            frame = coefficients._default_frame(lam, mu, nu)
+            frame = coefficients._identity_frame(lam, mu, nu, None)
             frame.require_fits(lam, mu, nu)
             d_shape = star(lam, mu)
             if (dagger(lam, mu, frame), omega_dual(frame)) == (d_shape.outer, d_shape.inner):
@@ -325,6 +325,10 @@ class TestExpansions:
 
     def test_unit(self):
         assert expand_product((), (2, 1), AmbientRectangle(2, 4)) == {(2, 1): 1}
+
+    def test_unknown_basis_is_refused(self):
+        with pytest.raises(ValueError, match="basis must be structure-sheaf or ideal-sheaf, got 'schubert'"):
+            expand_product((1,), (1,), AmbientRectangle(2, 4), basis="schubert")
 
     def test_coproduct_single_box(self):
         table = expand_coproduct((1,), DirectSumFrame(1, 2, 1, 2))

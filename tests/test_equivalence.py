@@ -17,6 +17,8 @@ from ktaquin.shapes import (
 from ktaquin.tableaux import IncreasingTableau, enumerate_increasing, superstandard
 from ktaquin.jdt import SlideStep, SwitchState, SwitchTrace, extend_trace, switch_trace
 from ktaquin.equivalence import (
+    EquivalenceVerdict,
+    _divergence,
     check_count_independence,
     check_strong_dual_equivalence,
     check_superstandard_independence,
@@ -76,6 +78,21 @@ class TestStrongEquivalence:
         a, b = T([[1, 2, 3], [3]]), T([[1, 2, 3], [4]])
         verdict = random_equivalence_run(a, b, AmbientRectangle(4, 9), 4, random.Random(0))
         assert (verdict.equivalent, verdict.divergence_stage, verdict.stages_compared) == (False, 8, 9)
+
+    def test_random_run_stops_when_the_shape_fills_the_ambient(self):
+        # (2, 2) is the whole 2 x 2 ambient: no inner corner, no outer corner
+        a, b = T([[1, 2], [3, 4]]), T([[1, 3], [2, 4]])
+        verdict = random_equivalence_run(a, b, AmbientRectangle(2, 4), 3, random.Random(0))
+        assert verdict == EquivalenceVerdict(True, None, 0)
+
+    def test_a_trace_that_ends_first_diverges_at_its_length(self):
+        # no pair of tableaux has been seen to reach this, so the shorter trace is cut by hand
+        a = T([[1, 2], [3]])
+        trace = switch_trace(a, [SlideStep("reverse", frozenset({(2, 2)}))], AmbientRectangle(2, 5))
+        assert len(trace.states) > 1
+        short = SwitchTrace(trace.start, trace.states[:1], trace.origins[:1])
+        assert _divergence(trace, short, 0) == EquivalenceVerdict(False, 1, 1)
+        assert _divergence(short, trace, 0) == EquivalenceVerdict(False, 1, 1)
 
     def test_shape_mismatch_rejected(self):
         a, b, ambient = T([[1, 2]]), T([[1], [2]]), AmbientRectangle(3, 6)
@@ -341,6 +358,11 @@ class TestSuperstandardIndependence:
         # results differ across orders, so none may be superstandard
         assert report.consistent
         assert not report.any_superstandard
+
+    def test_inner_shape_of_more_than_five_boxes_is_refused(self):
+        t = IncreasingTableau((4, 3), (3, 3), ((1, 4, 1),))
+        with pytest.raises(ShapeFitError, match="inner shape too large to exhaust rectification orders"):
+            check_superstandard_independence(t)
 
     def test_contributing_tableau(self):
         # both boxes labeled 1 rectify to the one-box superstandard under all orders

@@ -84,6 +84,17 @@ class TestGrid:
             parse_tableau("1 . 2")
         assert (err.value.row, err.value.col) == (1, 2)
 
+    @pytest.mark.parametrize(
+        "text, message", [("1 {}", "row 1, column 2: empty set"), ("1\n{a}", "row 2, column 1: bad set '{a}'")]
+    )
+    def test_bad_set_tokens(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_tableau(text)
+        assert str(err.value) == message
+
+    def test_an_empty_grid_is_the_empty_tableau(self):
+        assert parse_tableau(" \n\n") == IncreasingTableau((), (), ())
+
     def test_a_mark_in_a_set_valued_grid_is_reported_where_it_is(self):
         with pytest.raises(ParseError, match="set-valued tableaux are unmarked") as err:
             parse_tableau("1 {2,3}\nX")
@@ -176,6 +187,11 @@ class TestJsonForm:
         with pytest.raises(ParseError) as err:
             parse_tableau(json.dumps(doc))
         assert str(err.value) == f"row 1, column 1: {reason}"
+
+    def test_cells_that_are_not_a_list(self):
+        with pytest.raises(ParseError) as err:
+            parse_tableau(json.dumps({"outer": [1], "cells": {"1": 1}}))
+        assert str(err.value) == "row 1, column 1: cells must be a list"
 
     def test_cli_exit_code(self, capsys):
         from ktaquin.cli import EXIT_USAGE, main

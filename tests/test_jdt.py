@@ -165,6 +165,12 @@ class TestKinfusion:
         empty = superstandard(())
         assert kinfusion(empty, t) == (t, tab((2, 1), (2, 1), {}))
 
+    def test_mismatched_shapes_are_refused(self):
+        b = tab((2, 1), (2,), {(2, 1): 1})
+        with pytest.raises(ShapeFitError) as err:
+            kinfusion(superstandard((1,)), b)
+        assert str(err.value) == "inner shape of second tableau (2,) must equal outer of first (1,)"
+
     def test_involution_random(self):
         rng = random.Random(99)
         checked = 0
@@ -306,6 +312,16 @@ class TestRectificationOrders:
         assert list(rectification_orders(())) == [superstandard(())]
 
 
+class TestSlideStep:
+    def test_bad_direction_is_refused(self):
+        with pytest.raises(ValueError, match="direction must be forward or reverse, got 'sideways'"):
+            SlideStep("sideways", {(1, 1)})
+
+    def test_empty_corners_are_refused(self):
+        with pytest.raises(ValueError, match="corner set must be nonempty"):
+            SlideStep("forward", ())
+
+
 class TestSwitchTrace:
     def test_displayed_four_states(self):
         ambient = AmbientRectangle(3, 7)
@@ -370,6 +386,11 @@ class TestRevKrectInAmbient:
         t = tab((2, 1), (), {(1, 1): 1, (1, 2): 2, (2, 1): 3})
         with pytest.raises(ShapeFitError):
             rev_krect_in_ambient(t, AmbientRectangle(3, 6))
+
+    def test_skew_rejected(self):
+        t = tab((2,), (1,), {(1, 2): 1})
+        with pytest.raises(ShapeFitError, match="input must be a straight tableau"):
+            rev_krect_in_ambient(t, AmbientRectangle(2, 4))
 
     def test_equals_the_slide_by_slide_chain(self):
         """Every filling over 1..6 of every c x d rectangle, c, d <= 3, with 0-2 spare rows and columns."""

@@ -85,6 +85,13 @@ class TestHeckeInsert:
             out = hecke_insert(z, x)
             assert out.values <= z.values | {x}
 
+    def test_refusals(self):
+        skew = IncreasingTableau((2,), (1,), ((1, 2, 1),))
+        with pytest.raises(TableauError, match="insertion target must be a straight tableau"):
+            hecke_insert(skew, 1)
+        with pytest.raises(ValueError, match="inserted letter must be a positive integer"):
+            hecke_insert(T([[1]]), 0)
+
 
 class TestDiamond:
     def test_displayed_product(self):
@@ -93,6 +100,11 @@ class TestDiamond:
     def test_unit(self):
         z = T([[1, 3], [2, 4]])
         assert diamond(z, IncreasingTableau((), (), ())) == z
+
+    def test_skew_rejected(self):
+        skew = IncreasingTableau((2,), (1,), ((1, 2, 1),))
+        with pytest.raises(TableauError, match="both factors must be straight tableaux"):
+            diamond(T([[1]]), skew)
 
     def test_differs_from_odot(self):
         z, u = T([[1, 2, 3], [2, 4, 5]]), T([[1, 2]])

@@ -292,6 +292,25 @@ class TestFrameShapes:
         assert str(err.value) == message
 
 
+class TestShapeRefusals:
+    def test_ambient_needs_0_lt_k_lt_n(self):
+        with pytest.raises(ShapeFitError, match="need 0 < k < n, got k=3, n=3"):
+            AmbientRectangle(3, 3)
+
+    def test_frame_needs_two_factors(self):
+        with pytest.raises(ShapeFitError, match="need 0 < k1 < n1 and 0 < k2 < n2"):
+            DirectSumFrame(1, 3, 2, 2)
+
+    def test_skew_shape_needs_inner_inside_outer(self):
+        with pytest.raises(ShapeFitError, match=r"inner \(2,\) not contained in outer \(1,\)"):
+            SkewShape((1,), (2,))
+
+    @pytest.mark.parametrize("word", [{1}, {1, 2, 3}, {0, 2}, {2, 6}], ids=["short", "long", "zero", "past-n"])
+    def test_boundary_word_must_be_a_k_subset(self, word):
+        with pytest.raises(ShapeFitError, match="is not a 2-subset of 1..5"):
+            partition_from_boundary_word(word, AmbientRectangle(2, 5))
+
+
 class TestRookStrips:
     def test_worked_values(self):
         assert set(rook_strip_contractions((2, 1))) == {(2, 1), (2,), (1, 1), (1,)}

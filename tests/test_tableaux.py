@@ -53,6 +53,31 @@ class TestIncreasingTableau:
         with pytest.raises(TableauError, match="positions must be integers"):
             IncreasingTableau((2,), (), ((1, 1, 1), (1.0, 2, 2)))
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (((1, 1, 1), ("a", 2, 2)), "cell positions must be integers, got ('a', 2)"),
+            (iter([(1, 1, 1), ("a", 2, 2)]), "cells must be (row, column, label) triples of integers, got []"),
+            ((5,), "cell 5 must be a (row, column, label) triple"),
+            (((1, 1),), "cell (1, 1) must be a (row, column, label) triple"),
+            (((1, 1, 1, 1),), "cell (1, 1, 1, 1) must be a (row, column, label) triple"),
+            (((1, 1, 1), (1, 1, "a")), "entry at (1, 1) must be a positive integer, got 'a'"),
+            (5, "cells must be (row, column, label) triples, got 5"),
+        ],
+        ids=["str-position", "spent-iterator", "int-cell", "pair", "quadruple", "str-label", "int-cells"],
+    )
+    def test_malformed_cells_are_refused(self, cells, message):
+        # before, these raised a bare TypeError or ValueError from sorting or unpacking
+        with pytest.raises(TableauError) as err:
+            IncreasingTableau((2,), (), cells)
+        assert str(err.value) == message
+
+    def test_a_bad_label_is_named_not_the_positions(self):
+        # the label "2" is compared with its left neighbour before its own check
+        with pytest.raises(TableauError) as err:
+            IncreasingTableau.from_rows([[1, "2"]])
+        assert str(err.value) == "entry at (1, 2) must be a positive integer, got '2'"
+
     def test_boolean_entry_is_refused(self):
         # bool is a subclass of int, but its JSON form would not parse back
         with pytest.raises(TableauError, match="must be a positive integer, got True"):
@@ -207,6 +232,20 @@ class TestAugmented:
         with pytest.raises(TableauError, match="duplicate box in cells"):
             AugmentedTableau((2, 1), (), ((1, 1, 1), (1, 2, 2), (1, 2, 3)), ((2, 1),))
 
+    @pytest.mark.parametrize(
+        "cells, marks, message",
+        [
+            (((1, 2, 1),), (("a", 1), (2, 1)), "X marks must be (row, column) pairs of ints, got (('a', 1), (2, 1))"),
+            (((1, 2, 1),), ([2, 1],), "X marks must be (row, column) pairs of ints, got ([2, 1],)"),
+            (((1, 2),), ((2, 1),), "cell (1, 2) must be a (row, column, label) triple"),
+        ],
+        ids=["str-mark", "list-mark", "pair-cell"],
+    )
+    def test_malformed_marks_and_cells_are_refused(self, cells, marks, message):
+        with pytest.raises(TableauError) as err:
+            AugmentedTableau((2, 1), (1,), cells, marks)
+        assert str(err.value) == message
+
     def test_erase_x_returns_the_validated_numeric_part(self):
         t = AugmentedTableau([2, 1, 0], [1], [[2, 1, 1]], ((1, 2),))
         assert (t.outer, t.inner, t.cells) == ((2, 1), (1,), ((2, 1, 1),))
@@ -246,6 +285,22 @@ class TestSetValued:
         with pytest.raises(TableauError, match="distinct positive integers"):
             SetValuedTableau((1,), ((1, 1, letters),))
 
+    @pytest.mark.parametrize(
+        "cells, message",
+        [
+            (((1, 1, ("a", 1)),), "box (1, 1) must hold a nonempty set of distinct positive integers"),
+            (((1, 1, 5),), "box (1, 1) must hold a nonempty set of distinct positive integers"),
+            (((1, 1),), "cell (1, 1) must be a (row, column, label) triple"),
+            (((1, 1, (1,)), ("a", 2, (2,))), "cell positions must be integers, got ('a', 2)"),
+        ],
+        ids=["str-letter", "int-label", "pair", "str-position"],
+    )
+    def test_malformed_cells_are_refused(self, cells, message):
+        # before, these raised a bare TypeError or ValueError from sorting or unpacking
+        with pytest.raises(TableauError) as err:
+            SetValuedTableau((len(cells),), cells)
+        assert str(err.value) == message
+
     def test_enumerate_content(self):
         assert sum(1 for _ in enumerate_set_valued((1,), (1,))) == 1
         got = list(enumerate_set_valued((1,), (1, 1)))
@@ -284,6 +339,10 @@ class TestLattice:
         assert not is_partial_reverse_lattice((3, 3, 2), (2, 3))
         assert not is_partial_reverse_lattice((2, 2), (1, 2))
         assert is_partial_reverse_lattice((3, 2, 1), (1, 3))
+
+    def test_empty_interval_is_refused(self):
+        with pytest.raises(ValueError, match=r"need a <= b, got \(3, 2\)"):
+            is_partial_reverse_lattice((1, 2), (3, 2))
 
     def test_interval_filtering(self):
         # letters outside the interval are ignored
