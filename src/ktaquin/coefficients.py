@@ -476,9 +476,8 @@ def _identity_frame(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame | None)
     The identity reads C over dagger(lam, mu)/omega_dual.  If the first rectangle
     is lam[0] wide and the second has len(mu) rows, that is star(lam, mu), D's own
     shape, so the frame gets one more column in its first rectangle.  No frame
-    gives the smallest frame whose rectangles hold all three shapes with one
-    spare column for lam, which keeps the identity's C shape off star(lam, mu)
-    for the same reason.  A given frame's fits are checked as given.
+    gives the smallest frame that holds the three shapes, with that spare column
+    for lam.  A given frame's fits are checked as given.
     """
     if frame is None:
         k1 = max(len(lam), 1)

@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from ktaquin import cli, coefficients, suites
-from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
+from ktaquin import cli
+from ktaquin import coefficients, suites
+from ktaquin.cli import EXIT_INTERNAL
+from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 from ktaquin.coefficients import DisagreementError, expand_product
 from ktaquin.jdt import InternalInvariantError
 from ktaquin.shapes import AmbientRectangle, format_partition, parse_partition, partitions_in_rectangle, star

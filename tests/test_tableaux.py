@@ -67,7 +67,6 @@ class TestIncreasingTableau:
         ids=["str-position", "spent-iterator", "int-cell", "pair", "quadruple", "str-label", "int-cells"],
     )
     def test_malformed_cells_are_refused(self, cells, message):
-        # before, these raised a bare TypeError or ValueError from sorting or unpacking
         with pytest.raises(TableauError) as err:
             IncreasingTableau((2,), (), cells)
         assert str(err.value) == message
@@ -296,7 +295,6 @@ class TestSetValued:
         ids=["str-letter", "int-label", "pair", "str-position"],
     )
     def test_malformed_cells_are_refused(self, cells, message):
-        # before, these raised a bare TypeError or ValueError from sorting or unpacking
         with pytest.raises(TableauError) as err:
             SetValuedTableau((len(cells),), cells)
         assert str(err.value) == message
