@@ -27,11 +27,12 @@ from .tableaux import (
 from .jdt import InternalInvariantError, krect
 from .coefficients import (
     KINDS,
-    CoefficientRecord,
     DisagreementError,
     compute_with_checks,
+    computed_record,
     expand_coproduct,
     expand_product,
+    format_checks,
 )
 from .equivalence import nonrect_counterexample
 from .formats import (
@@ -98,8 +99,8 @@ def cmd_coeff(args) -> int:
     if args.check:
         record = compute_with_checks(args.kind, lam, mu, nu, frame)
     else:
-        record = CoefficientRecord(args.kind, lam, mu, nu, KINDS[args.kind](lam, mu, nu))
-    checks_text = " ".join(f"{name}:{'ok' if ok else 'DISAGREE'}" for name, ok in record.checks)
+        record = computed_record(args.kind, lam, mu, nu, KINDS[args.kind](lam, mu, nu))
+    checks_text = format_checks(record.checks)
     payload = coefficient_to_json_dict(record)
     path = _cache_path(args)
     if path:  # before printing, so a failed call prints no value

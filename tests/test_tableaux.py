@@ -82,6 +82,13 @@ class TestIncreasingTableau:
         with pytest.raises(TableauError, match="must be a positive integer, got True"):
             IncreasingTableau.from_rows([[True, 2]])
 
+    @pytest.mark.parametrize("cell", [(True, True, 1), (1, True, 1)], ids=["both", "column"])
+    def test_boolean_position_is_refused(self, cell):
+        # True == 1 puts the cell in the region, but its JSON form would not parse back
+        with pytest.raises(TableauError) as err:
+            IncreasingTableau((1,), (), (cell,))
+        assert str(err.value) == f"cell positions must be integers, got {cell[:2]!r}"
+
     def test_from_rows(self):
         t = IncreasingTableau.from_rows([[1, 2], [2]], inner=())
         assert t.outer == (2, 1)
@@ -245,6 +252,13 @@ class TestAugmented:
             AugmentedTableau((2, 1), (1,), cells, marks)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("mark", [(True, True), (1.0, 1), (1, 1, 1)], ids=["bool", "float", "triple"])
+    def test_a_mark_that_is_not_a_pair_of_ints_is_refused(self, mark):
+        # a bool or float mark equals the corner (1, 1), but its JSON form would not parse back
+        with pytest.raises(TableauError) as err:
+            AugmentedTableau((1,), (), (), (mark,))
+        assert str(err.value) == f"X marks must be (row, column) pairs of ints, got {(mark,)!r}"
+
     def test_erase_x_returns_the_validated_numeric_part(self):
         t = AugmentedTableau([2, 1, 0], [1], [[2, 1, 1]], ((1, 2),))
         assert (t.outer, t.inner, t.cells) == ((2, 1), (1,), ((2, 1, 1),))
@@ -298,6 +312,13 @@ class TestSetValued:
         with pytest.raises(TableauError) as err:
             SetValuedTableau((len(cells),), cells)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("cell", [(True, True, (1,)), (1.0, 1, (1,))], ids=["bool", "float"])
+    def test_a_position_that_is_not_an_int_is_refused(self, cell):
+        # it equals the box (1, 1), so the cells fill the region, but no JSON form parses back
+        with pytest.raises(TableauError) as err:
+            SetValuedTableau((1,), (cell,))
+        assert str(err.value) == f"cell positions must be integers, got {cell[:2]!r}"
 
     def test_enumerate_content(self):
         assert sum(1 for _ in enumerate_set_valued((1,), (1,))) == 1
