@@ -62,6 +62,9 @@ def parse_tableau(text: str) -> Tableau:
 
     Syntax problems raise ParseError with a position; a well-formed grid whose
     filling breaks the type's rules raises the type's own invariant error.
+    Neither form carries a type tag: the type is read from the content, so an
+    unmarked AugmentedTableau and a SetValuedTableau with an empty region both
+    read back as an IncreasingTableau with the same outer, inner and cells.
     """
     stripped = text.strip()
     if stripped.startswith("{"):

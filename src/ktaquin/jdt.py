@@ -16,6 +16,7 @@ swapping bullets with labels along each ribbon is exactly the rule above.
 The kernel raises InternalInvariantError on every state the theory forbids:
 two adjacent bullets, two adjacent equal labels, a 2x2 block of bullets and
 stage labels, and a ribbon with more than two boxes in one row or column.
+Every one of these checks reads one box and the boxes around it.
 
 Every slide, forward or reverse, single or one group of a rectification,
 infusion or trace, is one call of ``_slide``, which runs the stages and
@@ -42,7 +43,6 @@ not one per slide.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
 from typing import Callable, Iterable, Iterator, Literal, NamedTuple, Sequence
 
 from .shapes import (
@@ -81,44 +81,23 @@ def _check_blocks(moves: Moves, bullets: set[Box]) -> None:
                     raise InternalInvariantError(f"ribbon contains a 2x2 block at {(r, c)}")
 
 
-def _check_ribbons(moves: Moves) -> None:
+def _check_ribbons(moves: Moves, freed: set[Box]) -> None:
     """No ribbon of one stage has more than two boxes in a row or a column.
 
     A ribbon is a connected set of bullets and label boxes, linked through the
-    label boxes next to each bullet (bullets and label boxes are disjoint, as
-    in every stage).  A bullet with one label box that no other bullet shares
-    is a ribbon of two boxes, which cannot break the rule, so only the other
-    bullets are grouped, through the label boxes they share.
+    label boxes next to each bullet.  Every bullet-label adjacency of a stage
+    is one of its moves and no two bullets touch, so once ``_check_blocks``
+    has passed, a ribbon with no three boxes in a line turns at every box and
+    its turns alternate: it is a staircase, which has at most two boxes in any
+    row or column.  So it suffices that no bullet has label boxes on both
+    sides of it in a row or column, and no label box has bullets so.
     """
-    near: dict[Box, list[Box]] = {}  # label box -> the bullets next to it
-    for b, hits in moves.items():
-        for x in hits:
-            if x in near:
-                near[x].append(b)
-            else:
-                near[x] = [b]
-    seen: set[Box] = set()
-    for start, hits in moves.items():
-        if start in seen or (len(hits) == 1 and len(near[hits[0]]) == 1):
-            continue
-        seen.add(start)
-        ribbon = [start]
-        frontier = [start]
-        while frontier:
-            for x in moves[frontier.pop()]:
-                if x not in seen:
-                    seen.add(x)
-                    ribbon.append(x)
-                    for b in near[x]:
-                        if b not in seen:
-                            seen.add(b)
-                            ribbon.append(b)
-                            frontier.append(b)
-        # sorted, a row or column holds three boxes when two values two apart are equal
-        rows = sorted([r for r, _ in ribbon])
-        cols = sorted([c for _, c in ribbon])
-        if any(map(eq, rows, rows[2:])) or any(map(eq, cols, cols[2:])):
-            raise InternalInvariantError("ribbon has more than two boxes in a row or column")
+    around = _NEIGHBOURS
+    for boxes, ends in ((moves, freed), (freed, moves)):
+        for box in boxes:
+            right, down, left, up = around[box]
+            if (left in ends and right in ends) or (up in ends and down in ends):
+                raise InternalInvariantError("ribbon has more than two boxes in a row or column")
 
 
 class _Neighbours(dict):
@@ -165,9 +144,9 @@ def _switch(entries: dict[Box, int], bullets: set[Box], label: int, pairs: list[
     freed = {nb for _, nb in pairs}
     if len(pairs) > len(moves):  # some bullet is next to two label boxes
         _check_blocks(moves, bullets)
-        _check_ribbons(moves)
+        _check_ribbons(moves, freed)
     elif len(pairs) > len(freed):  # some label box is next to two bullets
-        _check_ribbons(moves)
+        _check_ribbons(moves, freed)
     # else each ribbon is one bullet and one label box, which breaks no rule
     around = _NEIGHBOURS
     get = entries.get

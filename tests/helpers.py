@@ -208,9 +208,11 @@ def reference_trace(t, steps):
 
 
 # ---------------------------------------------------------------------------
-# Reference checks: the ribbon check and the origin check as they were before
-# the ribbon check grouped bullets through shared label boxes and the origin
-# check read its boxes from the cells and the origins.  Test-only.
+# Reference checks: the ribbon check as a search that groups each stage's
+# bullets and label boxes into ribbons and counts their rows and columns, the
+# reference for the kernel's local rule on each box's neighbours; and the
+# origin check as it was before it read its boxes from the cells and the
+# origins.  Test-only.
 
 
 def reference_check_ribbons(moves) -> None:

@@ -211,6 +211,14 @@ class TestJsonForm:
         with pytest.raises(ShapeFitError):
             parse_tableau(json.dumps({"outer": [1, 2], "cells": [[1, 1, 1], [2, 1, 2], [2, 2, 3]]}))
 
+    def test_the_type_is_read_from_the_content(self):
+        # neither form carries a type tag: an unmarked augmented tableau and a
+        # set-valued one with an empty region read back as increasing ones
+        for t in (AugmentedTableau((1,), (), ((1, 1, 1),), ()), SetValuedTableau((1,), (), (1,))):
+            for back in (parse_tableau(format_tableau(t)), parse_tableau(json.dumps(tableau_to_json_dict(t)))):
+                assert type(back) is IncreasingTableau
+                assert (back.outer, back.inner, back.cells) == (t.outer, t.inner, t.cells)
+
 
 class TestTraceDump:
     def test_format(self):

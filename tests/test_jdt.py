@@ -645,21 +645,62 @@ class TestAgainstReferenceKernel:
 GRID = [(r, c) for r in range(1, 6) for c in range(1, 6)]
 
 
-def _random_moves(rng):
-    """A move map in a 5x5 grid, bullets and label boxes disjoint as in a stage."""
-    bullets = rng.sample(GRID, rng.randint(1, 6))
-    labels = [x for x in GRID if x not in bullets]
-    moves = {}
-    for b in bullets:
-        near = [x for x in labels if abs(x[0] - b[0]) + abs(x[1] - b[1]) == 1]
-        pool = near if near and rng.random() < 0.5 else labels
-        moves[b] = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-    return moves
+def _random_stage(rng):
+    """Label boxes and bullets of one stage in a 5x5 grid, no two bullets adjacent."""
+    bullets = []
+    for box in rng.sample(GRID, rng.randint(1, 6)):
+        if all(abs(box[0] - b[0]) + abs(box[1] - b[1]) > 1 for b in bullets):
+            bullets.append(box)
+    density = rng.random()
+    return [x for x in GRID if x not in bullets and rng.random() < density], bullets
 
 
-def _raises(check, moves):
+def _all_stages(rows, cols):
+    """Every stage of a rows x cols grid: any non-adjacent bullets, any label boxes."""
+    grid = [(r, c) for r in range(1, rows + 1) for c in range(1, cols + 1)]
+    for bits in range(1 << len(grid)):
+        bullets = [x for i, x in enumerate(grid) if bits >> i & 1]
+        if any((r, c + 1) in bullets or (r + 1, c) in bullets for r, c in bullets):
+            continue
+        rest = [x for x in grid if x not in bullets]
+        for labels in range(1 << len(rest)):
+            yield [x for i, x in enumerate(rest) if labels >> i & 1], bullets
+
+
+def _stage_errors(stages):
+    """The first InternalInvariantError message of each stage of label 1, or None.
+
+    The pairs are every (bullet, label box) adjacency, in the order in which
+    ``_run_switches`` lists them.
+    """
+    errors = []
+    for labels, bullets in stages:
+        entries = dict.fromkeys(labels, 1)
+        pairs = [(b, nb) for b in bullets for nb in jdt._NEIGHBOURS[b] if nb in entries]
+        try:
+            jdt._switch(entries, set(bullets), 1, pairs)
+        except InternalInvariantError as exc:
+            errors.append(str(exc))
+        else:
+            errors.append(None)
+    return errors
+
+
+def _against_reference(stages, monkeypatch):
+    """Assert that every stage raises as it does with the reference ribbon check; count the verdicts."""
+    errors = _stage_errors(stages)
+    monkeypatch.setattr(jdt, "_check_ribbons", lambda moves, freed: reference_check_ribbons(moves))
+    for stage, ours, reference in zip(stages, errors, _stage_errors(stages), strict=True):
+        assert ours == reference, stage
+    return Counter(errors)
+
+
+RIBBON = "ribbon has more than two boxes in a row or column"
+
+
+def _raises(check, *args):
     try:
-        check(moves)
+        check(*args)
     except InternalInvariantError:
         return True
     return False
@@ -668,16 +709,16 @@ def _raises(check, moves):
 class TestAgainstReferenceChecks:
     """The kernel's checks against the versions they replaced, on the same inputs."""
 
-    def test_ribbon_check_on_random_move_maps(self):
+    def test_ribbon_check_on_random_move_maps(self, monkeypatch):
         rng = random.Random(16)
-        verdicts = Counter()
-        for _ in range(5000):
-            moves = _random_moves(rng)
-            raised = _raises(_check_ribbons, moves)
-            assert raised == _raises(reference_check_ribbons, moves), moves
-            verdicts[raised] += 1
+        verdicts = _against_reference([_random_stage(rng) for _ in range(3000)], monkeypatch)
         # both verdicts are met often, so neither side passes vacuously
-        assert min(verdicts[True], verdicts[False]) > 1500
+        assert min(verdicts[RIBBON], verdicts[None]) > 500, verdicts
+
+    def test_ribbon_check_on_every_3x3_stage(self, monkeypatch):
+        verdicts = _against_reference(list(_all_stages(3, 3)), monkeypatch)
+        assert sum(verdicts.values()) == 7504
+        assert (verdicts[RIBBON], verdicts[None]) == (1942, 2236)
 
     def test_ribbon_check_on_slide_stages(self):
         rng = random.Random(17)
@@ -691,7 +732,7 @@ class TestAgainstReferenceChecks:
             for moves in stages:
                 hits = [x for xs in moves.values() for x in xs]
                 shared += len(hits) > len(set(hits))
-                assert not _raises(_check_ribbons, moves) and not _raises(reference_check_ribbons, moves)
+                assert not _raises(_check_ribbons, moves, set(hits)) and not _raises(reference_check_ribbons, moves)
         assert shared > 0  # stages with a label box shared by two bullets were met
 
     @settings(max_examples=100, deadline=None, derandomize=True)
