@@ -60,17 +60,17 @@ CACHE_ENV = "KTAQUIN_CACHE"
 def _frame(text: str) -> DirectSumFrame:
     try:
         k1, n1, k2, n2 = (int(x) for x in text.split(","))
-        return DirectSumFrame(k1, n1, k2, n2)
     except ValueError as exc:
         raise ValueError(f"bad frame {text!r}: expected k1,n1,k2,n2") from exc
+    return DirectSumFrame(k1, n1, k2, n2)
 
 
 def _ambient(text: str) -> AmbientRectangle:
     try:
         k, n = (int(x) for x in text.split(","))
-        return AmbientRectangle(k, n)
     except ValueError as exc:
         raise ValueError(f"bad ambient {text!r}: expected k,n") from exc
+    return AmbientRectangle(k, n)
 
 
 def _integer(text: str, option: str) -> int:

@@ -233,7 +233,6 @@ def nonrect_counterexample(lam: Part) -> Counterexample:
             if first_order is None:
                 first_order, first_result = order, result
             elif result != first_result:
-                assert len(nu) <= len(lam) + 1 and nu[0] <= lam[0] + 1
                 return Counterexample(nu, t, first_order, order, (first_result, result))
     raise ShapeFitError(f"no divergent instance found over {lam}")  # pragma: no cover
 

@@ -318,8 +318,8 @@ def cache_append(path: str, record: CacheRecord) -> None:
         os.close(fd)
 
 
-# per path: the bytes up to the last newline that a load in this process merged
-# without error, their line count, and the merged table
+# the last path a load in this process merged, and no other: the bytes up to the
+# last newline merged without error, their line count, and the merged table
 _validated: dict[str, tuple[bytes, int, dict[tuple, CacheRecord]]] = {}
 
 # new lines are split and merged in slices of about this many bytes, each
@@ -364,12 +364,13 @@ def cache_load(path: str) -> dict[tuple, CacheRecord]:
     Every call reads the whole file, under a shared lock so that no append is
     half done.  Bytes up to the last newline that an earlier call in this
     process validated are compared, not parsed again; if any of them changed,
-    or the file is shorter, the merge starts over from line 1.  Only a process
-    that loads one cache more than once saves work this way (a Python session
-    or a test run calling ``cli.main`` repeatedly); a single ``ktaquin coeff``
-    process loads once and parses every line.  The new lines are merged in
-    slices that end at a newline, so besides the file's bytes a load holds
-    the lines of one slice, not of the whole file.
+    or the file is shorter, the merge starts over from line 1.  Only the last
+    path loaded is kept, so only a process that loads one cache more than once
+    in a row saves work this way (a Python session or a test run calling
+    ``cli.main`` repeatedly); a single ``ktaquin coeff`` process loads once and
+    parses every line.  The new lines are merged in slices that end at a
+    newline, so besides the file's bytes a load holds the lines of one slice,
+    not of the whole file.
     """
     with open(path, "rb") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_SH)  # no append is half done while we read
@@ -385,6 +386,7 @@ def cache_load(path: str) -> dict[tuple, CacheRecord]:
         end = data.find(b"\n", min(start + _MERGE_SLICE, cut) - 1) + 1
         lineno = _merge(path, table, data[start:end], lineno)
         start = end
+    _validated.clear()
     _validated[path] = (data if cut == len(data) else data[:cut], lineno, table)
     table = dict(table)  # the caller's copy, so its edits never reach the next load
     _merge(path, table, data[cut:], lineno)

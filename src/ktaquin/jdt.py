@@ -403,10 +403,11 @@ class SwitchTrace:
         return last.outer, add_boxes(last.inner, last.bullets)
 
     def final_tableau(self) -> IncreasingTableau:
+        """The last state on ``final_shape``, through the public constructor: a trace may be built by hand."""
         if not self.states:
             return self.start
         outer, inner = self.final_shape()
-        return IncreasingTableau._from_kernel(outer, inner, self.states[-1].entries())
+        return IncreasingTableau(outer, inner, self.states[-1].cells)
 
 
 class SlideStepError(ValueError):

@@ -330,14 +330,12 @@ def dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
     """mu to the right of, and lam below, the k2 x (n1-k1) rectangle."""
     lam, mu = partition(lam), partition(mu)
     frame.require_fits(lam, mu)
-    result = _dagger(lam, mu, frame)
-    _require_fit(result, frame.k, frame.n - frame.k)
-    return result
+    return _dagger(lam, mu, frame)
 
 
 def _dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
-    """``dagger`` of normal-form parts that fit the frame; the rows over lam are
-    at least n1-k1 >= lam[0] long, so the result is normal and fits the ambient."""
+    """``dagger`` of normal-form parts that fit the frame: normal, as the rows over lam are n1-k1 >= lam[0]
+    or longer, and in the ambient, with at most k2 + k1 rows and a first row of at most (n1-k1) + (n2-k2)."""
     base = frame.n1 - frame.k1
     return tuple(base + row_length(mu, i) for i in range(1, frame.k2 + 1)) + lam
 
@@ -368,14 +366,11 @@ def boundary_word(lam: Part, rect: AmbientRectangle) -> frozenset[int]:
 
 
 def partition_from_boundary_word(word: frozenset[int] | Iterable[int], rect: AmbientRectangle) -> Part:
-    """Inverse of boundary_word."""
+    """Inverse of boundary_word; row t, cols - w_t + t, fits as t <= w_t <= n - k + t."""
     chosen = sorted(set(word))
     if len(chosen) != rect.rows or any(not (1 <= w <= rect.n) for w in chosen):
         raise ShapeFitError(f"{chosen} is not a {rect.rows}-subset of 1..{rect.n}")
-    rows = [rect.cols - w + t for t, w in enumerate(chosen, start=1)]
-    lam = partition(rows)
-    rect.require_fit(lam)
-    return lam
+    return partition(rect.cols - w + t for t, w in enumerate(chosen, start=1))
 
 
 def format_partition(lam: Part) -> str:

@@ -44,20 +44,15 @@ def _validate_increasing(outer: Part, inner: Part, entries: dict[Box, int]) -> N
     """
     nrows, ninner = len(outer), len(inner)
     get = entries.get
-    try:
-        for (r, c), v in entries.items():
-            if not (0 < r <= nrows and (inner[r - 1] if r <= ninner else 0) < c <= outer[r - 1]):
-                raise _region_error(outer, inner, entries)
-            if type(v) is not int or v < 1:  # bool is a subclass of int
-                raise TableauError(f"entry at {(r, c)} must be a positive integer, got {v!r}")
-            right = get((r, c + 1))
-            if right is not None and right <= v:
-                raise TableauError(f"row {r} not strictly increasing at column {c}")
-            below = get((r + 1, c))
-            if below is not None and below <= v:
-                raise TableauError(f"column {c} not strictly increasing at row {r}")
-    except TypeError:  # a position, or a label next to the one checked, that is not an integer
-        raise _cell_error([(r, c, v) for (r, c), v in entries.items()]) from None
+    for (r, c), v in entries.items():
+        if not (0 < r <= nrows and (inner[r - 1] if r <= ninner else 0) < c <= outer[r - 1]):
+            raise _region_error(outer, inner, entries)
+        right = get((r, c + 1))
+        if right is not None and right <= v:
+            raise TableauError(f"row {r} not strictly increasing at column {c}")
+        below = get((r + 1, c))
+        if below is not None and below <= v:
+            raise TableauError(f"column {c} not strictly increasing at row {r}")
     if len(entries) != psize(outer) - psize(inner):
         raise _region_error(outer, inner, entries)
 
@@ -70,8 +65,8 @@ def _region_error(outer: Part, inner: Part, entries: dict[Box, int]) -> TableauE
 def _cell_error(cells, set_valued: bool = False) -> TableauError:
     """The error for the first cell that is not a triple, or has a position or label of the wrong type.
 
-    Only a build that failed to sort, unpack or compare its cells runs this
-    scan, so well-formed cells pay nothing for it.
+    Only a build whose cells failed to sort, unpack or pass the type test runs
+    this scan, so well-formed cells pay nothing for it.
     """
     try:
         cells = list(cells)
@@ -111,7 +106,8 @@ class IncreasingTableau:
         object.__setattr__(self, "cells", cells)
         if len(entries) != len(cells):
             raise TableauError("duplicate box in cells")
-        if not all(type(r) is int and type(c) is int for r, c in entries):  # bool is a subclass of int
+        # a bool is refused: it is a subclass of int
+        if not all(type(r) is type(c) is type(v) is int and v > 0 for r, c, v in cells):
             raise _cell_error(cells)
         self._check(entries)
 
@@ -130,9 +126,10 @@ class IncreasingTableau:
     def _from_kernel(cls, outer: Part, inner: Part, entries: dict[Box, int]) -> "IncreasingTableau":
         """Build a slide kernel's output, which owns entries from here on.
 
-        outer and inner are partitions in normal form, as ``add_boxes`` and
-        ``remove_boxes`` return them, and a dict holds each box once; so only
-        normalisation is skipped, and ``_check`` runs as in every build.
+        outer and inner are in normal form, as ``add_boxes`` and ``remove_boxes``
+        return them, a dict holds each box once, and every position and label
+        came from a built tableau; so normalisation and type checks are skipped,
+        and ``_check``, the theorem's check, runs as in every build.
         """
         t = object.__new__(cls)
         object.__setattr__(t, "outer", outer)

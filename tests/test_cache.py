@@ -298,6 +298,16 @@ class TestIncrementalLoad:
         os.truncate(path, size)  # back to what the first load validated
         assert _outcome(path) == _cold(path) == {_c_record(1).key(): _c_record(1)}
 
+    def test_only_the_last_path_is_kept(self, tmp_path):
+        paths = [str(tmp_path / f"cache{i}.jsonl") for i in range(1, 4)]
+        for i, path in enumerate(paths, start=1):
+            cache_append(path, _c_record(i))
+            cache_load(path)
+        assert list(formats._validated) == [paths[-1]]
+        # switching back parses the first cache again, to the same table
+        assert cache_load(paths[0]) == {_c_record(1).key(): _c_record(1)}
+        assert list(formats._validated) == [paths[0]]
+
     # one step in a random history of the cache file
     _STEPS = st.one_of(
         st.tuples(st.just("append"), st.integers(1, 4)),

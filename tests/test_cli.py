@@ -112,6 +112,12 @@ class TestCoeffCommand:
         assert code == EXIT_USAGE and out == ""
         assert err.startswith("error: bad frame ''")
 
+    def test_frame_with_no_second_factor_names_the_fault(self, capsys):
+        argv = ["coeff", "D", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]", "--check", "--frame", "3,3,1,2"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: need 0 < k1 < n1 and 0 < k2 < n2, got DirectSumFrame(k1=3, n1=3, k2=1, n2=2)\n"
+
     @pytest.mark.parametrize("kind", ["D", "F"])
     def test_frame_for_the_identity_check(self, capsys, kind):
         argv = ["coeff", kind, "--lambda", "[2]", "--mu", "[2,1]", "--nu", "[3,1]", "--frame", "1,4,2,4"]
@@ -334,6 +340,12 @@ class TestExpandCommand:
         code, _, err = run(capsys, "expand", *argv)
         assert code == EXIT_USAGE
         assert err.startswith(f"error: {argv[1]} expansion needs")
+
+    def test_ambient_with_k_equal_n_names_the_fault(self, capsys):
+        argv = ["expand", "--op", "product", "--lambda", "[1]", "--mu", "[1]", "--ambient", "3,3"]
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: need 0 < k < n, got k=3, n=3\n"
 
     def test_malformed_ambient(self, capsys):
         argv = ["expand", "--op", "product", "--lambda", "[1]", "--mu", "[1]", "--ambient", "3"]

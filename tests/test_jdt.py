@@ -22,6 +22,8 @@ from ktaquin.jdt import (
     InternalInvariantError,
     SlideStep,
     SlideStepError,
+    SwitchState,
+    SwitchTrace,
     _check_corners,
     _check_ribbons,
     _run_switches,
@@ -359,6 +361,14 @@ class TestSwitchTrace:
             switch_trace(SWSEQ_START, steps, ambient)
         assert err.value.index == 1
 
+    @pytest.mark.parametrize("label", [True, "2"], ids=["bool", "str"])
+    def test_hand_built_trace_is_checked_at_the_door(self, label):
+        state = SwitchState((1,), (), ((1, 1, label),), frozenset(), None, "forward")
+        trace = SwitchTrace(tab((1,), (), {(1, 1): 1}), (state,), (None,))
+        with pytest.raises(TableauError) as err:
+            trace.final_tableau()
+        assert str(err.value) == f"entry at (1, 1) must be a positive integer, got {label!r}"
+
 
 class TestRevKrectInAmbient:
     def test_single_box(self):
@@ -438,7 +448,7 @@ class TestBuildsPerCall:
 
 
 class TestKernelOutputConstructor:
-    """The kernel's constructor skips normalisation only; every check still runs."""
+    """The kernel's constructor skips normalisation and type checks; every theorem check still runs."""
 
     build = staticmethod(IncreasingTableau._from_kernel)
 

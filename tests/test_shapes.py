@@ -270,6 +270,18 @@ class TestFrameShapes:
                     assert partition(joined) == joined  # built in normal form, never renormalised
                     assert psize(joined) == psize(omega_dual(f)) + psize(lam) + psize(mu)
 
+    def test_dagger_fits_the_ambient_unrefitted(self):
+        # dagger does not refit its result: every frame with k1, k2 <= 3 and n1, n2 <= 6
+        factors = [(k, n) for n in range(2, 7) for k in range(1, min(n, 4))]
+        for (k1, n1), (k2, n2) in itertools.product(factors, repeat=2):
+            f = DirectSumFrame(k1, n1, k2, n2)
+            ambient = AmbientRectangle(f.k, f.n)
+            for lam in partitions_in_rectangle(k1, n1 - k1):
+                for mu in partitions_in_rectangle(k2, n2 - k2):
+                    joined = dagger(lam, mu, f)
+                    assert partition(joined) == joined
+                    ambient.require_fit(joined)
+
     def test_fit_errors(self):
         f = DirectSumFrame(1, 2, 1, 2)
         with pytest.raises(ShapeFitError):
@@ -345,6 +357,16 @@ class TestBoundaryWord:
             assert partition_from_boundary_word(w, rect) == lam
             seen.add(w)
         assert len(seen) == 35  # binomial(7, 3)
+
+    def test_every_subset_fits_unrefitted(self):
+        # partition_from_boundary_word does not refit its result: every k-subset of 1..n, n <= 8
+        for n in range(2, 9):
+            for k in range(1, n):
+                rect = AmbientRectangle(k, n)
+                for word in itertools.combinations(range(1, n + 1), k):
+                    lam = partition_from_boundary_word(word, rect)
+                    rect.require_fit(lam)
+                    assert boundary_word(lam, rect) == frozenset(word)
 
 
 class TestCorners:

@@ -89,6 +89,21 @@ class TestIncreasingTableau:
             IncreasingTableau((1,), (), (cell,))
         assert str(err.value) == f"cell positions must be integers, got {cell[:2]!r}"
 
+    @pytest.mark.parametrize(
+        "outer, inner, cells, message",
+        [
+            ((1,), (2,), ((1, 1, "a"),), "entry at (1, 1) must be a positive integer, got 'a'"),
+            ((2, 1), (), ((1, 5, 1), (2, 1, "a")), "entry at (2, 1) must be a positive integer, got 'a'"),
+            ((3,), (), ((1, 1, 1), (1, 2, 1), (1, 3, 0)), "entry at (1, 3) must be a positive integer, got 0"),
+        ],
+        ids=["inner-outside-outer", "off-region", "row-tie"],
+    )
+    def test_labels_are_checked_before_the_shape(self, outer, inner, cells, message):
+        # types are checked where cells enter, so a bad label wins over every theorem check
+        with pytest.raises(TableauError) as err:
+            IncreasingTableau(outer, inner, cells)
+        assert str(err.value) == message
+
     def test_from_rows(self):
         t = IncreasingTableau.from_rows([[1, 2], [2]], inner=())
         assert t.outer == (2, 1)
