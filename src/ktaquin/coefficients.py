@@ -32,7 +32,8 @@ these keys:
   and has no key of its own;
 * ``(outer, inner, m)`` for a row of superstandard rectification counts over
   the alphabet 1..m (``rect_tally``), shared by the C and D counts that read
-  one shape of that row each;
+  one shape of that row each; the counts ask for a row only when m is at most
+  the region's |outer| - |inner|, so a count that is zero by size stores none;
 * ``("label-step", filled, classes, placed)`` for one step of ``_rect_count``
   (``_label_step``): the filled shape, the S classes and the boxes of the
   placed label after it is switched past the S classes of the state
@@ -60,6 +61,15 @@ the memo; only ``_memoized_count``, the ``_count_*`` functions and
 
 Every jdt count (C, D, and E through C) goes label by label through
 ``_rect_count``, never filling by filling.
+
+Each count (``_count_C``, ``_count_D`` without a target, ``_count_C_buch``
+and ``_count_D_buch``) first runs its own size test, on the sums it already
+takes for its sign: a filling needs at least one label per box, so C and
+C-buch are 0 when |nu| < |lam| + |mu|, and D and D-buch when |nu| >
+|lam| + |mu|.  Most triples of a table are zero this way, and each returns 0
+before a star shape is built, ``enumerate_set_valued`` is started or a row is
+stored.  The test is written out in each count, with no shared helper, so
+that a fault in one route's test is caught by another route's.
 """
 
 from __future__ import annotations
@@ -258,16 +268,21 @@ def coeff_C(lam: Part, mu: Part, nu: Part) -> int:
 def _count_C(lam: Part, mu: Part, nu: Part) -> int:
     if not contains(nu, lam):
         return 0
-    count = rect_tally(nu, lam, psize(mu)).get(mu, 0)
-    return _sign(psize(nu) - psize(lam) - psize(mu)) * count
+    m = psize(mu)
+    excess = psize(nu) - psize(lam) - m
+    if excess < 0:  # more labels than boxes in nu/lam
+        return 0
+    return _sign(excess) * rect_tally(nu, lam, m).get(mu, 0)
 
 
 def _count_C_buch(lam: Part, mu: Part, nu: Part) -> int:
     """Buch's rule: set-valued tableaux of star(lam, mu) with content nu, reverse lattice on (1, len(nu))."""
+    excess = psize(nu) - psize(lam) - psize(mu)
+    if excess < 0:  # fewer letters than the |lam| + |mu| boxes of the star
+        return 0
     outer, inner = _star(lam, mu)
     lattice = [(1, len(nu))] if nu else []
-    count = sum(1 for _ in enumerate_set_valued(outer, nu, lattice, inner))
-    return _sign(psize(nu) - psize(lam) - psize(mu)) * count
+    return _sign(excess) * sum(1 for _ in enumerate_set_valued(outer, nu, lattice, inner))
 
 
 def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
@@ -281,13 +296,16 @@ def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = No
 
 
 def _count_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
+    region, m = psize(lam) + psize(mu), psize(nu)
+    if target is None and m > region:  # more labels than boxes in the star
+        return 0
     outer, inner = _star(lam, mu)
     if target is None:
-        count = rect_tally(outer, inner, psize(nu)).get(nu, 0)
+        count = rect_tally(outer, inner, m).get(nu, 0)
     else:
         targets = [boxes for _, boxes in reversed(_label_groups_desc(target.cells))]
         count = _rect_count(outer, inner, len(targets), targets).get((), 0)
-    return _sign(psize(lam) + psize(mu) + psize(nu)) * count
+    return _sign(region + m) * count
 
 
 def coeff_D_buch(lam: Part, mu: Part, nu: Part) -> int:
@@ -297,10 +315,12 @@ def coeff_D_buch(lam: Part, mu: Part, nu: Part) -> int:
 
 
 def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
+    letters, m = psize(lam) + psize(mu), psize(nu)
+    if letters < m:  # fewer letters than the boxes of nu
+        return 0
     p, q = len(lam), len(mu)
     lattice = [(a, b) for a, b in ((1, p), (p + 1, p + q)) if a <= b]
-    count = sum(1 for _ in enumerate_set_valued(nu, lam + mu, lattice))
-    return _sign(psize(nu) + psize(lam) + psize(mu)) * count
+    return _sign(letters + m) * sum(1 for _ in enumerate_set_valued(nu, lam + mu, lattice))
 
 
 def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:

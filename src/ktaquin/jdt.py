@@ -433,13 +433,16 @@ def extend_trace(
     Equals ``switch_trace`` of the trace's start through the slides already
     traced and then these, without sliding the first ones again: the new
     states start from the last state's entries, shape and origins.  A step
-    index in a SlideStepError counts the slides given here.
+    index in a SlideStepError counts the slides given here.  A trace may be
+    built by hand, so its last state enters through ``final_tableau``, the
+    public constructor, and a bad label raises TableauError; a trace with no
+    states starts from its built tableau and pays nothing.
     """
     outer, inner = trace.final_shape()
     if trace.states:
-        last = trace.states[-1]
-        entries = last.entries()
-        cells = last.cells
+        final = trace.final_tableau()
+        entries = final.entries
+        cells = final.cells
         origins = trace.origins[-1]
     else:
         entries = trace.start.entries

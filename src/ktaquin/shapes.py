@@ -337,7 +337,7 @@ def _dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
     """``dagger`` of normal-form parts that fit the frame: normal, as the rows over lam are n1-k1 >= lam[0]
     or longer, and in the ambient, with at most k2 + k1 rows and a first row of at most (n1-k1) + (n2-k2)."""
     base = frame.n1 - frame.k1
-    return tuple(base + row_length(mu, i) for i in range(1, frame.k2 + 1)) + lam
+    return tuple(base + p for p in mu) + (base,) * (frame.k2 - len(mu)) + lam
 
 
 def oslash(mu: Part, lam: Part, frame: DirectSumFrame) -> Part:
@@ -367,7 +367,11 @@ def boundary_word(lam: Part, rect: AmbientRectangle) -> frozenset[int]:
 
 def partition_from_boundary_word(word: frozenset[int] | Iterable[int], rect: AmbientRectangle) -> Part:
     """Inverse of boundary_word; row t, cols - w_t + t, fits as t <= w_t <= n - k + t."""
-    chosen = sorted(set(word))
+    entries = list(word)
+    for w in entries:
+        if type(w) is not int:  # a float would be truncated, and a bool is a subclass of int
+            raise ShapeFitError(f"boundary word entries must be integers, got {w!r}")
+    chosen = sorted(set(entries))
     if len(chosen) != rect.rows or any(not (1 <= w <= rect.n) for w in chosen):
         raise ShapeFitError(f"{chosen} is not a {rect.rows}-subset of 1..{rect.n}")
     return partition(rect.cols - w + t for t, w in enumerate(chosen, start=1))

@@ -1,5 +1,7 @@
 """Coefficient families against worked values, cross-routes, and brute force."""
 
+from itertools import product
+
 import pytest
 
 from ktaquin.jdt import krect
@@ -16,7 +18,7 @@ from ktaquin.shapes import (
     psize,
     star,
 )
-from ktaquin.tableaux import IncreasingTableau, enumerate_augmented, superstandard
+from ktaquin.tableaux import IncreasingTableau, enumerate_augmented, enumerate_set_valued, superstandard
 from ktaquin.coefficients import (
     CoefficientRecord,
     DisagreementError,
@@ -298,6 +300,67 @@ class TestMemo:
         assert any(key[0] == "label-step" for key in coefficients._memo)  # its steps are
         assert coeff_D((2,), (2, 1), (3, 1)) == -2
         assert coefficients._memo[("D", (2,), (2, 1), (3, 1))] == -2
+
+
+class TestZeroBySize:
+    """Each count's own size test against its rule without it, lambda and mu in 2x2, nu in 3x3."""
+
+    BOX = list(partitions_in_rectangle(2, 2))
+    TRIPLES = list(product(BOX, BOX, partitions_in_rectangle(3, 3)))
+
+    @staticmethod
+    def _without_size_test(kind, lam, mu, nu):
+        """The signed rect_tally entry, or the signed enumerator count, whatever the sizes."""
+        excess = psize(nu) - psize(lam) - psize(mu)
+        sign = (-1) ** excess
+        if kind == "C":
+            return sign * coefficients.rect_tally(nu, lam, psize(mu)).get(mu, 0) if contains(nu, lam) else 0
+        if kind == "D":
+            d_shape = star(lam, mu)
+            return sign * coefficients.rect_tally(d_shape.outer, d_shape.inner, psize(nu)).get(nu, 0)
+        if kind == "C-buch":
+            d_shape = star(lam, mu)
+            lattice = [(1, len(nu))] if nu else []
+            return sign * sum(1 for _ in enumerate_set_valued(d_shape.outer, nu, lattice, d_shape.inner))
+        p, q = len(lam), len(mu)
+        lattice = [(a, b) for a, b in ((1, p), (p + 1, p + q)) if a <= b]
+        return sign * sum(1 for _ in enumerate_set_valued(nu, lam + mu, lattice))
+
+    @pytest.mark.parametrize("kind", ["C", "C-buch", "D", "D-buch"])
+    def test_each_count_equals_its_rule_without_the_shortcut(self, kind):
+        coefficients._memo.clear()
+        try:
+            values = [
+                (coefficients._COUNTS[kind](*t), self._without_size_test(kind, *t)) for t in self.TRIPLES
+            ]
+        finally:
+            coefficients._memo.clear()
+        assert all(got == want for got, want in values)
+        # the sweep reaches both sides of every size test
+        excess = [psize(nu) - psize(lam) - psize(mu) for lam, mu, nu in self.TRIPLES]
+        assert sum(e < 0 for e in excess) == 267 and sum(e > 0 for e in excess) == 360
+        assert sum(1 for got, _ in values if got) == {"C": 98, "C-buch": 98, "D": 125, "D-buch": 125}[kind]
+
+    def test_zero_by_size_enters_no_enumerator_and_stores_no_row(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the enumerator was entered for a count that is zero by size")
+
+        monkeypatch.setattr(coefficients, "enumerate_set_valued", unreachable)
+        coefficients._memo.clear()
+        try:
+            checked = 0
+            for lam, mu, nu in self.TRIPLES:
+                excess = psize(nu) - psize(lam) - psize(mu)
+                # C and E (whose terms shrink nu) below the size of the star, D and F above it
+                for kind in ("C", "E") if excess < 0 else ("D", "F") if excess > 0 else ():
+                    record = compute_with_checks(kind, lam, mu, nu)
+                    assert record.value == 0 and record.agreed and record.checks
+                    checked += 1
+            rows = [key for key in coefficients._memo if type(key[0]) is tuple]  # (outer, inner, m)
+        finally:
+            coefficients._memo.clear()
+        assert checked == 2 * (267 + 360)
+        assert rows == []
 
 
 class TestClassical:

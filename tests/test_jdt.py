@@ -27,6 +27,7 @@ from ktaquin.jdt import (
     _check_corners,
     _check_ribbons,
     _run_switches,
+    extend_trace,
     kinfusion,
     kjdt_slide,
     krect,
@@ -368,6 +369,15 @@ class TestSwitchTrace:
         with pytest.raises(TableauError) as err:
             trace.final_tableau()
         assert str(err.value) == f"entry at (1, 1) must be a positive integer, got {label!r}"
+
+    def test_hand_built_trace_is_checked_before_it_is_extended(self):
+        # the kernel would compare the str label with an int and raise a bare TypeError
+        state = SwitchState((2,), (1,), ((1, 2, "2"),), frozenset(), None, "forward")
+        trace = SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (state,), (None,))
+        step = SlideStep("forward", frozenset({(1, 1)}))
+        with pytest.raises(TableauError) as err:
+            extend_trace(trace, [step], AmbientRectangle(2, 4))
+        assert str(err.value) == "entry at (1, 2) must be a positive integer, got '2'"
 
 
 class TestRevKrectInAmbient:

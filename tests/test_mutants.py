@@ -64,6 +64,29 @@ def classical_count_D(monkeypatch):
     _classical_only(monkeypatch, "D")
 
 
+def _size_test_one_box_early(monkeypatch, kind):
+    # the count with its inline size test firing at |nu| = |lam| + |mu| too: there
+    # it returns 0, and everywhere else the real count runs and its own test decides
+    real = coefficients._COUNTS[kind]
+
+    def count(lam, mu, nu):
+        return 0 if psize(nu) == psize(lam) + psize(mu) else real(lam, mu, nu)
+
+    monkeypatch.setitem(coefficients._COUNTS, kind, count)
+
+
+@pytest.fixture
+def early_size_test_C_buch(monkeypatch):
+    """``_count_C_buch``'s size test one box early: 0 at |nu| = |lam| + |mu| as well."""
+    _size_test_one_box_early(monkeypatch, "C-buch")
+
+
+@pytest.fixture
+def early_size_test_D_buch(monkeypatch):
+    """``_count_D_buch``'s size test one box early: 0 at |nu| = |lam| + |mu| as well."""
+    _size_test_one_box_early(monkeypatch, "D-buch")
+
+
 @pytest.fixture
 def smallest_class_first(monkeypatch):
     """``_label_step`` switching the S classes smallest first, not largest first."""
@@ -132,6 +155,9 @@ CATCHES = {
     # only the record's sign test
     "unsigned_count_D": (set(), {"D", "F"}),
     "classical_count_D": ({("D", "buch"), ("D", "identity"), ("F", "buch"), ("F", "identity")}, set()),
+    # the classical terms of Buch's rules go: C's and E's checks read C-buch, D's and F's read D-buch
+    "early_size_test_C_buch": ({("C", "buch"), ("E", "rook-strip")}, set()),
+    "early_size_test_D_buch": ({("D", "buch"), ("F", "buch")}, set()),
     # the tiling invariant raises first; symmetry catches C triples on which buch passes
     "smallest_class_first": (
         {

@@ -109,6 +109,18 @@ def test_zero_by_size_D_buch_builds_no_region(monkeypatch):
     assert coeff_D_buch((2, 1), (1,), (3, 2)) == 0
 
 
+def test_zero_by_size_C_buch_builds_no_region(monkeypatch):
+    """|nu| < |lambda| + |mu| leaves a box of the star without a letter: 0, before the boxes are listed."""
+    coefficients._memo.clear()
+
+    def unreachable(nu, inner):
+        raise AssertionError("the region was built for a count that is zero by size")
+
+    monkeypatch.setattr(tableaux, "_region_rows", unreachable)
+    assert coefficients._memoized_count("C-buch", (1,), (1,), (1,)) == 0
+    assert coefficients._memoized_count("C-buch", (2, 1), (1,), (3,)) == 0
+
+
 def test_a_long_row_nests_once_per_box():
     # at two frames per box, 750 boxes would pass the default recursion limit of 1000
     assert sum(1 for _ in enumerate_set_valued((750,), (750,))) == 1

@@ -368,6 +368,17 @@ class TestBoundaryWord:
                     rect.require_fit(lam)
                     assert boundary_word(lam, rect) == frozenset(word)
 
+    @pytest.mark.parametrize(
+        "word, rect, entry",
+        [({1.5}, AmbientRectangle(1, 3), "1.5"), ({1.5, 2.5}, AmbientRectangle(2, 4), r"[12]\.5"),
+         ({True, 3}, AmbientRectangle(2, 4), "True"), ([[1]], AmbientRectangle(1, 3), r"\[1\]")],
+        ids=["float", "floats", "bool", "unhashable"],
+    )
+    def test_entries_that_are_not_ints_are_refused(self, word, rect, entry):
+        # a float entry used to be truncated, a bool read as 1, and a list escaped as a TypeError
+        with pytest.raises(ShapeFitError, match=f"^boundary word entries must be integers, got {entry}$"):
+            partition_from_boundary_word(word, rect)
+
 
 class TestCorners:
     def test_inner_corners(self):
