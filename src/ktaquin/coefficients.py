@@ -170,22 +170,28 @@ def _rect_count(
         return row
     last_row = len(outer)
 
-    def grow(j: int, filled: Part, classes: tuple, shape: Part) -> None:
+    def grow(j: int, filled: Part, free: int, classes: tuple, shape: Part) -> None:
+        # free: the boxes of outer that filled leaves
         if j == m:
             row[shape] = row.get(shape, 0) + 1
             return
         label = j + 1
         rows = []  # the rows of the addable corners of filled inside outer
-        for r in range(1, min(len(filled) + 1, last_row) + 1):
-            width = filled[r - 1] if r <= len(filled) else 0
-            if width < outer[r - 1] and (r == 1 or filled[r - 2] > width):
+        above = None
+        for r, (width, cap) in enumerate(zip(filled, outer), start=1):
+            if width < cap and width != above:  # rows weakly decrease, so != is <
                 rows.append(r)
-        room = size - psize(filled) - (m - label)  # most boxes this class may take
+            above = width
+        if len(filled) < last_row:  # the first empty row; filled has no zero rows
+            rows.append(len(filled) + 1)
+        room = free - (m - label)  # most boxes this class may take
         for k in (room,) if label == m else range(1, min(room, len(rows)) + 1):
             for placed in combinations(rows, k):
-                now, new, landed = _memoized(
-                    ("label-step", filled, classes, placed), _label_step, filled, classes, placed
-                )
+                key = ("label-step", filled, classes, placed)
+                step = _memo.get(key)
+                if step is None:
+                    step = _memo[key] = _label_step(filled, classes, placed)
+                now, new, landed = step
                 if targets is not None:
                     if landed != targets[j]:
                         continue
@@ -200,11 +206,11 @@ def _rect_count(
                         reached = shape + (1,)
                     else:
                         continue
-                grow(label, now, new, reached)
+                grow(label, now, free - k, new, reached)
 
     # the superstandard order labels the boxes of inner row by row: one S class each
     classes = tuple(_interned("boxes", frozenset({box})) for box in boxes_of(inner))
-    grow(0, _interned("partition", inner), classes, ())
+    grow(0, _interned("partition", inner), region, classes, ())
     return row
 
 
@@ -215,11 +221,19 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     by them and the boxes landed so far, and ``placed`` holds the rows, in
     increasing order, of a set of addable corners of its filled shape.  Only
     this class is in the entries, so the switches are geometric: the step
-    does not depend on the label's value, outer, m or the targets.  Each S
-    class goes through ``jdt._run_switches`` as the bullets of one slide,
-    whose only stage is this class, so every switch runs the kernel's checks,
-    the adjacent-bullets test on the S class included.  The new state must
-    be tiled exactly by the S classes and the landed boxes.
+    does not depend on the label's value, outer, m or the targets.
+
+    A switch moves an S class only if one of its boxes is next to a box of
+    the placed class: the class's slide has no other label to meet.  So only
+    the S classes that meet the placed class's 4-neighbours, taken afresh
+    after each switch, go through ``jdt._run_switches``, as the bullets of
+    one slide whose only stage is this class; each of them moves, and every
+    switch runs the kernel's checks.  The class a switch produces is checked
+    for adjacent bullets at once.  So every S class of every state is
+    checked apart once: the superstandard singletons need no check, and each
+    later class was checked when it was produced.  A class that no switch
+    touches is the same set as before and is not checked again.  The new
+    state must be tiled exactly by the S classes and the landed boxes.
 
     That tiling check compares only what the step changed: the placed boxes
     and the old boxes of each S class that moved, against the landed boxes
@@ -234,17 +248,22 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     """
     boxes = [(r, (filled[r - 1] if r <= len(filled) else 0) + 1) for r in placed]
     entries = dict.fromkeys(boxes, 1)
+    around = jdt._NEIGHBOURS
+    near = {nb for box in boxes for nb in around[box]}  # the placed class's 4-neighbours
     new = list(classes)
     before = set(boxes)  # the placed boxes and the old boxes of each moved class
     after: set[Box] = set()  # the landed boxes and the new boxes of those classes
     moved = 0  # the boxes of the moved classes, counted once per class
     for s in range(len(new) - 1, -1, -1):
+        if near.isdisjoint(new[s]):
+            continue
         bullets = jdt._run_switches(entries, set(new[s]), False)
-        if bullets != new[s]:
-            before.update(new[s])
-            after.update(bullets)
-            moved += len(bullets)
-            new[s] = _interned("boxes", frozenset(bullets))
+        jdt._check_apart(bullets)
+        before.update(new[s])
+        after.update(bullets)
+        moved += len(bullets)
+        new[s] = _interned("boxes", frozenset(bullets))
+        near = {nb for box in entries for nb in around[box]}
     now = add_boxes(filled, boxes)
     # the state stepped from was tiled, so the unchanged classes and earlier landed
     # boxes tile the rest of now exactly when these two sets agree box for box

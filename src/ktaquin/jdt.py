@@ -26,8 +26,11 @@ legal ones by construction, skips the check.  ``_run_switches`` loops over
 the stages of a slide.  A stage with one (bullet, label box) pair, the most
 common kind, runs inline there; a stage with several pairs is one call of
 ``_switch``, which also checks for blocks and long ribbons.  Outside this
-module only ``coefficients._label_step`` calls ``_run_switches``: each S class
-of a label step is the bullets of one slide, and gets the same checks.
+module only ``coefficients._label_step`` calls ``_run_switches``: a label step
+switches only the S classes next to its placed class, the only ones that
+move, each as the bullets of one slide with the same checks, and runs
+``_check_apart`` on each class a switch produces, so every S class is
+checked apart once, when it is made.
 
 ``switch_trace`` records a state after the bullets are placed and after each
 stage, through the kernel's ``on_switch`` hook; ``extend_trace`` continues a
@@ -392,6 +395,13 @@ class SwitchTrace:
     start: IncreasingTableau
     states: tuple[SwitchState, ...]
     origins: tuple[dict[Box, Box] | None, ...]
+
+    def __post_init__(self) -> None:
+        # a trace may be built by hand; every reader takes origins[i] with states[i]
+        if len(self.origins) != len(self.states):
+            raise ValueError(
+                f"a trace needs one origins entry per state, got {len(self.origins)} for {len(self.states)}"
+            )
 
     def final_shape(self) -> tuple[Part, Part]:
         """(outer, inner) once the last state's bullets have left the shape."""

@@ -24,7 +24,14 @@ from ktaquin.equivalence import (
     available_steps,
     check_strong_dual_equivalence,
 )
-from ktaquin.jdt import InternalInvariantError, _check_corners, _label_groups_desc, _slide, switch_trace
+from ktaquin.jdt import (
+    InternalInvariantError,
+    _check_corners,
+    _label_groups_desc,
+    _run_switches,
+    _slide,
+    switch_trace,
+)
 from ktaquin.tableaux import (
     IncreasingTableau,
     SetValuedTableau,
@@ -458,6 +465,36 @@ def reference_tiles(filled, classes, placed, result) -> bool:
         return False
     tiles = [*earlier, *landed, *(box for s in new for box in s)]
     return len(tiles) == len(set(tiles)) and set(tiles) == set(boxes_of(now))
+
+
+def reference_label_step(filled, classes, placed):
+    """One label step with every S class through the kernel, largest first.
+
+    The body that ``coefficients._label_step`` replaced, which switches only
+    the classes next to the placed class: every class here is the bullets of
+    one slide, whether or not it touches the placed class, and the kernel's
+    entry check runs on each.  The tiling check is the same.  Nothing is
+    interned in the memo, so a sweep's steps can be compared with it after
+    the sweep.  Test-only.
+    """
+    boxes = [(r, row_length(filled, r) + 1) for r in placed]
+    entries = dict.fromkeys(boxes, 1)
+    new = list(classes)
+    before = set(boxes)
+    after = set()
+    moved = 0
+    for s in range(len(new) - 1, -1, -1):
+        bullets = _run_switches(entries, set(new[s]), False)
+        if bullets != new[s]:
+            before.update(new[s])
+            after.update(bullets)
+            moved += len(bullets)
+            new[s] = frozenset(bullets)
+    now = add_boxes(filled, boxes)
+    after.update(entries)
+    if after != before or len(before) != len(entries) + moved:
+        raise InternalInvariantError(f"S classes and landed boxes do not tile {now} after placing {boxes}")
+    return now, tuple(new), frozenset(entries)
 
 
 # ---------------------------------------------------------------------------

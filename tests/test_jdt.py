@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktaquin.coefficients import rect_tally
+from ktaquin.equivalence import verify_origin_invariants
+from ktaquin.formats import format_trace
 from ktaquin.shapes import (
     AmbientRectangle,
     ShapeFitError,
@@ -378,6 +380,24 @@ class TestSwitchTrace:
         with pytest.raises(TableauError) as err:
             extend_trace(trace, [step], AmbientRectangle(2, 4))
         assert str(err.value) == "entry at (1, 2) must be a positive integer, got '2'"
+
+    @pytest.mark.parametrize("reader", ["extend_trace", "verify_origin_invariants", "format_trace"])
+    def test_hand_built_trace_needs_one_origins_entry_per_state(self, reader):
+        # each reader takes origins[i] with states[i], so a short origins tuple raised a bare IndexError
+        state = SwitchState((2,), (1,), ((1, 2, 2),), frozenset(), None, "forward")
+        step = SlideStep("forward", frozenset({(1, 1)}))
+        read = {
+            "extend_trace": lambda trace: extend_trace(trace, [step], AmbientRectangle(2, 4)),
+            "verify_origin_invariants": verify_origin_invariants,
+            "format_trace": format_trace,
+        }[reader]
+        with pytest.raises(ValueError) as err:
+            read(SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (state,), ()))
+        assert str(err.value) == "a trace needs one origins entry per state, got 0 for 1"
+
+    def test_hand_built_trace_with_an_origins_entry_too_many_is_refused(self):
+        with pytest.raises(ValueError, match="got 1 for 0"):
+            SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (), (None,))
 
 
 class TestRevKrectInAmbient:

@@ -10,10 +10,10 @@ and so does a mutant that nothing catches.
 
 import pytest
 
-from ktaquin import coefficients, schur
+from ktaquin import coefficients, jdt, schur
 from ktaquin.coefficients import compute_with_checks
 from ktaquin.jdt import InternalInvariantError
-from ktaquin.shapes import partitions_in_rectangle, psize
+from ktaquin.shapes import add_boxes, partitions_in_rectangle, psize, row_length
 
 from helpers import drop_the_all_corners_strip
 
@@ -99,6 +99,36 @@ def smallest_class_first(monkeypatch):
     monkeypatch.setattr(coefficients, "_label_step", step)
 
 
+def _step_with_stale_neighbours(filled, classes, placed):
+    # ``_label_step`` with the placed class's neighbours taken once, before any
+    # switch: a class next to where the placed class has moved to is not switched
+    boxes = [(r, row_length(filled, r) + 1) for r in placed]
+    entries = dict.fromkeys(boxes, 1)
+    near = {nb for box in boxes for nb in jdt._NEIGHBOURS[box]}
+    new = list(classes)
+    before, after, moved = set(boxes), set(), 0
+    for s in range(len(new) - 1, -1, -1):
+        if near.isdisjoint(new[s]):
+            continue
+        bullets = jdt._run_switches(entries, set(new[s]), False)
+        jdt._check_apart(bullets)
+        before.update(new[s])
+        after.update(bullets)
+        moved += len(bullets)
+        new[s] = coefficients._interned("boxes", frozenset(bullets))
+    now = add_boxes(filled, boxes)
+    after.update(entries)
+    if after != before or len(before) != len(entries) + moved:
+        raise InternalInvariantError(f"S classes and landed boxes do not tile {now} after placing {boxes}")
+    return coefficients._interned("partition", now), tuple(new), coefficients._interned("boxes", frozenset(entries))
+
+
+@pytest.fixture
+def stale_neighbours(monkeypatch):
+    """``_label_step`` whose neighbour set of the placed class is not refreshed after a switch."""
+    monkeypatch.setattr(coefficients, "_label_step", _step_with_stale_neighbours)
+
+
 @pytest.fixture
 def no_lattice_intervals(monkeypatch):
     """``enumerate_set_valued`` ignoring its lattice intervals, in both of Buch's rules."""
@@ -165,6 +195,14 @@ CATCHES = {
             ("E", "rook-strip"), ("F", "buch"), ("F", "identity"), ("c", "schur-oracle"),
         },
         {"C", "D", "E", "F"},
+    ),
+    # a skipped class stays put, so every state still tiles and nothing raises
+    "stale_neighbours": (
+        {
+            ("C", "buch"), ("C", "classical"), ("C", "symmetry"), ("D", "buch"), ("D", "identity"),
+            ("E", "rook-strip"), ("F", "buch"), ("F", "identity"), ("c", "schur-oracle"),
+        },
+        set(),
     ),
     "no_lattice_intervals": ({("C", "buch"), ("D", "buch"), ("E", "rook-strip"), ("F", "buch")}, set()),
     "lr_plus_one": ({("C", "classical"), ("c", "schur-oracle")}, set()),

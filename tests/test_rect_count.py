@@ -11,7 +11,7 @@ from ktaquin.jdt import InternalInvariantError
 from ktaquin.shapes import SkewShape, contains, partitions_in_rectangle, partitions_of, psize, star
 from ktaquin.tableaux import enumerate_increasing
 
-from helpers import random_skew, reference_rect_tally, reference_tiles, superstandard_row
+from helpers import random_skew, reference_label_step, reference_rect_tally, reference_tiles, superstandard_row
 
 SMALL = list(partitions_in_rectangle(2, 2))
 _REFERENCE: dict[tuple, dict] = {}
@@ -217,6 +217,43 @@ class TestSharedSteps:
         steps = self._steps()
         assert len(steps) >= 1000
         assert [key for key, value in steps.items() if not reference_tiles(*key[1:], value)] == []
+
+    def test_every_step_equals_the_reference_step(self):
+        """Each step of a cold sweep equals the one that sends every S class through the kernel."""
+        coefficients._memo.clear()
+        for row in _exhaustive_rows():
+            rect_tally(*row)
+        steps = self._steps()
+        assert len(steps) >= 1000
+        assert [key for key, value in steps.items() if value != reference_label_step(*key[1:])] == []
+        # most steps leave some S class where it was (893 of 1114): one the step does not switch
+        kept = sum(1 for key, (_, new, _) in steps.items() if any(map(frozenset.__eq__, key[2], new)))
+        assert kept >= 800
+
+    def test_every_kernel_call_of_a_step_moves_a_class_that_is_then_checked_apart(self, monkeypatch):
+        coefficients._memo.clear()
+        events = []
+        real_switches, real_apart = jdt._run_switches, jdt._check_apart
+
+        def switches(entries, bullets, reverse, on_switch=None):
+            given = frozenset(bullets)
+            out = real_switches(entries, bullets, reverse, on_switch)
+            events.append(("switch", given, frozenset(out)))
+            return out
+
+        def apart(bullets):
+            events.append(("apart", frozenset(bullets)))
+            real_apart(bullets)
+
+        monkeypatch.setattr(jdt, "_run_switches", switches)
+        monkeypatch.setattr(jdt, "_check_apart", apart)
+        for row in _exhaustive_rows():
+            rect_tally(*row)  # only label steps call the kernel here
+        calls = [i for i, event in enumerate(events) if event[0] == "switch"]
+        assert len(calls) >= 1000
+        assert [events[i] for i in calls if events[i][1] == events[i][2]] == []
+        # the class a switch produces is the next set checked apart
+        assert [events[i] for i in calls if events[i + 1:i + 2] != [("apart", events[i][2])]] == []
 
     @staticmethod
     def _steps():
