@@ -44,11 +44,11 @@ these keys:
   their sets;
 * ``("schur", lam, nvars, base)`` for the packed monomials of a Schur
   polynomial, which the classical oracle in ``schur`` multiplies and peels;
-* ``("partition", t)`` for the normal form of the int tuple ``t``:
-  ``shapes.partition`` serves a tuple of ints seen before by this one lookup
-  and converts everything else with ``int()`` first (rejected shapes are never
-  stored); the label steps store the shapes they fill here too, and keep the
-  one copy.
+* ``("partition", t)`` for the ``shapes.Partition`` of the int tuple ``t``:
+  ``shapes.partition`` returns a ``Partition`` as it is, serves a tuple of
+  ints seen before by this one lookup and converts everything else with
+  ``int()`` first (rejected shapes are never stored); the label steps store
+  the shapes they fill here too, as ``Partition``s, and keep the one copy.
 
 It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
 oracle included.
@@ -67,7 +67,7 @@ and ``_count_D_buch``) first runs its own size test, on the sums it already
 takes for its sign: a filling needs at least one label per box, so C and
 C-buch are 0 when |nu| < |lam| + |mu|, and D and D-buch when |nu| >
 |lam| + |mu|.  Most triples of a table are zero this way, and each returns 0
-before a star shape is built, ``enumerate_set_valued`` is started or a row is
+before a star shape is built, the set-valued stream is started or a row is
 stored.  The test is written out in each count, with no shared helper, so
 that a fault in one route's test is caught by another route's.
 """
@@ -86,6 +86,7 @@ from .shapes import (
     SkewShape,
     _dagger,
     _memoized,
+    _normal,
     _require_fit,
     _star,
     add_boxes,
@@ -101,7 +102,7 @@ from .shapes import (
     rook_strip_contractions,
     row_length,
 )
-from .tableaux import IncreasingTableau, eligible_x_boxes, enumerate_set_valued
+from .tableaux import IncreasingTableau, _set_valued_cells, eligible_x_boxes
 from .jdt import InternalInvariantError, _label_groups_desc
 from . import jdt, schur, shapes
 
@@ -210,7 +211,7 @@ def _rect_count(
 
     # the superstandard order labels the boxes of inner row by row: one S class each
     classes = tuple(_interned("boxes", frozenset({box})) for box in boxes_of(inner))
-    grow(0, _interned("partition", inner), region, classes, ())
+    grow(0, _interned("partition", _normal(inner)), region, classes, ())
     return row
 
 
@@ -228,12 +229,14 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     the S classes that meet the placed class's 4-neighbours, taken afresh
     after each switch, go through ``jdt._run_switches``, as the bullets of
     one slide whose only stage is this class; each of them moves, and every
-    switch runs the kernel's checks.  The class a switch produces is checked
-    for adjacent bullets at once.  So every S class of every state is
+    switch runs the kernel's stage checks.  The class a switch produces is
+    checked for adjacent bullets at once.  So every S class of every state is
     checked apart once: the superstandard singletons need no check, and each
-    later class was checked when it was produced.  A class that no switch
-    touches is the same set as before and is not checked again.  The new
-    state must be tiled exactly by the S classes and the landed boxes.
+    later class was checked when it was produced, so it enters the kernel as
+    a ``jdt._Apart`` set, which the kernel does not check again.  A class
+    that no switch touches is the same set as before and is not checked
+    again.  The new state must be tiled exactly by the S classes and the
+    landed boxes.
 
     That tiling check compares only what the step changed: the placed boxes
     and the old boxes of each S class that moved, against the landed boxes
@@ -257,7 +260,7 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     for s in range(len(new) - 1, -1, -1):
         if near.isdisjoint(new[s]):
             continue
-        bullets = jdt._run_switches(entries, set(new[s]), False)
+        bullets = jdt._run_switches(entries, jdt._Apart(new[s]), False)
         jdt._check_apart(bullets)
         before.update(new[s])
         after.update(bullets)
@@ -270,11 +273,11 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     after.update(entries)
     if after != before or len(before) != len(entries) + moved:
         raise InternalInvariantError(f"S classes and landed boxes do not tile {now} after placing {boxes}")
-    return _interned("partition", now), tuple(new), _interned("boxes", frozenset(entries))
+    return _interned("partition", _normal(now)), tuple(new), _interned("boxes", frozenset(entries))
 
 
 def _interned(tag: str, value):
-    """The memo's one copy of ``value`` under ``(tag, value)``; a "partition" value must be normal."""
+    """The memo's one copy of ``value`` under ``(tag, value)``; a "partition" value must be a ``Partition``."""
     return _memo.setdefault((tag, value), value)
 
 
@@ -301,7 +304,7 @@ def _count_C_buch(lam: Part, mu: Part, nu: Part) -> int:
         return 0
     outer, inner = _star(lam, mu)
     lattice = [(1, len(nu))] if nu else []
-    return _sign(excess) * sum(1 for _ in enumerate_set_valued(outer, nu, lattice, inner))
+    return _sign(excess) * sum(1 for _ in _set_valued_cells(outer, nu, lattice, inner))
 
 
 def coeff_D(lam: Part, mu: Part, nu: Part, target: IncreasingTableau | None = None) -> int:
@@ -339,7 +342,7 @@ def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
         return 0
     p, q = len(lam), len(mu)
     lattice = [(a, b) for a, b in ((1, p), (p + 1, p + q)) if a <= b]
-    return _sign(letters + m) * sum(1 for _ in enumerate_set_valued(nu, lam + mu, lattice))
+    return _sign(letters + m) * sum(1 for _ in _set_valued_cells(nu, lam + mu, lattice))
 
 
 def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:

@@ -25,17 +25,30 @@ the slide is reached; only reverse rectification, whose corners are the
 legal ones by construction, skips the check.  ``_run_switches`` loops over
 the stages of a slide.  A stage with one (bullet, label box) pair, the most
 common kind, runs inline there; a stage with several pairs is one call of
-``_switch``, which also checks for blocks and long ribbons.  Outside this
-module only ``coefficients._label_step`` calls ``_run_switches``: a label step
-switches only the S classes next to its placed class, the only ones that
-move, each as the bullets of one slide with the same checks, and runs
-``_check_apart`` on each class a switch produces, so every S class is
-checked apart once, when it is made.
+``_switch``, which also checks for blocks and long ribbons.
+
+``_run_switches`` checks that its bullets start apart, unless they come as an
+``_Apart`` set; a stage never makes two of them adjacent.  The bullets that
+enter unchecked, and so are checked there, are those of ``_slide``: the
+corners of every slide of ``kjdt_slide``, ``rev_kjdt_slide``, ``krect``,
+``kinfusion``, ``switch_trace``, ``extend_trace`` and
+``rev_krect_in_ambient`` (legal corners are apart, but the kernel does not
+rely on the corner check).  Outside this module only
+``coefficients._label_step`` calls ``_run_switches``: a label step switches
+only the S classes next to its placed class, the only ones that move, each
+as the bullets of one slide with the same stage checks, and runs
+``_check_apart`` on each class a switch produces.  It hands each S class in
+as an ``_Apart`` set, so every S class is checked apart once, when it is
+made; the superstandard singletons need no check.
 
 ``switch_trace`` records a state after the bullets are placed and after each
 stage, through the kernel's ``on_switch`` hook; ``extend_trace`` continues a
 trace from its final state, so a walk over slide sequences slides each step
-once.  States share one origins dict until a stage changes it.
+once.  States share one origins dict until a stage changes it.  A trace that
+``extend_trace`` returns is marked kernel-made, as a tableau from
+``IncreasingTableau._from_kernel`` skips the type checks, and is resumed from
+its last state's cells; a trace built by hand goes through the public tableau
+constructor first.
 
 Every public call slides one entries dict in place, through all its steps,
 and builds one validated tableau per output at the end
@@ -120,6 +133,12 @@ class _Neighbours(dict):
 _NEIGHBOURS = _Neighbours()
 
 
+class _Apart(set):
+    """Bullets already checked apart, which ``_run_switches`` does not check again."""
+
+    __slots__ = ()
+
+
 def _check_apart(bullets: set[Box] | frozenset[Box]) -> None:
     """No two bullets are adjacent."""
     around = _NEIGHBOURS
@@ -176,8 +195,10 @@ def _run_switches(
 
     on_switch(label, moves, bullets), when given, is called once after the
     bullets are placed (label None, no moves) and once after each stage.
+    Bullets given as an ``_Apart`` set are not checked apart again.
     """
-    _check_apart(bullets)
+    if type(bullets) is not _Apart:
+        _check_apart(bullets)
     # A stage never makes two bullets adjacent: two freed boxes are equal labels,
     # and a bullet next to a freed box is a bullet that the stage filled.
     if on_switch is not None:
@@ -395,6 +416,9 @@ class SwitchTrace:
     start: IncreasingTableau
     states: tuple[SwitchState, ...]
     origins: tuple[dict[Box, Box] | None, ...]
+    # not a field: only ``extend_trace`` sets it, on a trace whose last state the kernel slid
+    # from a built tableau; a trace built by hand, or copied through the constructor, reads False
+    _kernel_made = False
 
     def __post_init__(self) -> None:
         # a trace may be built by hand; every reader takes origins[i] with states[i]
@@ -445,14 +469,14 @@ def extend_trace(
     states start from the last state's entries, shape and origins.  A step
     index in a SlideStepError counts the slides given here.  A trace may be
     built by hand, so its last state enters through ``final_tableau``, the
-    public constructor, and a bad label raises TableauError; a trace with no
-    states starts from its built tableau and pays nothing.
+    public constructor, and a bad label raises TableauError.  A kernel-made
+    trace resumes from its last state's cells, and a trace with no states
+    from its built tableau; neither pays for a build.
     """
     outer, inner = trace.final_shape()
     if trace.states:
-        final = trace.final_tableau()
-        entries = final.entries
-        cells = final.cells
+        cells = trace.states[-1].cells if trace._kernel_made else trace.final_tableau().cells
+        entries = {(r, c): v for r, c, v in cells}
         origins = trace.origins[-1]
     else:
         entries = trace.start.entries
@@ -496,7 +520,9 @@ def extend_trace(
         inner, outer = new_inner, new_outer
         states.extend(SwitchState(*shape, *stage, step.direction) for stage in stages)
         stages.clear()
-    return SwitchTrace(trace.start, trace.states + tuple(states), trace.origins + tuple(origin_seq))
+    out = SwitchTrace(trace.start, trace.states + tuple(states), trace.origins + tuple(origin_seq))
+    object.__setattr__(out, "_kernel_made", True)
+    return out
 
 
 def rev_krect_in_ambient(

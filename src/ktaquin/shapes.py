@@ -1,11 +1,18 @@
 """Integer partitions, skew shapes, ambient rectangles, and derived shape constructions.
 
-Partitions are plain tuples of weakly decreasing positive integers, stored without
-trailing zeros so there is a single canonical form.  Boxes are 1-based
-(row, column) matrix coordinates, row 1 at the top.
+A partition in normal form is a ``Partition``: a tuple of weakly decreasing
+positive integers, stored without trailing zeros so there is a single canonical
+form.  Its constructor is the one normal-form check; everywhere else it is a
+tuple (``==``, ``hash``, ``repr``, slicing, JSON and pickle all agree with the
+tuple of its rows).  Boxes are 1-based (row, column) matrix coordinates, row 1
+at the top.
 
-Public functions normalise their shape arguments through ``partition``; the
-private ones (``_star``, ``_dagger``, ``_region_rows``) take them in normal form.
+Public functions normalise their shape arguments through ``partition``, which
+returns a ``Partition`` as it is; the private ones (``_star``, ``_dagger``,
+``_region_rows``) take them in normal form.  Code whose shapes are normal by
+construction (``partitions_in_rectangle``, ``partitions_of``, ``_star``,
+``_dagger`` and the rectification count of ``coefficients``) makes them with
+``_normal``, which skips the check.
 
 ``_region_rows`` is the one walk of a skew region, row by row.  ``SkewShape``
 gives the region's normal form, its containment check and its box list (built
@@ -13,12 +20,13 @@ on that walk), which ``tableaux`` takes instead of deriving them.
 
 The engine's one memo, ``_memo``, lives here, below every module that reads
 it; ``coefficients`` documents its keys.  This module adds ``("partition", t)``:
-the normal form of the int tuple ``t``, stored only for accepted inputs.
+the ``Partition`` of the int tuple ``t``, stored only for accepted inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Iterable, Iterator
 
@@ -40,15 +48,44 @@ class ShapeFitError(ValueError):
     """A shape violates a containment or validity precondition."""
 
 
-def partition(parts: Iterable[int]) -> Part:
-    """Normalize an iterable of row lengths into a canonical partition tuple.
+class Partition(tuple):
+    """A partition in normal form: weakly decreasing positive ints, no trailing zeros.
 
-    Trailing zeros are dropped; anything not weakly decreasing or negative is
-    rejected.  The result is memoized under the converted int tuple, and a
-    tuple of ints seen before is served by that one lookup; everything else
-    (lists, generators, tuple subclasses, non-int rows, new shapes) is
-    converted with ``int()`` first.  A rejected shape is never stored.
+    ``Partition(parts)`` converts each row with ``int()``, drops trailing
+    zeros and refuses rows that increase or are negative, with ShapeFitError.
+    Slicing or adding gives a plain tuple, which is not checked.
     """
+
+    __slots__ = ()
+
+    def __new__(cls, parts: Iterable[int]) -> "Partition":
+        t = tuple(map(int, parts))
+        if t and t[-1] <= 0:  # only then can there be trailing zeros
+            while t and t[-1] == 0:
+                t = t[:-1]
+        for a, b in zip(t, t[1:]):
+            if b > a:
+                raise ShapeFitError(f"rows must be weakly decreasing: {t}")
+        if t and t[-1] < 0:
+            raise ShapeFitError(f"rows must be nonnegative: {t}")
+        return tuple.__new__(cls, t)
+
+
+# a Partition of rows already in normal form, without the check
+_normal = partial(tuple.__new__, Partition)
+
+
+def partition(parts: Iterable[int]) -> Partition:
+    """Normalize an iterable of row lengths into its ``Partition``.
+
+    A ``Partition`` is returned as it is.  Otherwise the result is memoized
+    under the converted int tuple, and a tuple of ints seen before is served
+    by that one lookup; everything else (lists, generators, other tuple
+    subclasses, non-int rows, new shapes) is converted with ``int()`` first.
+    A rejected shape is never stored.
+    """
+    if type(parts) is Partition:
+        return parts
     if type(parts) is tuple:
         try:
             hit = _memo.get(("partition", parts))
@@ -58,20 +95,7 @@ def partition(parts: Iterable[int]) -> Part:
         except TypeError:  # an unhashable row: int() raises the cold message
             pass
     t = tuple(map(int, parts))
-    return _memoized(("partition", t), _normalise, t)
-
-
-def _normalise(t: Part) -> Part:
-    """``partition`` of an int tuple, without the memo."""
-    if t and t[-1] <= 0:  # only then can there be trailing zeros
-        while t and t[-1] == 0:
-            t = t[:-1]
-    for a, b in zip(t, t[1:]):
-        if b > a:
-            raise ShapeFitError(f"rows must be weakly decreasing: {t}")
-    if t and t[-1] < 0:
-        raise ShapeFitError(f"rows must be nonnegative: {t}")
-    return t
+    return _memoized(("partition", t), Partition, t)
 
 
 def psize(lam: Part) -> int:
@@ -155,21 +179,22 @@ def add_boxes(lam: Part, boxes: Iterable[Box]) -> Part:
     return tuple(rows)
 
 
-def partitions_in_rectangle(rows: int, cols: int) -> Iterator[Part]:
-    """All partitions fitting a rows x cols rectangle, lexicographically descending per row."""
+def partitions_in_rectangle(rows: int, cols: int) -> Iterator[Partition]:
+    """All partitions fitting a rows x cols rectangle, lexicographically descending per row.
 
-    def rec(prev: int, left: int) -> Iterator[tuple[int, ...]]:
-        yield ()
-        if left == 0:
-            return
-        for first in range(min(prev, cols), 0, -1):
-            for rest in rec(first, left - 1):
-                yield (first,) + rest
+    Each comes before its extensions by a row, as a depth-first walk of the
+    rows yields them; the stack keeps the larger next rows on top.
+    """
+    todo: list[Part] = [()]
+    pop, push = todo.pop, todo.extend
+    while todo:
+        t = pop()
+        yield _normal(t)
+        if len(t) < rows:
+            push([t + (p,) for p in range(1, (t[-1] if t else cols) + 1)])
 
-    yield from rec(cols, rows)
 
-
-def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = None) -> Iterator[Part]:
+def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = None) -> Iterator[Partition]:
     """All partitions of n, optionally bounded, in lexicographically descending order."""
 
     def rec(remaining: int, prev: int, rows_left: int) -> Iterator[tuple[int, ...]]:
@@ -183,7 +208,7 @@ def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = No
                 yield (first,) + rest
 
     cap = n if max_cols is None else min(n, max_cols)
-    yield from rec(n, cap, n if max_rows is None else max_rows)
+    yield from map(_normal, rec(n, cap, n if max_rows is None else max_rows))
 
 
 def _require_fit(lam: Part, rows: int, cols: int) -> None:
@@ -310,8 +335,8 @@ def star(lam: Part, mu: Part) -> SkewShape:
 def _star(lam: Part, mu: Part) -> tuple[Part, Part]:
     """The (outer, inner) pair of ``star`` for two partitions already in normal form."""
     width = lam[0] if lam else 0
-    outer = tuple(width + m for m in mu) + lam
-    inner = (width,) * len(mu) if width else ()
+    outer = _normal(tuple(width + m for m in mu) + lam)
+    inner = _normal((width,) * len(mu) if width else ())
     return outer, inner
 
 
@@ -337,7 +362,7 @@ def _dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:
     """``dagger`` of normal-form parts that fit the frame: normal, as the rows over lam are n1-k1 >= lam[0]
     or longer, and in the ambient, with at most k2 + k1 rows and a first row of at most (n1-k1) + (n2-k2)."""
     base = frame.n1 - frame.k1
-    return tuple(base + p for p in mu) + (base,) * (frame.k2 - len(mu)) + lam
+    return _normal(tuple(base + p for p in mu) + (base,) * (frame.k2 - len(mu)) + lam)
 
 
 def oslash(mu: Part, lam: Part, frame: DirectSumFrame) -> Part:

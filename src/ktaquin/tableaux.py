@@ -3,8 +3,10 @@
 Regions are walked by ``shapes._region_rows`` only.  The set-valued type and
 ``iter_increasing_cells`` take a region's normal form, containment check and
 box list from ``shapes.SkewShape``.  ``IncreasingTableau._check``, which every
-slide output runs, and ``enumerate_set_valued``, which mostly ends at its size
+slide output runs, and ``_set_valued_cells``, which mostly ends at its size
 test, normalise and check containment directly, building no SkewShape.
+``iter_increasing_cells`` and ``_set_valued_cells`` stream raw cells;
+``enumerate_increasing`` and ``enumerate_set_valued`` build a tableau from each.
 """
 
 from __future__ import annotations
@@ -423,12 +425,27 @@ def enumerate_set_valued(
 
     With ``lattice``, only those whose reading word is a reverse lattice word
     on every interval (a, b) in it, as ``is_partial_reverse_lattice`` tests.
+    Each filling of ``_set_valued_cells`` is built and validated as a
+    ``SetValuedTableau``; the counts of ``coefficients`` read that stream
+    directly and build none.
+    """
+    nu, inner = partition(nu), partition(inner)
+    for cells in _set_valued_cells(nu, content, lattice, inner):
+        yield SetValuedTableau(nu, cells, inner)
+
+
+def _set_valued_cells(
+    nu: Part, content: tuple[int, ...], lattice: Iterable[tuple[int, int]] = (), inner: Part = ()
+) -> Iterator[tuple[tuple[int, int, tuple[int, ...]], ...]]:
+    """Backtracking core of ``enumerate_set_valued``, yielding raw cell tuples.
+
     Boxes are filled in reverse reading order: rows top to bottom, each row
     right to left, each set largest letter first.  So the lattice test runs on
     every prefix as it grows, and the box to the right and the box above are
     already filled when they lie in the region: a set's largest letter is at
     most the smallest letter to its right, and its smallest exceeds the
-    largest letter above.
+    largest letter above.  The cells come in that box order, each set largest
+    letter first.
     """
     # no SkewShape here: most Buch counts end at the size test below, and one
     # object per call cost ktheory-checks 4% of its items/s (2-vCPU Xeon)
@@ -465,11 +482,11 @@ def enumerate_set_valued(
                     yield from choose(vals + (x,), x - 1, floor, room - 1)
                 seen[x] -= 1
 
-    def fill(i: int, remaining: int) -> Iterator[SetValuedTableau]:
+    def fill(i: int, remaining: int) -> Iterator[tuple[tuple[int, int, tuple[int, ...]], ...]]:
         """Fill boxes i.. with the remaining letters; one frame per box, so n boxes nest n deep."""
         if i == n:
             if not remaining:
-                yield SetValuedTableau(nu, tuple((r, c, s) for (r, c), s in zip(boxes, sets)), inner)
+                yield tuple((r, c, s) for (r, c), s in zip(boxes, sets))
             return
         top = letters if right[i] is None else sets[right[i]][-1]
         floor = 0 if above[i] is None else sets[above[i]][0]

@@ -1,3 +1,4 @@
+import random
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -17,6 +18,29 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("deterministic")
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--test-order",
+        metavar="reverse|SEED",
+        help="run the collected tests in reverse order, or shuffled with this integer seed",
+    )
+
+
+def pytest_collection_modifyitems(config, items):
+    """Reorder the collected tests by ``--test-order``, so that no test leans on another's leftovers."""
+    order = config.getoption("--test-order")
+    if order is None:
+        return
+    if order == "reverse":
+        items.reverse()
+        return
+    try:
+        seed = int(order)
+    except ValueError:
+        raise pytest.UsageError(f"--test-order takes reverse or an integer seed, got {order!r}") from None
+    random.Random(seed).shuffle(items)
 
 
 @pytest.fixture(scope="session")

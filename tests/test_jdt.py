@@ -1,5 +1,6 @@
 """Slide engine against the worked switch sequences and structural properties."""
 
+import dataclasses
 import random
 from collections import Counter
 from types import SimpleNamespace
@@ -399,6 +400,37 @@ class TestSwitchTrace:
         with pytest.raises(ValueError, match="got 1 for 0"):
             SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (), (None,))
 
+    STEPS = [SlideStep("forward", frozenset({(1, 2), (2, 1)})), SlideStep("forward", frozenset({(1, 1)}))]
+
+    def test_a_kernel_made_trace_resumes_without_a_build(self, monkeypatch):
+        ambient = AmbientRectangle(3, 7)
+        whole = switch_trace(SWSEQ_START, self.STEPS, ambient)
+        first = switch_trace(SWSEQ_START, self.STEPS[:1], ambient)
+
+        def unreachable(self):
+            raise AssertionError("a kernel-made trace was rebuilt through the public constructor")
+
+        monkeypatch.setattr(SwitchTrace, "final_tableau", unreachable)
+        assert extend_trace(first, self.STEPS[1:], ambient) == whole
+
+    @pytest.mark.parametrize("copy", ["by hand", "replace"])
+    def test_a_copy_of_a_kernel_made_trace_goes_through_the_door(self, copy):
+        ambient = AmbientRectangle(3, 7)
+        trace = switch_trace(SWSEQ_START, self.STEPS[:1], ambient)
+        last = trace.states[-1]
+        bad = last._replace(cells=tuple((r, c, "2" if (r, c) == last.cells[0][:2] else v) for r, c, v in last.cells))
+        states = trace.states[:-1] + (bad,)
+        if copy == "by hand":
+            forged = SwitchTrace(trace.start, states, trace.origins)
+        else:
+            forged = dataclasses.replace(trace, states=states)
+        with pytest.raises(TableauError, match="must be a positive integer, got '2'"):
+            extend_trace(forged, self.STEPS[1:], ambient)
+        # the same trace, unforged and copied, still extends
+        assert extend_trace(dataclasses.replace(trace), self.STEPS[1:], ambient) == switch_trace(
+            SWSEQ_START, self.STEPS, ambient
+        )
+
 
 class TestRevKrectInAmbient:
     def test_single_box(self):
@@ -606,6 +638,37 @@ class TestOrderCheck:
     def test_adjacent_group_is_refused_by_the_check(self):
         with pytest.raises(ShapeFitError):
             krect(self.T, self.ADJACENT)
+
+    STRAIGHT = tab((2, 1), (), {(1, 1): 1, (1, 2): 2, (2, 1): 3})
+    ENTRIES = {
+        "kjdt_slide": lambda self: kjdt_slide(self.T, {(1, 1), (1, 2)}),
+        "rev_kjdt_slide": lambda self: rev_kjdt_slide(self.STRAIGHT, {(2, 2), (2, 3)}, AmbientRectangle(3, 6)),
+        "switch_trace": lambda self: switch_trace(
+            self.T, [SlideStep("forward", frozenset({(1, 1), (1, 2)}))], AmbientRectangle(3, 6)
+        ),
+        "extend_trace": lambda self: extend_trace(
+            switch_trace(self.T, [SlideStep("forward", frozenset({(1, 2)}))], AmbientRectangle(3, 6)),
+            [SlideStep("forward", frozenset({(1, 1), (1, 2)}))],
+            AmbientRectangle(3, 6),
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_every_slide_entry_kernel_refuses_adjacent_bullets(self, monkeypatch, entry):
+        # the bullets of every slide enter the kernel unchecked by it, so it checks them
+        monkeypatch.setattr(jdt, "_check_corners", lambda *args: None)
+        with pytest.raises(InternalInvariantError, match="adjacent bullets"):
+            self.ENTRIES[entry](self)
+
+    def test_reverse_rectification_kernel_refuses_adjacent_bullets(self, monkeypatch):
+        # its corners skip the corner check; were they ever adjacent, the kernel would refuse them
+        monkeypatch.setattr(jdt, "addable_corners", lambda *args, **kwargs: [(1, 2), (1, 3)])
+        with pytest.raises(InternalInvariantError, match="adjacent bullets"):
+            rev_krect_in_ambient(tab((1,), (), {(1, 1): 1}), AmbientRectangle(2, 4))
+
+    def test_bullets_checked_apart_before_are_not_checked_again(self):
+        # an S class of a label step enters as an _Apart set: it was checked when it was made
+        assert _run_switches({(1, 3): 1}, jdt._Apart({(1, 1), (1, 2)}), False) == {(1, 1), (1, 3)}
 
 
 def _random_tableau(rng):

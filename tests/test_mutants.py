@@ -131,10 +131,10 @@ def stale_neighbours(monkeypatch):
 
 @pytest.fixture
 def no_lattice_intervals(monkeypatch):
-    """``enumerate_set_valued`` ignoring its lattice intervals, in both of Buch's rules."""
-    real = coefficients.enumerate_set_valued
+    """The set-valued stream ignoring its lattice intervals, in both of Buch's rules."""
+    real = coefficients._set_valued_cells
     monkeypatch.setattr(
-        coefficients, "enumerate_set_valued", lambda nu, content, lattice=(), inner=(): real(nu, content, (), inner)
+        coefficients, "_set_valued_cells", lambda nu, content, lattice=(), inner=(): real(nu, content, (), inner)
     )
 
 

@@ -255,6 +255,31 @@ class TestSharedSteps:
         # the class a switch produces is the next set checked apart
         assert [events[i] for i in calls if events[i + 1:i + 2] != [("apart", events[i][2])]] == []
 
+    def test_every_S_class_is_checked_apart_once(self, monkeypatch):
+        """A class a step switches was checked when it was made, so the kernel does not check it again."""
+        coefficients._memo.clear()
+        given, checked = [], []
+        real_switches, real_apart = jdt._run_switches, jdt._check_apart
+
+        def switches(entries, bullets, reverse, on_switch=None):
+            given.append(frozenset(bullets))
+            return real_switches(entries, bullets, reverse, on_switch)
+
+        def apart(bullets):
+            checked.append(frozenset(bullets))
+            real_apart(bullets)
+
+        monkeypatch.setattr(jdt, "_run_switches", switches)
+        monkeypatch.setattr(jdt, "_check_apart", apart)
+        for row in _exhaustive_rows():
+            rect_tally(*row)
+        assert len(given) >= 1000
+        # one check per kernel call, each on the class the call produced
+        assert len(checked) == len(given)
+        singletons = sum(1 for bullets in given if len(bullets) == 1)
+        # the classes given again, each checked when it was made, were checked twice before
+        assert len(given) - singletons >= 400
+
     @staticmethod
     def _steps():
         return {key: value for key, value in coefficients._memo.items() if key[0] == "label-step"}

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ktaquin import coefficients, tableaux
 from ktaquin.coefficients import coeff_C, coeff_D_buch
-from ktaquin.shapes import ShapeFitError, partitions_in_rectangle, psize
+from ktaquin.shapes import ShapeFitError, contains, partitions_in_rectangle, psize
 from ktaquin.tableaux import enumerate_set_valued
 
 from helpers import reference_set_valued
@@ -119,6 +119,26 @@ def test_zero_by_size_C_buch_builds_no_region(monkeypatch):
     monkeypatch.setattr(tableaux, "_region_rows", unreachable)
     assert coefficients._memoized_count("C-buch", (1,), (1,), (1,)) == 0
     assert coefficients._memoized_count("C-buch", (2, 1), (1,), (3,)) == 0
+
+
+def test_the_counts_stream_equals_the_built_stream():
+    """The cells that Buch's counts read are those the public enumerator builds, one for one:
+    nu in a 3x3 box over inner in a 2x2 box, up to 3 letters with multiplicities 0..2, lattice on all."""
+    cases = nonempty = 0
+    for nu in partitions_in_rectangle(3, 3):
+        for inner in (p for p in partitions_in_rectangle(2, 2) if contains(nu, p)):
+            for letters in range(4):
+                for content in itertools.product(range(3), repeat=letters):
+                    lattice = [(1, letters)] if letters else []
+                    raw = [
+                        sorted((r, c, tuple(sorted(s))) for r, c, s in cells)
+                        for cells in tableaux._set_valued_cells(nu, content, lattice, inner)
+                    ]
+                    built = [list(t.cells) for t in enumerate_set_valued(nu, content, lattice, inner)]
+                    assert sorted(built) == sorted(raw), (nu, inner, content)
+                    cases += 1
+                    nonempty += bool(raw)
+    assert (cases, nonempty) == (3800, 220)
 
 
 def test_a_long_row_nests_once_per_box():

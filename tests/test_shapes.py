@@ -1,6 +1,9 @@
 """Shape constructions against worked values and brute-force oracles."""
 
+import copy
 import itertools
+import json
+import pickle
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -12,6 +15,7 @@ from ktaquin import shapes
 from ktaquin.shapes import (
     AmbientRectangle,
     DirectSumFrame,
+    Partition,
     ShapeFitError,
     SkewShape,
     add_boxes,
@@ -185,6 +189,89 @@ class TestPartitionBasics:
 
     def test_partitions_of(self):
         assert set(partitions_of(4)) == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
+
+
+class TestPartitionType:
+    """``Partition`` is the one normal-form check, and a tuple everywhere else."""
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [((1, 2), "rows must be weakly decreasing: (1, 2)"), ((2, -1), "rows must be nonnegative: (2, -1)")],
+    )
+    def test_the_door_refuses_with_the_old_messages(self, rows, message):
+        shapes._memo.clear()
+        for build in (Partition, partition, lambda t: partition(list(t))):
+            with pytest.raises(ShapeFitError) as err:
+                build(rows)
+            assert str(err.value) == message
+        assert shapes._memo == {}
+
+    def test_the_door_normalises(self):
+        for rows, normal in [((3, 1, 0, 0), (3, 1)), ([3.0, True], (3, 1)), ((0,), ()), ((), ())]:
+            p = Partition(rows)
+            assert type(p) is Partition and p == normal
+
+    def test_a_partition_is_returned_as_it_is(self):
+        shapes._memo.clear()
+        p = Partition((4, 2))
+        assert partition(p) is p
+        assert shapes._memo == {}  # no lookup, no key
+
+    def test_other_inputs_take_the_cold_path(self):
+        class Rows(NamedTuple):
+            first: int
+            second: int
+
+        class Sub(Partition):
+            __slots__ = ()
+
+        for parts in (Rows(3, 1), [3, 1], Sub((3, 1))):
+            shapes._memo.clear()
+            got = partition(parts)
+            assert type(got) is Partition and got == (3, 1) and got is not parts
+            assert shapes._memo == {("partition", (3, 1)): (3, 1)}
+        # a subclass built past the check is checked again
+        with pytest.raises(ShapeFitError, match="weakly decreasing"):
+            partition(tuple.__new__(Sub, (1, 2)))
+
+    def test_memo_holds_partitions(self):
+        from ktaquin.coefficients import coeff_D, rect_tally
+
+        shapes._memo.clear()
+        for parts in ((3, 1), [2, 2, 0], (x for x in (1,))):
+            assert type(partition(parts)) is Partition
+        rect_tally((3, 2, 1), (2,), 3)  # plain tuples in: the count interns its shapes as Partitions
+        coeff_D((2,), (2, 1), (3, 1))
+        memo = shapes._memo.items()
+        shapes_held = [v for k, v in memo if k[0] == "partition"] + [v[0] for k, v in memo if k[0] == "label-step"]
+        assert len(shapes_held) >= 20 and all(type(v) is Partition for v in shapes_held)
+
+    def test_behaves_as_the_tuple_of_its_rows(self):
+        p, t = Partition((4, 3, 1)), (4, 3, 1)
+        assert p == t and t == p and hash(p) == hash(t) and {p: 1}[t] == 1
+        assert repr(p) == repr(t) and str(p) == str(t)
+        assert json.dumps(p) == json.dumps(t) == "[4, 3, 1]"
+        assert json.dumps({"nu": p}, separators=(",", ":")) == '{"nu":[4,3,1]}'
+        assert format_partition(p) == format_partition(t) == "[4,3,1]"
+        assert type(p[:2]) is tuple and p[:2] == (4, 3) and type(p + (1,)) is tuple
+        for back in (pickle.loads(pickle.dumps(p)), copy.copy(p), copy.deepcopy(p)):
+            assert back == t and type(back) is Partition
+        assert not hasattr(p, "__dict__")
+
+    def test_normal_by_construction_comes_as_partitions(self):
+        frame = DirectSumFrame(1, 3, 2, 4)
+        made = [
+            *partitions_in_rectangle(3, 2),
+            *partitions_of(5),
+            *partitions_of(6, max_rows=2, max_cols=4),
+            omega(frame),
+            omega_dual(frame),
+            dagger((2,), (1,), frame),
+            star((2, 1), (1,)).outer,
+            star((2, 1), (1,)).inner,
+            parse_partition("[3,1,0]"),
+        ]
+        assert [p for p in made if type(p) is not Partition] == []
 
 
 class TestDual:
