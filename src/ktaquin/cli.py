@@ -183,6 +183,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.limit < 0:
+        raise ValueError(f"--limit must be nonnegative, got {args.limit}")
     outer = parse_partition(args.outer)
     inner = parse_partition(args.inner) if args.inner else ()
     shape = SkewShape(outer, inner)

@@ -227,16 +227,14 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     A switch moves an S class only if one of its boxes is next to a box of
     the placed class: the class's slide has no other label to meet.  So only
     the S classes that meet the placed class's 4-neighbours, taken afresh
-    after each switch, go through ``jdt._run_switches``, as the bullets of
-    one slide whose only stage is this class; each of them moves, and every
-    switch runs the kernel's stage checks.  The class a switch produces is
-    checked for adjacent bullets at once.  So every S class of every state is
-    checked apart once: the superstandard singletons need no check, and each
-    later class was checked when it was produced, so it enters the kernel as
-    a ``jdt._Apart`` set, which the kernel does not check again.  A class
-    that no switch touches is the same set as before and is not checked
-    again.  The new state must be tiled exactly by the S classes and the
-    landed boxes.
+    after each switch, go through ``jdt._switch_class``, as the bullets of
+    one slide whose only stage is this class; each of them moves, every
+    switch runs the kernel's stage checks, and the class a switch produces
+    is checked for adjacent bullets at once.  So every S class of every
+    state is checked apart once, when it is made: the superstandard
+    singletons need no check, and a class that no switch touches is the
+    same set as before.  The new state must be tiled exactly by the S
+    classes and the landed boxes.
 
     That tiling check compares only what the step changed: the placed boxes
     and the old boxes of each S class that moved, against the landed boxes
@@ -260,8 +258,7 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     for s in range(len(new) - 1, -1, -1):
         if near.isdisjoint(new[s]):
             continue
-        bullets = jdt._run_switches(entries, jdt._Apart(new[s]), False)
-        jdt._check_apart(bullets)
+        bullets = jdt._switch_class(entries, new[s])
         before.update(new[s])
         after.update(bullets)
         moved += len(bullets)

@@ -114,7 +114,7 @@ def verify_origin_invariants(trace: SwitchTrace, start: int = 0) -> OriginReport
     violations: list[OriginViolation] = []
     for i in range(start, len(trace.states)):
         state = trace.states[i]
-        origins = trace.origins[i]
+        origins = state.origins
         if origins is None:
             violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
             continue
@@ -243,7 +243,6 @@ class CountIndependenceReport:
 
     groups: dict[Part, tuple[tuple[IncreasingTableau, int], ...]]
     uniform_within_alphabet: bool
-    uniform_across_alphabets: bool  # recorded observation, not asserted by callers
     total: int
 
 
@@ -265,19 +264,15 @@ def check_count_independence(shape: SkewShape, alphabet: Iterable[int]) -> Count
     for target, n in sorted(tally.items(), key=lambda kv: (kv[0].outer, kv[0].cells)):
         groups.setdefault(target.outer, []).append((target, n))
     uniform_within = True
-    uniform_across = True
     for grp in groups.values():
         by_values: dict[frozenset[int], set[int]] = {}
         for target, n in grp:
             by_values.setdefault(target.values, set()).add(n)
         if any(len(ns) > 1 for ns in by_values.values()):
             uniform_within = False
-        if len({n for _, n in grp}) > 1:
-            uniform_across = False
     return CountIndependenceReport(
         {shape_: tuple(grp) for shape_, grp in groups.items()},
         uniform_within,
-        uniform_across,
         total,
     )
 

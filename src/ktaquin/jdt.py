@@ -19,36 +19,33 @@ stage labels, and a ribbon with more than two boxes in one row or column.
 Every one of these checks reads one box and the boxes around it.
 
 Every slide, forward or reverse, single or one group of a rectification,
-infusion or trace, is one call of ``_slide``, which runs the stages and
-returns both new shapes.  Its corners are checked by ``_check_corners`` when
-the slide is reached; only reverse rectification, whose corners are the
-legal ones by construction, skips the check.  ``_run_switches`` loops over
-the stages of a slide.  A stage with one (bullet, label box) pair, the most
-common kind, runs inline there; a stage with several pairs is one call of
-``_switch``, which also checks for blocks and long ribbons.
+infusion or trace, is one call of ``_slide``, which checks that its bullets
+start apart, runs the stages and returns both new shapes.  Its corners are
+checked by ``_check_corners`` when the slide is reached; only reverse
+rectification, whose corners are the legal ones by construction, skips that
+check (legal corners are apart, but ``_slide`` does not rely on it).
+``_run_switches`` is the stage loop of a slide and checks no bullets apart:
+a stage never makes two of them adjacent.  A stage with one (bullet, label
+box) pair, the most common kind, runs inline there; a stage with several
+pairs is one call of ``_switch``, which also checks for blocks and long
+ribbons.
 
-``_run_switches`` checks that its bullets start apart, unless they come as an
-``_Apart`` set; a stage never makes two of them adjacent.  The bullets that
-enter unchecked, and so are checked there, are those of ``_slide``: the
-corners of every slide of ``kjdt_slide``, ``rev_kjdt_slide``, ``krect``,
-``kinfusion``, ``switch_trace``, ``extend_trace`` and
-``rev_krect_in_ambient`` (legal corners are apart, but the kernel does not
-rely on the corner check).  Outside this module only
-``coefficients._label_step`` calls ``_run_switches``: a label step switches
-only the S classes next to its placed class, the only ones that move, each
-as the bullets of one slide with the same stage checks, and runs
-``_check_apart`` on each class a switch produces.  It hands each S class in
-as an ``_Apart`` set, so every S class is checked apart once, when it is
-made; the superstandard singletons need no check.
+Outside this module only ``coefficients._label_step`` runs the stage loop,
+through ``_switch_class``: a label step switches only the S classes next to
+its placed class, the only ones that move, each as the bullets of one slide
+with the same stage checks, and ``_switch_class`` checks the class it
+produces apart.  So every S class is checked apart once, when it is made;
+the superstandard singletons need no check.
 
 ``switch_trace`` records a state after the bullets are placed and after each
 stage, through the kernel's ``on_switch`` hook; ``extend_trace`` continues a
 trace from its final state, so a walk over slide sequences slides each step
-once.  States share one origins dict until a stage changes it.  A trace that
-``extend_trace`` returns is marked kernel-made, as a tableau from
-``IncreasingTableau._from_kernel`` skips the type checks, and is resumed from
-its last state's cells; a trace built by hand goes through the public tableau
-constructor first.
+once.  Each state carries its boxes of origin, and states share one origins
+dict until a stage changes it.  A trace that ``extend_trace`` returns is
+marked kernel-made, as a tableau from ``IncreasingTableau._from_kernel``
+skips the type checks, and is resumed and built from its last state's
+cells; a trace built by hand goes through the public tableau constructor
+first.
 
 Every public call slides one entries dict in place, through all its steps,
 and builds one validated tableau per output at the end
@@ -133,12 +130,6 @@ class _Neighbours(dict):
 _NEIGHBOURS = _Neighbours()
 
 
-class _Apart(set):
-    """Bullets already checked apart, which ``_run_switches`` does not check again."""
-
-    __slots__ = ()
-
-
 def _check_apart(bullets: set[Box] | frozenset[Box]) -> None:
     """No two bullets are adjacent."""
     around = _NEIGHBOURS
@@ -195,10 +186,8 @@ def _run_switches(
 
     on_switch(label, moves, bullets), when given, is called once after the
     bullets are placed (label None, no moves) and once after each stage.
-    Bullets given as an ``_Apart`` set are not checked apart again.
+    The bullets must start apart; the callers check them.
     """
-    if type(bullets) is not _Apart:
-        _check_apart(bullets)
     # A stage never makes two bullets adjacent: two freed boxes are equal labels,
     # and a bullet next to a freed box is a bullet that the stage filled.
     if on_switch is not None:
@@ -242,6 +231,17 @@ def _run_switches(
             on_switch(label, moves, bullets)
 
 
+def _switch_class(entries: dict[Box, int], s_class: frozenset[Box]) -> set[Box]:
+    """Switch an S class forward past entries in place; returns its new boxes, checked apart.
+
+    The class is the bullets of one slide.  It was checked apart when it was
+    made, or is a singleton, so only the class produced is checked.
+    """
+    bullets = _run_switches(entries, set(s_class), False)
+    _check_apart(bullets)
+    return bullets
+
+
 def _check_corners(
     inner: Part, outer: Part, corners: frozenset[Box], reverse: bool, ambient: AmbientRectangle | None = None
 ) -> None:
@@ -272,7 +272,9 @@ def _slide(
     A forward slide moves into inner corners and its bullets leave outer; a
     reverse slide moves into outer corners and its bullets join inner.
     """
-    final = _run_switches(entries, set(corners), reverse, on_switch)
+    bullets = set(corners)
+    _check_apart(bullets)
+    final = _run_switches(entries, bullets, reverse, on_switch)
     try:
         if reverse:
             return add_boxes(inner, final), add_boxes(outer, corners), final
@@ -384,7 +386,13 @@ class SlideStep:
 
 
 class SwitchState(NamedTuple):
-    """Snapshot after placing bullets or after one switch stage."""
+    """Snapshot after placing bullets or after one switch stage.
+
+    origins maps numeric boxes to boxes of the trace's starting tableau; it is
+    None when the switch into this state, or an earlier one, was not uniform,
+    that is, merged labels from different boxes of origin.  States share one
+    origins dict until a stage changes it, so the dicts are read-only.
+    """
 
     outer: Part
     inner: Part
@@ -392,6 +400,7 @@ class SwitchState(NamedTuple):
     bullets: frozenset[Box]
     stage: int | None  # label processed by the switch; None for bullet placement
     direction: Direction
+    origins: dict[Box, Box] | None
 
     def configuration(self) -> tuple[frozenset[Box], frozenset[Box]]:
         """Numeric boxes and bullet boxes; both matter for comparing states."""
@@ -406,26 +415,15 @@ class SwitchTrace:
     """Slow-motion record of a slide sequence with box-of-origin bookkeeping.
 
     states[i] is reached from states[i-1] by placing bullets (stage None) or by
-    one simultaneous switch of all ribbons of a label stage.  origins[i] maps
-    numeric boxes to boxes of the starting tableau; it is None when the switch
-    into state i, or an earlier one, was not uniform, that is, merged labels
-    from different boxes of origin.  States share one origins dict until a
-    stage changes it, so the dicts are read-only.
+    one simultaneous switch of all ribbons of a label stage; each state holds
+    its own boxes of origin.
     """
 
     start: IncreasingTableau
     states: tuple[SwitchState, ...]
-    origins: tuple[dict[Box, Box] | None, ...]
     # not a field: only ``extend_trace`` sets it, on a trace whose last state the kernel slid
     # from a built tableau; a trace built by hand, or copied through the constructor, reads False
     _kernel_made = False
-
-    def __post_init__(self) -> None:
-        # a trace may be built by hand; every reader takes origins[i] with states[i]
-        if len(self.origins) != len(self.states):
-            raise ValueError(
-                f"a trace needs one origins entry per state, got {len(self.origins)} for {len(self.states)}"
-            )
 
     def final_shape(self) -> tuple[Part, Part]:
         """(outer, inner) once the last state's bullets have left the shape."""
@@ -437,10 +435,16 @@ class SwitchTrace:
         return last.outer, add_boxes(last.inner, last.bullets)
 
     def final_tableau(self) -> IncreasingTableau:
-        """The last state on ``final_shape``, through the public constructor: a trace may be built by hand."""
+        """The last state on ``final_shape``.
+
+        A kernel-made trace's last state is built as a kernel output; a trace
+        built by hand goes through the public constructor.
+        """
         if not self.states:
             return self.start
         outer, inner = self.final_shape()
+        if self._kernel_made:
+            return IncreasingTableau._from_kernel(outer, inner, self.states[-1].entries())
         return IncreasingTableau(outer, inner, self.states[-1].cells)
 
 
@@ -456,7 +460,7 @@ def switch_trace(
     t: IncreasingTableau, slides: Sequence[SlideStep], ambient: AmbientRectangle
 ) -> SwitchTrace:
     """Run the slides in slow motion, recording every switch state."""
-    return extend_trace(SwitchTrace(t, (), ()), slides, ambient)
+    return extend_trace(SwitchTrace(t, ()), slides, ambient)
 
 
 def extend_trace(
@@ -477,14 +481,14 @@ def extend_trace(
     if trace.states:
         cells = trace.states[-1].cells if trace._kernel_made else trace.final_tableau().cells
         entries = {(r, c): v for r, c, v in cells}
-        origins = trace.origins[-1]
+        origins = trace.states[-1].origins
     else:
         entries = trace.start.entries
         cells = trace.start.cells
         origins = {box: box for box in entries}
     states: list[SwitchState] = []
-    origin_seq: list[dict[Box, Box] | None] = []
-    stages: list[tuple[Cells, frozenset[Box], int | None]] = []  # those of the current step
+    # the states of the current step, less their shape, which is known once the step is slid
+    stages: list[tuple[Cells, frozenset[Box], int | None, Direction, dict[Box, Box] | None]] = []
 
     def on_switch(label: int | None, moves: Moves, bullets: set[Box]) -> None:
         nonlocal origins, cells
@@ -505,11 +509,11 @@ def extend_trace(
                     if origins is None:
                         break
                     origins[b] = src
-        stages.append((cells, frozenset(bullets), label))
-        origin_seq.append(origins)
+        stages.append((cells, frozenset(bullets), label, direction, origins))
 
     for i, step in enumerate(slides):
-        reverse = step.direction == "reverse"
+        direction = step.direction
+        reverse = direction == "reverse"
         try:
             _check_corners(inner, outer, step.corners, reverse, ambient)
             new_inner, new_outer, _ = _slide(entries, inner, outer, step.corners, reverse, on_switch)
@@ -518,9 +522,9 @@ def extend_trace(
         # the corners joined outer, or left inner, when the bullets were placed
         shape = (new_outer, inner) if reverse else (outer, new_inner)
         inner, outer = new_inner, new_outer
-        states.extend(SwitchState(*shape, *stage, step.direction) for stage in stages)
+        states.extend(SwitchState(*shape, *stage) for stage in stages)
         stages.clear()
-    out = SwitchTrace(trace.start, trace.states + tuple(states), trace.origins + tuple(origin_seq))
+    out = SwitchTrace(trace.start, trace.states + tuple(states))
     object.__setattr__(out, "_kernel_made", True)
     return out
 

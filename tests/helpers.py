@@ -28,8 +28,8 @@ from ktaquin.jdt import (
     InternalInvariantError,
     _check_corners,
     _label_groups_desc,
-    _run_switches,
     _slide,
+    _switch_class,
     switch_trace,
 )
 from ktaquin.tableaux import (
@@ -253,7 +253,7 @@ def reference_verify_origin_invariants(trace) -> OriginReport:
     """Per-stage checks: uniformity, origin-row/column order, bullet-neighbor comparability."""
     violations = []
     for i, state in enumerate(trace.states):
-        origins = trace.origins[i]
+        origins = state.origins
         if origins is None:
             violations.append(OriginViolation(i, "uniformity", f"switch into stage {state.stage}"))
             continue
@@ -472,8 +472,8 @@ def reference_label_step(filled, classes, placed):
 
     The body that ``coefficients._label_step`` replaced, which switches only
     the classes next to the placed class: every class here is the bullets of
-    one slide, whether or not it touches the placed class, and the kernel's
-    entry check runs on each.  The tiling check is the same.  Nothing is
+    one slide, whether or not it touches the placed class, and each class
+    it produces is checked apart.  The tiling check is the same.  Nothing is
     interned in the memo, so a sweep's steps can be compared with it after
     the sweep.  Test-only.
     """
@@ -484,7 +484,7 @@ def reference_label_step(filled, classes, placed):
     after = set()
     moved = 0
     for s in range(len(new) - 1, -1, -1):
-        bullets = _run_switches(entries, set(new[s]), False)
+        bullets = _switch_class(entries, new[s])
         if bullets != new[s]:
             before.update(new[s])
             after.update(bullets)

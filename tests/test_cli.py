@@ -494,6 +494,16 @@ class TestOtherCommands:
         assert code == EXIT_USAGE and out == ""
         assert "--content" in err and "invalid literal" not in err
 
+    def test_enumerate_negative_limit(self, capsys):
+        code, out, err = run(capsys, "enumerate", "--outer", "[2,1]", "--limit", "-1")
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: --limit must be nonnegative, got -1\n"
+
+    def test_enumerate_zero_limit_prints_the_count_only(self, capsys):
+        code, out, _ = run(capsys, "enumerate", "--outer", "[2,1]", "--limit", "0")
+        assert code == EXIT_OK
+        assert out == "14 tableaux\n\n"
+
     def test_enumerate_default_max_entry(self, capsys):
         code, out, _ = run(capsys, "--json", "enumerate", "--outer", "[1]")
         assert code == EXIT_OK

@@ -15,7 +15,8 @@ from ktaquin.shapes import (
     removable_corners,
 )
 from ktaquin.tableaux import IncreasingTableau, enumerate_increasing, superstandard
-from ktaquin.jdt import SlideStep, SwitchState, SwitchTrace, extend_trace, switch_trace
+from ktaquin.jdt import SlideStep, SwitchTrace, extend_trace, switch_trace
+from ktaquin import equivalence, suites
 from ktaquin.equivalence import (
     EquivalenceVerdict,
     _divergence,
@@ -90,7 +91,7 @@ class TestStrongEquivalence:
         a = T([[1, 2], [3]])
         trace = switch_trace(a, [SlideStep("reverse", frozenset({(2, 2)}))], AmbientRectangle(2, 5))
         assert len(trace.states) > 1
-        short = SwitchTrace(trace.start, trace.states[:1], trace.origins[:1])
+        short = SwitchTrace(trace.start, trace.states[:1])
         assert _divergence(trace, short, 0) == EquivalenceVerdict(False, 1, 1)
         assert _divergence(short, trace, 0) == EquivalenceVerdict(False, 1, 1)
 
@@ -209,8 +210,9 @@ def _outcome(check, trace):
 
 def _corrupted(trace: SwitchTrace, rng: random.Random) -> SwitchTrace:
     """The trace with some origins moved, dropped or added, and some cells out of order."""
-    states, origins = [], []
-    for state, o in zip(trace.states, trace.origins):
+    states = []
+    for state in trace.states:
+        o = state.origins
         if o is not None:
             o = dict(o)
             boxes = sorted(o)
@@ -226,11 +228,9 @@ def _corrupted(trace: SwitchTrace, rng: random.Random) -> SwitchTrace:
             elif roll < 0.75:  # a numeric box without an origin
                 del o[rng.choice(boxes)]
         if rng.random() < 0.1:  # cells out of order, one repeated
-            cells = state.cells[::-1] + state.cells[:1]
-            state = SwitchState(state.outer, state.inner, cells, state.bullets, state.stage, state.direction)
-        states.append(state)
-        origins.append(o)
-    return SwitchTrace(trace.start, tuple(states), tuple(origins))
+            state = state._replace(cells=state.cells[::-1] + state.cells[:1])
+        states.append(state._replace(origins=o))
+    return SwitchTrace(trace.start, tuple(states))
 
 
 class TestAgainstReferenceOriginCheck:
@@ -347,6 +347,27 @@ class TestCountIndependence:
     def test_nonrectangular_inner_rejected(self):
         with pytest.raises(ShapeFitError):
             check_count_independence(SkewShape((3, 3, 2), (2, 1)), {1, 2})
+
+    def test_a_faulty_rectification_is_caught(self, monkeypatch):
+        # a rectification memo whose key leaves out a filling's last cell: the
+        # fillings that differ only there all get the first one's target
+        real = equivalence.krect
+        memo = {}
+
+        def stale(t, order=None):
+            key = (t.outer, t.inner, t.cells[:-1])
+            if key not in memo:
+                memo[key] = real(t, order)
+            return memo[key]
+
+        monkeypatch.setattr(equivalence, "krect", stale)
+        from ktaquin.shapes import star
+
+        report = check_count_independence(star((2,), (2, 1)), {1, 2, 3})
+        assert report.total == 15 and not report.uniform_within_alphabet
+        result = suites.count_independence_suite()
+        assert not result.ok
+        assert result.details[0] == "(4, 3, 2)/(2, 2): 15 fillings, 6 target shapes"
 
 
 class TestSuperstandardIndependence:

@@ -9,8 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ktaquin.coefficients import rect_tally
-from ktaquin.equivalence import verify_origin_invariants
-from ktaquin.formats import format_trace
 from ktaquin.shapes import (
     AmbientRectangle,
     ShapeFitError,
@@ -30,6 +28,8 @@ from ktaquin.jdt import (
     _check_corners,
     _check_ribbons,
     _run_switches,
+    _slide,
+    _switch_class,
     extend_trace,
     kinfusion,
     kjdt_slide,
@@ -282,7 +282,7 @@ class TestUniformityFromRectangles:
                 steps.append(SlideStep("reverse", chosen))
                 current = rev_kjdt_slide(current, chosen, ambient)
             trace = switch_trace(t, steps, ambient)
-            assert all(o is not None for o in trace.origins)
+            assert all(state.origins is not None for state in trace.states)
 
 
 class TestRectangularWellDefined:
@@ -342,7 +342,7 @@ class TestSwitchTrace:
         assert bullets[3] == frozenset({(1, 4), (2, 3), (3, 2)})
         # the second switch merges labels from two different boxes of origin,
         # so origins stop being well defined from that point on
-        assert [o is not None for o in trace.origins] == [True, True, False, False]
+        assert [state.origins is not None for state in trace.states] == [True, True, False, False]
         assert trace.final_tableau() == SWSEQ_RESULT
 
     def test_rev_slide_divergent_configurations(self):
@@ -367,38 +367,20 @@ class TestSwitchTrace:
 
     @pytest.mark.parametrize("label", [True, "2"], ids=["bool", "str"])
     def test_hand_built_trace_is_checked_at_the_door(self, label):
-        state = SwitchState((1,), (), ((1, 1, label),), frozenset(), None, "forward")
-        trace = SwitchTrace(tab((1,), (), {(1, 1): 1}), (state,), (None,))
+        state = SwitchState((1,), (), ((1, 1, label),), frozenset(), None, "forward", None)
+        trace = SwitchTrace(tab((1,), (), {(1, 1): 1}), (state,))
         with pytest.raises(TableauError) as err:
             trace.final_tableau()
         assert str(err.value) == f"entry at (1, 1) must be a positive integer, got {label!r}"
 
     def test_hand_built_trace_is_checked_before_it_is_extended(self):
         # the kernel would compare the str label with an int and raise a bare TypeError
-        state = SwitchState((2,), (1,), ((1, 2, "2"),), frozenset(), None, "forward")
-        trace = SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (state,), (None,))
+        state = SwitchState((2,), (1,), ((1, 2, "2"),), frozenset(), None, "forward", None)
+        trace = SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (state,))
         step = SlideStep("forward", frozenset({(1, 1)}))
         with pytest.raises(TableauError) as err:
             extend_trace(trace, [step], AmbientRectangle(2, 4))
         assert str(err.value) == "entry at (1, 2) must be a positive integer, got '2'"
-
-    @pytest.mark.parametrize("reader", ["extend_trace", "verify_origin_invariants", "format_trace"])
-    def test_hand_built_trace_needs_one_origins_entry_per_state(self, reader):
-        # each reader takes origins[i] with states[i], so a short origins tuple raised a bare IndexError
-        state = SwitchState((2,), (1,), ((1, 2, 2),), frozenset(), None, "forward")
-        step = SlideStep("forward", frozenset({(1, 1)}))
-        read = {
-            "extend_trace": lambda trace: extend_trace(trace, [step], AmbientRectangle(2, 4)),
-            "verify_origin_invariants": verify_origin_invariants,
-            "format_trace": format_trace,
-        }[reader]
-        with pytest.raises(ValueError) as err:
-            read(SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (state,), ()))
-        assert str(err.value) == "a trace needs one origins entry per state, got 0 for 1"
-
-    def test_hand_built_trace_with_an_origins_entry_too_many_is_refused(self):
-        with pytest.raises(ValueError, match="got 1 for 0"):
-            SwitchTrace(tab((2,), (1,), {(1, 2): 2}), (), (None,))
 
     STEPS = [SlideStep("forward", frozenset({(1, 2), (2, 1)})), SlideStep("forward", frozenset({(1, 1)}))]
 
@@ -413,6 +395,25 @@ class TestSwitchTrace:
         monkeypatch.setattr(SwitchTrace, "final_tableau", unreachable)
         assert extend_trace(first, self.STEPS[1:], ambient) == whole
 
+    def test_a_kernel_made_trace_builds_its_final_tableau_as_a_kernel_output(self, monkeypatch):
+        trace = switch_trace(SWSEQ_START, self.STEPS[:1], AmbientRectangle(3, 7))
+        expected = kjdt_slide(SWSEQ_START, self.STEPS[0].corners)
+        checked = []
+        real_check = IncreasingTableau._check
+
+        def check(self, entries):
+            checked.append(dict(entries))
+            real_check(self, entries)
+
+        def unreachable(self):
+            raise AssertionError("a kernel-made trace was rebuilt through the public constructor")
+
+        monkeypatch.setattr(IncreasingTableau, "__post_init__", unreachable)
+        monkeypatch.setattr(IncreasingTableau, "_check", check)
+        assert trace.final_tableau() == expected
+        # the theorem's check still runs, once, on the last state's entries
+        assert checked == [expected.entries]
+
     @pytest.mark.parametrize("copy", ["by hand", "replace"])
     def test_a_copy_of_a_kernel_made_trace_goes_through_the_door(self, copy):
         ambient = AmbientRectangle(3, 7)
@@ -421,11 +422,13 @@ class TestSwitchTrace:
         bad = last._replace(cells=tuple((r, c, "2" if (r, c) == last.cells[0][:2] else v) for r, c, v in last.cells))
         states = trace.states[:-1] + (bad,)
         if copy == "by hand":
-            forged = SwitchTrace(trace.start, states, trace.origins)
+            forged = SwitchTrace(trace.start, states)
         else:
             forged = dataclasses.replace(trace, states=states)
         with pytest.raises(TableauError, match="must be a positive integer, got '2'"):
             extend_trace(forged, self.STEPS[1:], ambient)
+        with pytest.raises(TableauError, match="must be a positive integer, got '2'"):
+            forged.final_tableau()
         # the same trace, unforged and copied, still extends
         assert extend_trace(dataclasses.replace(trace), self.STEPS[1:], ambient) == switch_trace(
             SWSEQ_START, self.STEPS, ambient
@@ -543,8 +546,17 @@ class TestKernelInvariants:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_adjacent_bullets(self, reverse):
+        # every slide checks its bullets apart before the stage loop, which does not
+        entries = {(1, 3): 1}
         with pytest.raises(InternalInvariantError, match="adjacent bullets"):
-            _run_switches({(1, 3): 1}, {(1, 1), (1, 2)}, reverse)
+            _slide(entries, (2,), (3,), {(1, 1), (1, 2)}, reverse)
+        assert entries == {(1, 3): 1}
+
+    def test_a_switched_class_is_checked_apart(self, monkeypatch):
+        # a switch never makes two bullets adjacent; were it to, the class would be refused
+        monkeypatch.setattr(jdt, "_run_switches", lambda entries, bullets, reverse: {(1, 1), (1, 2)})
+        with pytest.raises(InternalInvariantError, match="adjacent bullets"):
+            _switch_class({(1, 2): 1}, frozenset({(1, 1)}))
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_adjacent_equal_labels(self, reverse):
@@ -667,8 +679,9 @@ class TestOrderCheck:
             rev_krect_in_ambient(tab((1,), (), {(1, 1): 1}), AmbientRectangle(2, 4))
 
     def test_bullets_checked_apart_before_are_not_checked_again(self):
-        # an S class of a label step enters as an _Apart set: it was checked when it was made
-        assert _run_switches({(1, 3): 1}, jdt._Apart({(1, 1), (1, 2)}), False) == {(1, 1), (1, 3)}
+        # the stage loop checks no bullets apart: ``_slide`` checks the corners
+        # and ``_switch_class`` the class each label step makes
+        assert _run_switches({(1, 3): 1}, {(1, 1), (1, 2)}, False) == {(1, 1), (1, 3)}
 
 
 def _random_tableau(rng):
@@ -726,8 +739,8 @@ class TestAgainstReferenceKernel:
         assert [
             (s.outer, s.inner, s.cells, s.bullets, s.stage, s.direction) for s in trace.states
         ] == states
-        assert [o is not None for o in trace.origins] == flags
-        assert list(trace.origins) == origins
+        assert [state.origins is not None for state in trace.states] == flags
+        assert [state.origins for state in trace.states] == origins
         assert trace.final_tableau() == current
 
     @settings(max_examples=60, deadline=None, derandomize=True)

@@ -110,8 +110,7 @@ def _step_with_stale_neighbours(filled, classes, placed):
     for s in range(len(new) - 1, -1, -1):
         if near.isdisjoint(new[s]):
             continue
-        bullets = jdt._run_switches(entries, set(new[s]), False)
-        jdt._check_apart(bullets)
+        bullets = jdt._switch_class(entries, new[s])
         before.update(new[s])
         after.update(bullets)
         moved += len(bullets)
