@@ -19,6 +19,7 @@ from .shapes import (
     SkewShape,
     addable_corners,
     contains,
+    is_rectangle,
     partition,
     partitions_in_rectangle,
     psize,
@@ -27,6 +28,7 @@ from .shapes import (
 from .tableaux import IncreasingTableau, column_superstandard, enumerate_increasing, is_superstandard
 from .tableaux import iter_increasing_cells, superstandard
 from .jdt import (
+    InternalInvariantError,
     SlideStep,
     SwitchTrace,
     extend_trace,
@@ -160,10 +162,6 @@ class Counterexample:
     results: tuple[IncreasingTableau, IncreasingTableau]
 
 
-def is_rectangle(lam: Part) -> bool:
-    return not lam or all(p == lam[0] for p in lam)
-
-
 def _seed_instance(lam: Part) -> tuple[Part, dict[Box, int]] | None:
     """The spread-out seed at the first descent of a non-rectangle; None when it does not fit."""
     ell = len(lam)
@@ -204,7 +202,9 @@ def nonrect_counterexample(lam: Part) -> Counterexample:
     The canonical spread-out seed at the first descent is tried first; if its
     shape does not fit or (never observed) fails to diverge, a deterministic
     bounded search over shapes with at most one extra row and column runs.
-    Every returned instance is verified divergent.
+    Every returned instance is verified divergent.  The theorem guarantees a
+    witness, so a search that runs dry is an engine fault: it raises
+    InternalInvariantError.
     """
     lam = partition(lam)
     if is_rectangle(lam):
@@ -234,7 +234,7 @@ def nonrect_counterexample(lam: Part) -> Counterexample:
                 first_order, first_result = order, result
             elif result != first_result:
                 return Counterexample(nu, t, first_order, order, (first_result, result))
-    raise ShapeFitError(f"no divergent instance found over {lam}")  # pragma: no cover
+    raise InternalInvariantError(f"no divergent instance found over {lam}")
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,7 @@ from .shapes import (
     SkewShape,
     add_boxes,
     addable_corners,
+    is_rectangle,
     partition,
     psize,
     remove_boxes,
@@ -540,7 +541,7 @@ def rev_krect_in_ambient(
     if not t.is_straight:
         raise ShapeFitError("input must be a straight tableau")
     lam = t.outer
-    if lam and any(p != lam[0] for p in lam):
+    if not is_rectangle(lam):
         raise ShapeFitError(f"input shape {lam} is not a rectangle")
     c, d = len(lam), (lam[0] if lam else 0)
     ambient.require_fit(lam)

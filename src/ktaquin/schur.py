@@ -22,6 +22,7 @@ engine's one memo under ``("schur", lam, nvars, base)``.
 
 from __future__ import annotations
 
+from .jdt import InternalInvariantError
 from .shapes import Part, _memoized, partition, partitions_of, psize
 
 Monomials = dict[int, int]  # packed exponent vector -> coefficient
@@ -86,7 +87,11 @@ def _multiply(a: Monomials, b: Monomials) -> Monomials:
 
 
 def _extract_schur_basis(poly: Monomials, degree: int, nvars: int, base: int) -> dict[Part, int]:
-    """Write poly, packed in base, as a sum of Schur polynomials by descending-lex peeling."""
+    """Write poly, packed in base, as a sum of Schur polynomials by descending-lex peeling.
+
+    A product of Schur polynomials always peels to nothing, so a residual is an
+    engine fault: it raises InternalInvariantError.
+    """
     out: dict[Part, int] = {}
     for eta in partitions_of(degree, max_rows=nvars):
         coeff = poly.get(_pack(eta, nvars, base), 0)
@@ -95,7 +100,7 @@ def _extract_schur_basis(poly: Monomials, degree: int, nvars: int, base: int) ->
             for mono, c in _schur_monomials(eta, nvars, base).items():
                 poly[mono] = poly.get(mono, 0) - coeff * c
     if any(poly.values()):
-        raise ArithmeticError("polynomial is not a nonnegative-length Schur combination")
+        raise InternalInvariantError("polynomial is not a nonnegative-length Schur combination")
     return out
 
 

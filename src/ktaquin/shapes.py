@@ -109,6 +109,11 @@ def contains(outer: Part, inner: Part) -> bool:
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
+def is_rectangle(lam: Part) -> bool:
+    """Whether all rows of a normal-form lam are equal; the empty partition is one."""
+    return not lam or all(p == lam[0] for p in lam)
+
+
 def row_length(lam: Part, r: int) -> int:
     """Length of row r (1-based), zero beyond the last row."""
     return lam[r - 1] if 1 <= r <= len(lam) else 0
@@ -194,8 +199,8 @@ def partitions_in_rectangle(rows: int, cols: int) -> Iterator[Partition]:
             push([t + (p,) for p in range(1, (t[-1] if t else cols) + 1)])
 
 
-def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = None) -> Iterator[Partition]:
-    """All partitions of n, optionally bounded, in lexicographically descending order."""
+def partitions_of(n: int, max_rows: int | None = None) -> Iterator[Partition]:
+    """All partitions of n, optionally with at most max_rows rows, in lexicographically descending order."""
 
     def rec(remaining: int, prev: int, rows_left: int) -> Iterator[tuple[int, ...]]:
         if remaining == 0:
@@ -207,8 +212,7 @@ def partitions_of(n: int, max_rows: int | None = None, max_cols: int | None = No
             for rest in rec(remaining - first, first, rows_left - 1):
                 yield (first,) + rest
 
-    cap = n if max_cols is None else min(n, max_cols)
-    yield from map(_normal, rec(n, cap, n if max_rows is None else max_rows))
+    yield from map(_normal, rec(n, n, n if max_rows is None else max_rows))
 
 
 def _require_fit(lam: Part, rows: int, cols: int) -> None:

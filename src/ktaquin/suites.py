@@ -23,6 +23,7 @@ from .shapes import (
     addable_corners,
     boxes_of,
     contains,
+    is_rectangle,
     partition,
     partitions_in_rectangle,
     partitions_of,
@@ -63,7 +64,6 @@ from .equivalence import (
     check_count_independence,
     check_superstandard_independence,
     exhaustive_equivalence,
-    is_rectangle,
     nonrect_counterexample,
     random_equivalence_run,
     verify_origin_invariants,
@@ -263,11 +263,7 @@ def sharpness_suite() -> SuiteResult:
         for lam in partitions_of(n):
             if is_rectangle(lam):
                 continue
-            try:
-                c = nonrect_counterexample(lam)
-            except Exception as exc:  # pragma: no cover
-                failures.append(f"{lam}: {exc}")
-                continue
+            c = nonrect_counterexample(lam)  # a search that runs dry is a fault, and raises
             count += 1
             if c.results[0] == c.results[1]:
                 failures.append(f"{lam}: results agree")

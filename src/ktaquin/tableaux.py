@@ -7,6 +7,9 @@ slide output runs, and ``_set_valued_cells``, which mostly ends at its size
 test, normalise and check containment directly, building no SkewShape.
 ``iter_increasing_cells`` and ``_set_valued_cells`` stream raw cells;
 ``enumerate_increasing`` and ``enumerate_set_valued`` build a tableau from each.
+Both backtrackers recurse one generator frame per box, so the depth they need
+is the region's box count: under Python's default recursion limit of 1000, a
+region of more than about 990 boxes raises RecursionError.
 """
 
 from __future__ import annotations
@@ -328,12 +331,14 @@ def iter_increasing_cells(
     """Backtracking core of enumerate_increasing, yielding raw cell tuples.
 
     Box order is row-major; candidate values ascend, so the stream is
-    lexicographic by box scan and duplicate-free.  The backtracker is
-    iterative and works on alphabet indices in per-box arrays: the index of
-    each box's left and upper neighbour in the region, the highest index that
-    still leaves room for the strictly larger values of its row and column
-    tails, and a count of the letters not yet used when the filling must be
-    surjective.
+    lexicographic by box scan and duplicate-free.  The backtracker recurses
+    one frame per box, as ``_set_valued_cells`` does, and works on alphabet
+    indices in per-box arrays: the index of each box's left and upper
+    neighbour in the region, the highest index that still leaves room for the
+    strictly larger values of its row and column tails, and a count of the
+    letters not yet used when the filling must be surjective.  Its depth is
+    the region's box count, so a region of more than about 990 boxes raises
+    RecursionError under Python's default recursion limit of 1000.
     """
     shape = SkewShape(outer, inner)
     outer, boxes = shape.outer, shape.boxes()
@@ -352,47 +357,33 @@ def iter_increasing_cells(
         return
 
     position = {box: i for i, box in enumerate(boxes)}
-    left = [position.get((r, c - 1), -1) for r, c in boxes]
-    up = [position.get((r - 1, c), -1) for r, c in boxes]
+    # a box with no left or upper neighbour in the region points at slot n
+    left = [position.get((r, c - 1), n) for r, c in boxes]
+    up = [position.get((r - 1, c), n) for r, c in boxes]
     # no row below a region box is in inner at its column, so the column's
     # region boxes under (r, c) number its outer height less r
     height = [sum(1 for p in outer if p >= c) for c in range(1, outer[0] + 1)]
     top = [m - 1 - max(outer[r - 1] - c, height[c - 1] - r) for r, c in boxes]
     table = [[(r, c, v) for v in alpha] for r, c in boxes]  # box i holding alpha[k]
 
-    val = [0] * n  # alphabet index held by each box
+    val = [0] * n + [-1]  # alphabet index held by each box; slot n starts a box at index 0
     used = [0] * m
-    # letters still missing; below zero when any filling will do
-    missing = m if surjective else 0
     last = n - 1
-    i, k = 0, 0  # the box being filled and its next candidate index
-    while True:
-        if k > top[i]:  # no candidate left: back to the previous box
-            i -= 1
-            if i < 0:
-                return
-            k = val[i]
-            used[k] -= 1
-            if not used[k]:
-                missing += 1
-            k += 1
-            continue
-        val[i] = k
-        if not used[k]:
-            missing -= 1
-        used[k] += 1
-        if missing <= last - i:  # the boxes left can still take every missing letter
-            if i == last:
-                yield tuple(map(getitem, table, val))
-            else:
-                i += 1
-                a, b = left[i], up[i]
-                k = max(val[a] + 1 if a >= 0 else 0, val[b] + 1 if b >= 0 else 0)
-                continue
-        used[k] -= 1
-        if not used[k]:
-            missing += 1
-        k += 1
+
+    def fill(i: int, missing: int) -> Iterator[Cells]:
+        """Fill boxes i.. given the letters still missing, below zero when any filling will do."""
+        for k in range(max(val[left[i]], val[up[i]]) + 1, top[i] + 1):
+            val[i] = k
+            now = missing - (not used[k])
+            if now <= last - i:  # the boxes left can still take every missing letter
+                if i == last:
+                    yield tuple(map(getitem, table, val))
+                else:
+                    used[k] += 1
+                    yield from fill(i + 1, now)
+                    used[k] -= 1
+
+    yield from fill(0, m if surjective else 0)
 
 
 def enumerate_increasing(

@@ -353,8 +353,10 @@ def reference_random_run(a, b, ambient, length, rng):
 
 
 # ---------------------------------------------------------------------------
-# Reference enumerator: the recursive generator that the iterative backtracker
-# in ktaquin.tableaux.iter_increasing_cells replaced.  Test-only.
+# Reference enumerator: an independent recursive generator of increasing
+# fillings, which ktaquin.tableaux.iter_increasing_cells is checked against.
+# It finds each box's tails by walking the region, not from the outer shape's
+# column heights.  Test-only.
 
 
 def reference_increasing_cells(outer, inner, alphabet, surjective=False):

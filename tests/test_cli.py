@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from ktaquin import cli
-from ktaquin import coefficients, suites
+from ktaquin import coefficients, equivalence, schur, suites
 from ktaquin.cli import EXIT_INTERNAL
 from ktaquin.cli import EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 from ktaquin.coefficients import DisagreementError, expand_product
@@ -412,6 +412,41 @@ class TestOtherCommands:
 
         monkeypatch.setattr(cli, "krect", broken)
         code, out, err = run(capsys, "rectify", "--tableau", ". 1\n1")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal invariant violation: adjacent bullets at (1, 1), (1, 2)\n"
+
+    def test_schur_residual_exits_3(self, capsys, monkeypatch):
+        # a Schur table that gains a constant term leaves monomials that no peel removes
+        real = schur._schur_monomials
+        monkeypatch.setattr(schur, "_schur_monomials", lambda lam, nvars, base: {**real(lam, nvars, base), 0: 1})
+        code, out, err = run(
+            capsys, "coeff", "c", "--lambda", "[2,1]", "--mu", "[2,1]", "--nu", "[3,2,1]", "--check"
+        )
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal invariant violation: polynomial is not a nonnegative-length Schur combination\n"
+
+    @pytest.mark.parametrize(
+        "argv", [["counterexample", "--lambda", "[2,1]"], ["verify", "sharpness"]], ids=["counterexample", "verify"]
+    )
+    def test_witness_search_that_runs_dry_exits_3(self, capsys, monkeypatch, argv):
+        # the theorem gives every non-rectangle a witness, so finding none is an engine fault
+        monkeypatch.setattr(equivalence, "_seed_instance", lambda lam: None)
+        monkeypatch.setattr(equivalence, "_search_candidates", lambda lam: iter(()))
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal invariant violation: no divergent instance found over (2, 1)\n"
+
+    def test_faulty_sharpness_search_exits_3(self, capsys, monkeypatch):
+        # the fault hits one inner shape of the sweep, not the golden instances after it
+        real = equivalence.krect
+
+        def faulty(t, order=None):
+            if t.inner == (3, 1):
+                raise InternalInvariantError("adjacent bullets at (1, 1), (1, 2)")
+            return real(t, order)
+
+        monkeypatch.setattr(equivalence, "krect", faulty)
+        code, out, err = run(capsys, "verify", "sharpness")
         assert code == EXIT_INTERNAL and out == ""
         assert err == "internal invariant violation: adjacent bullets at (1, 1), (1, 2)\n"
 

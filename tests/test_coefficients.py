@@ -96,7 +96,7 @@ class TestCoeffDBuch:
         for lam in shapes:
             for mu in shapes:
                 for n in range(0, 5):
-                    for nu in partitions_of(n, max_rows=3, max_cols=3):
+                    for nu in (nu for nu in partitions_of(n, max_rows=3) if not nu or nu[0] <= 3):
                         assert coeff_D(lam, mu, nu) == coeff_D_buch(lam, mu, nu), (lam, mu, nu)
 
 
@@ -158,7 +158,7 @@ class TestCoeffE:
         for lam in shapes:
             for mu in shapes:
                 for n in range(0, 7):
-                    for nu in partitions_of(n, max_rows=3, max_cols=3):
+                    for nu in (nu for nu in partitions_of(n, max_rows=3) if not nu or nu[0] <= 3):
                         assert coeff_E(lam, mu, nu) == coeff_E_via_C(lam, mu, nu), (lam, mu, nu)
 
     def test_matches_the_per_filling_count(self):
@@ -177,7 +177,7 @@ class TestCoeffE:
         for lam in shapes:
             for mu in shapes:
                 for n in range(0, 6):
-                    for nu in partitions_of(n, max_rows=3, max_cols=3):
+                    for nu in (nu for nu in partitions_of(n, max_rows=3) if not nu or nu[0] <= 3):
                         if not contains(nu, lam):
                             continue
                         target, order = superstandard(mu), superstandard(lam)
@@ -414,7 +414,7 @@ class TestTargetIndependence:
         checked = 0
         for lam, mu in cases:
             for n in range(0, 6):
-                for nu in partitions_of(n, max_rows=3, max_cols=3):
+                for nu in (nu for nu in partitions_of(n, max_rows=3) if not nu or nu[0] <= 3):
                     expected = coeff_D(lam, mu, nu)
                     for t in enumerate_increasing(SkewShape.straight(nu), range(1, n + 1), surjective=True):
                         assert coeff_D(lam, mu, nu, target=t) == expected, (lam, mu, nu, t)

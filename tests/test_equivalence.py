@@ -11,6 +11,7 @@ from ktaquin.shapes import (
     ShapeFitError,
     SkewShape,
     addable_corners,
+    is_rectangle,
     partitions_of,
     removable_corners,
 )
@@ -24,7 +25,6 @@ from ktaquin.equivalence import (
     check_strong_dual_equivalence,
     check_superstandard_independence,
     exhaustive_equivalence,
-    is_rectangle,
     nonrect_counterexample,
     random_equivalence_run,
     verify_origin_invariants,

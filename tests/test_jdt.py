@@ -459,7 +459,7 @@ class TestRevKrectInAmbient:
 
     def test_non_rectangle_rejected(self):
         t = tab((2, 1), (), {(1, 1): 1, (1, 2): 2, (2, 1): 3})
-        with pytest.raises(ShapeFitError):
+        with pytest.raises(ShapeFitError, match=r"^input shape \(2, 1\) is not a rectangle$"):
             rev_krect_in_ambient(t, AmbientRectangle(3, 6))
 
     def test_skew_rejected(self):

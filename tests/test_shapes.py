@@ -26,6 +26,7 @@ from ktaquin.shapes import (
     dual_in_rectangle,
     format_partition,
     inner_corners,
+    is_rectangle,
     omega,
     omega_dual,
     oslash,
@@ -190,6 +191,10 @@ class TestPartitionBasics:
     def test_partitions_of(self):
         assert set(partitions_of(4)) == {(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)}
 
+    def test_is_rectangle(self):
+        assert [lam for lam in partitions_of(6) if is_rectangle(lam)] == [(6,), (3, 3), (2, 2, 2), (1,) * 6]
+        assert is_rectangle(())
+
 
 class TestPartitionType:
     """``Partition`` is the one normal-form check, and a tuple everywhere else."""
@@ -263,7 +268,7 @@ class TestPartitionType:
         made = [
             *partitions_in_rectangle(3, 2),
             *partitions_of(5),
-            *partitions_of(6, max_rows=2, max_cols=4),
+            *partitions_of(6, max_rows=2),
             omega(frame),
             omega_dual(frame),
             dagger((2,), (1,), frame),

@@ -178,8 +178,8 @@ def _enumeration_case(draw):
     return outer, partition(inner), alphabet, draw(st.booleans())
 
 
-class TestIterativeEnumerator:
-    """The iterative backtracker yields the recursive reference's exact stream."""
+class TestEnumeratorStream:
+    """The enumerator yields the independent reference's exact stream."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(_enumeration_case())
