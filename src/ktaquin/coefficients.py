@@ -39,6 +39,13 @@ these keys:
   placed label after it is switched past the S classes of the state
   ``(filled, classes)``, where ``placed`` holds the rows of the corners it was
   placed in; shared by every row, target or not, that reaches that state;
+* ``("switch", landed, s_class)`` for one switch of a label step: the
+  placed class, on the boxes ``landed`` with every label 1, switched past
+  the S class ``s_class``.  Its value is (the placed class's new boxes, the
+  S class's new boxes), both interned as "boxes".  A switch depends on these
+  two sets alone, so it is shared by every step, row and target that meets
+  it, and the kernel's stage checks and the apart check of the class it
+  makes run once per distinct switch;
 * ``("boxes", s)`` for the one copy of a frozenset ``s`` of boxes that the
   label steps keep (an S class or a landed class), so that the steps share
   their sets;
@@ -89,7 +96,6 @@ from .shapes import (
     _normal,
     _require_fit,
     _star,
-    add_boxes,
     boxes_of,
     contains,
     dual_in_rectangle,
@@ -158,11 +164,11 @@ def _rect_count(
     classes, placed)`` with ``placed`` the rows of the chosen corners.  The
     walk here chooses the corners inside outer and applies the landing test,
     the only parts that depend on outer, m and the targets.  So every
-    distinct step runs the kernel's checks and the tiling check once, when
-    any row first meets it: a step met again would repeat the same
-    computation on the same input.  No two branches of one count reach one
-    state: infusion is an involution, so (S classes, landed prefix)
-    determines the partial filling.
+    distinct step runs the tiling check once, and every distinct switch the
+    kernel's checks once, when any row first meets it: a step or switch met
+    again would repeat the same computation on the same input.  No two
+    branches of one count reach one state: infusion is an involution, so (S
+    classes, landed prefix) determines the partial filling.
     """
     row: dict[Part, int] = {}
     size = psize(outer)
@@ -227,14 +233,22 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     A switch moves an S class only if one of its boxes is next to a box of
     the placed class: the class's slide has no other label to meet.  So only
     the S classes that meet the placed class's 4-neighbours, taken afresh
-    after each switch, go through ``jdt._switch_class``, as the bullets of
-    one slide whose only stage is this class; each of them moves, every
-    switch runs the kernel's stage checks, and the class a switch produces
-    is checked for adjacent bullets at once.  So every S class of every
-    state is checked apart once, when it is made: the superstandard
-    singletons need no check, and a class that no switch touches is the
-    same set as before.  The new state must be tiled exactly by the S
-    classes and the landed boxes.
+    after each switch, are switched, each of them moves, and a switch depends
+    on nothing but the placed class's current boxes and the S class.  It is
+    memoized under ``("switch", landed, s_class)``: the first time a pair is
+    met it goes through ``jdt._switch_class``, as the bullets of one slide
+    whose only stage is this class, which runs the kernel's stage checks and
+    checks the class it produces for adjacent bullets; a pair met again is
+    read from the memo, since the kernel would repeat the same computation
+    on the same input.  A switch is stored only when the step that ran it
+    passes the tiling check below, as the step itself is, so a refused step
+    leaves no switch for a later one to read.  So every distinct switch is
+    checked once, and every
+    S class of every state was checked apart when it was made: the
+    superstandard singletons need no check, and a class that no switch
+    touches is the same set as before.  The new state must be tiled exactly
+    by the S classes and the landed boxes, whether its switches were run or
+    read.
 
     That tiling check compares only what the step changed: the placed boxes
     and the old boxes of each S class that moved, against the landed boxes
@@ -248,29 +262,41 @@ def _label_step(filled: Part, classes: tuple, placed: tuple[int, ...]) -> tuple:
     on), with the shape and each set of boxes interned in the memo.
     """
     boxes = [(r, (filled[r - 1] if r <= len(filled) else 0) + 1) for r in placed]
-    entries = dict.fromkeys(boxes, 1)
+    landed = frozenset(boxes)  # the placed class's current boxes
     around = jdt._NEIGHBOURS
     near = {nb for box in boxes for nb in around[box]}  # the placed class's 4-neighbours
     new = list(classes)
     before = set(boxes)  # the placed boxes and the old boxes of each moved class
     after: set[Box] = set()  # the landed boxes and the new boxes of those classes
     moved = 0  # the boxes of the moved classes, counted once per class
+    fresh = []  # the switches run here, stored once the state they reach tiles
     for s in range(len(new) - 1, -1, -1):
-        if near.isdisjoint(new[s]):
+        s_class = new[s]
+        if near.isdisjoint(s_class):
             continue
-        bullets = jdt._switch_class(entries, new[s])
-        before.update(new[s])
-        after.update(bullets)
-        moved += len(bullets)
-        new[s] = _interned("boxes", frozenset(bullets))
-        near = {nb for box in entries for nb in around[box]}
-    now = add_boxes(filled, boxes)
+        key = ("switch", landed, s_class)
+        switch = _memo.get(key)
+        if switch is None:
+            entries = dict.fromkeys(landed, 1)
+            bullets = jdt._switch_class(entries, s_class)
+            switch = (_interned("boxes", frozenset(entries)), _interned("boxes", frozenset(bullets)))
+            fresh.append((key, switch))
+        landed, new[s] = switch
+        before.update(s_class)
+        after.update(new[s])
+        moved += len(new[s])
+        near = {nb for box in landed for nb in around[box]}
+    # grow picked the placed rows' addable corners, so each row takes one box
+    now = list(filled) + [0] * (placed[-1] - len(filled))
+    for r, c in boxes:
+        now[r - 1] = c
     # the state stepped from was tiled, so the unchanged classes and earlier landed
     # boxes tile the rest of now exactly when these two sets agree box for box
-    after.update(entries)
-    if after != before or len(before) != len(entries) + moved:
-        raise InternalInvariantError(f"S classes and landed boxes do not tile {now} after placing {boxes}")
-    return _interned("partition", _normal(now)), tuple(new), _interned("boxes", frozenset(entries))
+    after.update(landed)
+    if after != before or len(before) != len(landed) + moved:
+        raise InternalInvariantError(f"S classes and landed boxes do not tile {tuple(now)} after placing {boxes}")
+    _memo.update(fresh)
+    return _interned("partition", _normal(now)), tuple(new), _interned("boxes", landed)
 
 
 def _interned(tag: str, value):

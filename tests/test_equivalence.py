@@ -16,7 +16,7 @@ from ktaquin.shapes import (
     removable_corners,
 )
 from ktaquin.tableaux import IncreasingTableau, enumerate_increasing, superstandard
-from ktaquin.jdt import SlideStep, SwitchTrace, extend_trace, switch_trace
+from ktaquin.jdt import SlideStep, SwitchTrace, extend_trace, krect, switch_trace
 from ktaquin import equivalence, suites
 from ktaquin.equivalence import (
     EquivalenceVerdict,
@@ -307,6 +307,8 @@ class TestSharpness:
                 if is_rectangle(lam):
                     continue
                 c = nonrect_counterexample(lam)
+                # each witness diverges when rectified again, not only as reported
+                assert (krect(c.tableau, c.order1), krect(c.tableau, c.order2)) == c.results
                 assert c.results[0] != c.results[1]
                 assert len(c.nu) <= len(lam) + 1
                 assert c.nu[0] <= lam[0] + 1

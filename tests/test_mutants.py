@@ -13,7 +13,7 @@ import pytest
 from ktaquin import coefficients, jdt, schur
 from ktaquin.coefficients import compute_with_checks
 from ktaquin.jdt import InternalInvariantError
-from ktaquin.shapes import add_boxes, partitions_in_rectangle, psize, row_length
+from ktaquin.shapes import partitions_in_rectangle, psize, row_length
 
 from helpers import drop_the_all_corners_strip
 
@@ -103,29 +103,76 @@ def _step_with_stale_neighbours(filled, classes, placed):
     # ``_label_step`` with the placed class's neighbours taken once, before any
     # switch: a class next to where the placed class has moved to is not switched
     boxes = [(r, row_length(filled, r) + 1) for r in placed]
-    entries = dict.fromkeys(boxes, 1)
+    landed = frozenset(boxes)
     near = {nb for box in boxes for nb in jdt._NEIGHBOURS[box]}
     new = list(classes)
     before, after, moved = set(boxes), set(), 0
+    fresh = []
     for s in range(len(new) - 1, -1, -1):
-        if near.isdisjoint(new[s]):
+        s_class = new[s]
+        if near.isdisjoint(s_class):
             continue
-        bullets = jdt._switch_class(entries, new[s])
-        before.update(new[s])
-        after.update(bullets)
-        moved += len(bullets)
-        new[s] = coefficients._interned("boxes", frozenset(bullets))
-    now = add_boxes(filled, boxes)
-    after.update(entries)
-    if after != before or len(before) != len(entries) + moved:
-        raise InternalInvariantError(f"S classes and landed boxes do not tile {now} after placing {boxes}")
-    return coefficients._interned("partition", now), tuple(new), coefficients._interned("boxes", frozenset(entries))
+        key = ("switch", landed, s_class)
+        switch = coefficients._memo.get(key)
+        if switch is None:
+            entries = dict.fromkeys(landed, 1)
+            bullets = jdt._switch_class(entries, s_class)
+            switch = (
+                coefficients._interned("boxes", frozenset(entries)),
+                coefficients._interned("boxes", frozenset(bullets)),
+            )
+            fresh.append((key, switch))
+        landed, new[s] = switch
+        before.update(s_class)
+        after.update(new[s])
+        moved += len(new[s])
+    now = list(filled) + [0] * (placed[-1] - len(filled))
+    for r, c in boxes:
+        now[r - 1] = c
+    after.update(landed)
+    if after != before or len(before) != len(landed) + moved:
+        raise InternalInvariantError(f"S classes and landed boxes do not tile {tuple(now)} after placing {boxes}")
+    coefficients._memo.update(fresh)
+    return (
+        coefficients._interned("partition", coefficients._normal(now)),
+        tuple(new),
+        coefficients._interned("boxes", landed),
+    )
 
 
 @pytest.fixture
 def stale_neighbours(monkeypatch):
     """``_label_step`` whose neighbour set of the placed class is not refreshed after a switch."""
     monkeypatch.setattr(coefficients, "_label_step", _step_with_stale_neighbours)
+
+
+class _CoarseSwitchKeys:
+    """The memo, with each switch stored and found under its placed class alone, not its S class."""
+
+    def __init__(self, memo):
+        self._memo = memo
+
+    @staticmethod
+    def _coarse(key):
+        return key[:2] if key[0] == "switch" else key
+
+    def get(self, key):
+        return self._memo.get(self._coarse(key))
+
+    def __setitem__(self, key, value):
+        self._memo[self._coarse(key)] = value
+
+    def update(self, pairs):
+        self._memo.update((self._coarse(key), value) for key, value in pairs)
+
+    def __getattr__(self, name):
+        return getattr(self._memo, name)
+
+
+@pytest.fixture
+def coarse_switch_key(monkeypatch):
+    """``_label_step``'s switch memo keyed on ``landed`` alone: a switch of another S class is served."""
+    monkeypatch.setattr(coefficients, "_memo", _CoarseSwitchKeys(coefficients._memo))
 
 
 @pytest.fixture
@@ -203,6 +250,8 @@ CATCHES = {
         },
         set(),
     ),
+    # a switch of another S class is served, so a state does not tile in every jdt count
+    "coarse_switch_key": (set(), {"C", "D", "E", "F", "c"}),
     "no_lattice_intervals": ({("C", "buch"), ("D", "buch"), ("E", "rook-strip"), ("F", "buch")}, set()),
     "lr_plus_one": ({("C", "classical"), ("c", "schur-oracle")}, set()),
     "no_all_corners_strip": ({("E", "rook-strip")}, set()),
@@ -215,3 +264,13 @@ def test_every_mutant_is_caught(request, mutant):
     disagree, raised = _outcome()
     assert disagree or raised
     assert (disagree, raised) == CATCHES[mutant]
+
+
+def test_a_coarse_switch_key_is_caught_by_the_tiling_check(coarse_switch_key):
+    coefficients._memo.clear()
+    try:
+        with pytest.raises(InternalInvariantError, match="do not tile"):
+            for lam, mu, nu in UNIVERSE:
+                compute_with_checks("C", lam, mu, nu)
+    finally:
+        coefficients._memo.clear()

@@ -172,6 +172,14 @@ class TestInvariants:
         with pytest.raises(InternalInvariantError, match="do not tile"):
             _rect_count((3, 2), (1,), 3, targets)
 
+    @pytest.mark.parametrize("mutant", ["_lose_an_S_box", "_keep_the_old_boxes", "_drop_a_landed_box"])
+    def test_a_refused_step_stores_no_switch(self, monkeypatch, mutant):
+        """A switch is stored only with a step that tiles, so a later count never reads a refused one."""
+        getattr(self, mutant)(monkeypatch)
+        with pytest.raises(InternalInvariantError, match="do not tile"):
+            _rect_count((3, 2), (1,), 3)
+        assert [key for key in coefficients._memo if key[0] == "switch"] == []
+
 
 def _exhaustive_rows():
     """The (outer, inner, m) row of every C and every D in TestExhaustive's universes."""
@@ -250,7 +258,7 @@ class TestSharedSteps:
         for row in _exhaustive_rows():
             rect_tally(*row)  # only label steps call the kernel here
         calls = [i for i, event in enumerate(events) if event[0] == "switch"]
-        assert len(calls) >= 1000
+        assert len(self._switches()) >= 180  # distinct switches: 189 on this sweep
         assert [events[i] for i in calls if events[i][1] == events[i][2]] == []
         # the class a switch produces is the next set checked apart
         assert [events[i] for i in calls if events[i + 1:i + 2] != [("apart", events[i][2])]] == []
@@ -273,13 +281,41 @@ class TestSharedSteps:
         monkeypatch.setattr(jdt, "_check_apart", apart)
         for row in _exhaustive_rows():
             rect_tally(*row)
-        assert len(given) >= 1000
+        assert len(self._switches()) >= 180  # distinct switches: 189 on this sweep
         # one check per kernel call, each on the class the call produced
         assert len(checked) == len(given)
-        singletons = sum(1 for bullets in given if len(bullets) == 1)
-        # the classes given again, each checked when it was made, were checked twice before
-        assert len(given) - singletons >= 400
+        # the multi-box classes given, each checked when it was made, were checked twice before
+        assert sum(1 for key in self._switches() if len(key[2]) > 1) >= 90  # 97 on this sweep
+
+    def test_each_distinct_switch_runs_the_kernel_once(self, monkeypatch):
+        """A cold sweep sends each (landed class, S class) pair through the kernel once and keeps its outcome."""
+        coefficients._memo.clear()
+        given = []
+        real = jdt._switch_class
+
+        def switch_class(entries, s_class):
+            given.append((frozenset(entries), s_class))
+            return real(entries, s_class)
+
+        monkeypatch.setattr(jdt, "_switch_class", switch_class)
+        for row in _exhaustive_rows():
+            rect_tally(*row)
+        monkeypatch.undo()
+        switches = self._switches()
+        # no kernel input reached the kernel twice, and each is one memo entry
+        assert len(set(given)) == len(given) == len(switches) >= 180
+        assert set(given) == {key[1:] for key in switches}
+        assert sum(1 for key in switches if len(key[2]) > 1) >= 90
+        for (_, landed, s_class), value in switches.items():
+            entries = dict.fromkeys(landed, 1)
+            bullets = jdt._switch_class(entries, s_class)
+            assert value == (frozenset(entries), frozenset(bullets)), (landed, s_class)
+            assert all(coefficients._memo[("boxes", boxes)] is boxes for boxes in value)
 
     @staticmethod
     def _steps():
         return {key: value for key, value in coefficients._memo.items() if key[0] == "label-step"}
+
+    @staticmethod
+    def _switches():
+        return {key: value for key, value in coefficients._memo.items() if key[0] == "switch"}
