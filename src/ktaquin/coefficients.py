@@ -75,8 +75,11 @@ takes for its sign: a filling needs at least one label per box, so C and
 C-buch are 0 when |nu| < |lam| + |mu|, and D and D-buch when |nu| >
 |lam| + |mu|.  Most triples of a table are zero this way, and each returns 0
 before a star shape is built, the set-valued stream is started or a row is
-stored.  The test is written out in each count, with no shared helper, so
-that a fault in one route's test is caught by another route's.
+stored.  The direct-sum identity (``coeff_D_via_identity``) runs its own test
+too: it settles |nu| > |lam| + |mu| before it builds dagger/omega_dual, so a D
+or F check that is zero by size stores no C entry.  The test is written out in
+each route, with no shared helper, so that a fault in one route's test is
+caught by another route's.
 """
 
 from __future__ import annotations
@@ -369,9 +372,18 @@ def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
 
 
 def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
-    """Splitting coefficient through the direct-sum identity D = C over the frame."""
+    """Splitting coefficient through the direct-sum identity D = C over the frame.
+
+    The C it reads fills dagger(lam, mu)/omega_dual with the |nu| labels of nu.
+    dagger holds the k2 x (n1-k1) rectangle omega_dual plus the boxes of lam and
+    mu, so that region has |lam| + |mu| boxes, and C's own size test makes it 0
+    when |nu| > |lam| + |mu|.  The identity settles that case itself, after the
+    fit check and before it builds dagger, omega_dual or a C memo entry.
+    """
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
     frame.require_fits(lam, mu, nu)
+    if psize(nu) > psize(lam) + psize(mu):  # more labels than boxes in dagger/omega_dual
+        return 0
     return _memoized_count("C", omega_dual(frame), nu, _dagger(lam, mu, frame))
 
 

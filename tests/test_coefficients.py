@@ -362,6 +362,47 @@ class TestZeroBySize:
         assert checked == 2 * (267 + 360)
         assert rows == []
 
+    def test_the_identity_equals_its_rule_without_the_shortcut(self):
+        coefficients._memo.clear()
+        try:
+            values = []
+            for lam, mu, nu in self.TRIPLES:
+                frame = coefficients._identity_frame(lam, mu, nu, None)
+                outer, inner = dagger(lam, mu, frame), omega_dual(frame)
+                sign = (-1) ** (psize(outer) - psize(inner) - psize(nu))
+                want = sign * coefficients.rect_tally(outer, inner, psize(nu)).get(nu, 0)
+                values.append((coeff_D_via_identity(lam, mu, nu, frame), want))
+        finally:
+            coefficients._memo.clear()
+        assert all(got == want for got, want in values)
+        # the sweep reaches both sides of the identity's size test
+        assert sum(psize(nu) > psize(lam) + psize(mu) for lam, mu, nu in self.TRIPLES) == 360
+        assert sum(1 for got, _ in values if got) == 125
+
+    def test_a_zero_by_size_identity_builds_no_shape_and_stores_no_C(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the identity built a frame shape for a D that is zero by size")
+
+        monkeypatch.setattr(coefficients, "_dagger", unreachable)
+        monkeypatch.setattr(coefficients, "omega_dual", unreachable)
+        coefficients._memo.clear()
+        try:
+            checked = 0
+            for lam, mu, nu in self.TRIPLES:
+                if psize(nu) > psize(lam) + psize(mu):
+                    for kind in ("D", "F"):
+                        record = compute_with_checks(kind, lam, mu, nu)
+                        assert record.value == 0 and record.agreed and record.checks
+                        checked += 1
+            c_keys = [key for key in coefficients._memo if key[0] == "C"]
+            # the fit check still runs first: this triple is zero by size, but lambda misfits
+            with pytest.raises(ShapeFitError, match="does not fit the 1x2 rectangle"):
+                coeff_D_via_identity((3,), (1,), (3, 2), DirectSumFrame(1, 3, 1, 3))
+        finally:
+            coefficients._memo.clear()
+        assert checked == 2 * 360
+        assert c_keys == []
+
 
 class TestClassical:
     def test_values(self):

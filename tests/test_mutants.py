@@ -88,6 +88,17 @@ def early_size_test_D_buch(monkeypatch):
 
 
 @pytest.fixture
+def early_size_test_identity(monkeypatch):
+    """``coeff_D_via_identity``'s size test one box early: 0 at |nu| = |lam| + |mu| as well."""
+    real = coefficients.coeff_D_via_identity
+
+    def identity(lam, mu, nu, frame):
+        return 0 if psize(nu) == psize(lam) + psize(mu) else real(lam, mu, nu, frame)
+
+    monkeypatch.setattr(coefficients, "coeff_D_via_identity", identity)
+
+
+@pytest.fixture
 def smallest_class_first(monkeypatch):
     """``_label_step`` switching the S classes smallest first, not largest first."""
     real = coefficients._label_step
@@ -234,6 +245,8 @@ CATCHES = {
     # the classical terms of Buch's rules go: C's and E's checks read C-buch, D's and F's read D-buch
     "early_size_test_C_buch": ({("C", "buch"), ("E", "rook-strip")}, set()),
     "early_size_test_D_buch": ({("D", "buch"), ("F", "buch")}, set()),
+    # the classical terms of the identity go: only D's and F's identity checks read it
+    "early_size_test_identity": ({("D", "identity"), ("F", "identity")}, set()),
     # the tiling invariant raises first; symmetry catches C triples on which buch passes
     "smallest_class_first": (
         {
