@@ -52,10 +52,10 @@ these keys:
 * ``("schur", lam, nvars, base)`` for the packed monomials of a Schur
   polynomial, which the classical oracle in ``schur`` multiplies and peels;
 * ``("partition", t)`` for the ``shapes.Partition`` of the int tuple ``t``:
-  ``shapes.partition`` returns a ``Partition`` as it is, serves a tuple of
-  ints seen before by this one lookup and converts everything else with
-  ``int()`` first (rejected shapes are never stored); the label steps store
-  the shapes they fill here too, as ``Partition``s, and keep the one copy.
+  ``shapes.partition`` returns a ``Partition`` as it is and converts
+  everything else with ``int()`` first, then looks its int tuple up here
+  (rejected shapes are never stored); the label steps store the shapes they
+  fill here too, as ``Partition``s, and keep the one copy.
 
 It is never evicted; ``_memo.clear()`` returns to a cold start, the Schur
 oracle included.
@@ -371,19 +371,23 @@ def _count_D_buch(lam: Part, mu: Part, nu: Part) -> int:
     return _sign(letters + m) * sum(1 for _ in _set_valued_cells(nu, lam + mu, lattice))
 
 
-def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame) -> int:
+def coeff_D_via_identity(lam: Part, mu: Part, nu: Part, frame: DirectSumFrame | None) -> int:
     """Splitting coefficient through the direct-sum identity D = C over the frame.
 
     The C it reads fills dagger(lam, mu)/omega_dual with the |nu| labels of nu.
     dagger holds the k2 x (n1-k1) rectangle omega_dual plus the boxes of lam and
     mu, so that region has |lam| + |mu| boxes, and C's own size test makes it 0
     when |nu| > |lam| + |mu|.  The identity settles that case itself, after the
-    fit check and before it builds dagger, omega_dual or a C memo entry.
+    fit check and before it builds dagger, omega_dual or a C memo entry.  No
+    frame means ``_identity_frame``'s default, built only after that test.
     """
     lam, mu, nu = partition(lam), partition(mu), partition(nu)
-    frame.require_fits(lam, mu, nu)
+    if frame is not None:
+        frame.require_fits(lam, mu, nu)
     if psize(nu) > psize(lam) + psize(mu):  # more labels than boxes in dagger/omega_dual
         return 0
+    if frame is None:
+        frame = _identity_frame(lam, mu, nu, None)
     return _memoized_count("C", omega_dual(frame), nu, _dagger(lam, mu, frame))
 
 
@@ -608,7 +612,8 @@ def compute_with_checks(
     elif kind in ("D", "F"):
         # F equals D, so F is confirmed by D's two independent routes
         checks.append(("buch", value == _memoized_count("D-buch", lam, mu, nu)))
-        frame = _identity_frame(lam, mu, nu, frame)
+        if frame is not None:  # a given frame is checked and widened here; the identity builds the default
+            frame = _identity_frame(lam, mu, nu, frame)
         checks.append(("identity", value == coeff_D_via_identity(lam, mu, nu, frame)))
     elif kind == "E":
         checks.append(("rook-strip", value == coeff_E_via_C(lam, mu, nu)))

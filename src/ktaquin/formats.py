@@ -211,7 +211,7 @@ def _json_partition(doc: dict, field: str) -> tuple[int, ...]:
         raise ValueError(f"{field} must be a list of integers")
     for i, p in enumerate(parts):
         _json_int(p, field, i)
-    return partition(tuple(parts))  # a tuple seen before is one memo lookup
+    return partition(parts)
 
 
 def _json_checks(doc: dict) -> tuple[tuple[str, bool], ...]:

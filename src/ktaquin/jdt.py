@@ -25,10 +25,11 @@ checked by ``_check_corners`` when the slide is reached; only reverse
 rectification, whose corners are the legal ones by construction, skips that
 check (legal corners are apart, but ``_slide`` does not rely on it).
 ``_run_switches`` is the stage loop of a slide and checks no bullets apart:
-a stage never makes two of them adjacent.  A stage with one (bullet, label
-box) pair, the most common kind, runs inline there; a stage with several
-pairs is one call of ``_switch``, which also checks for blocks and long
-ribbons.
+a stage never makes two of them adjacent.  One stage body applies every
+stage.  It groups the stage's (bullet, label box) pairs, checks a stage of
+several pairs for blocks and long ribbons (one pair, the most common kind,
+can form neither), and then runs the one equal-label check and the one swap
+of entries and bullets.
 
 Outside this module only ``coefficients._label_step`` runs the stage loop,
 through ``_switch_class``: a label step switches only the S classes next to
@@ -140,43 +141,6 @@ def _check_apart(bullets: set[Box] | frozenset[Box]) -> None:
                 raise InternalInvariantError(f"adjacent bullets at {box}, {nb}")
 
 
-def _switch(entries: dict[Box, int], bullets: set[Box], label: int, pairs: list[tuple[Box, Box]]) -> Moves:
-    """Run one stage in place: swap the bullets with the label boxes next to them.
-
-    pairs holds every (bullet, label box) adjacency of the stage, at least
-    one.  Raises InternalInvariantError on a 2x2 block, a long ribbon or two
-    adjacent equal labels; returns the moves.  Within a stage the order of
-    bullets does not matter: the rule is local.  Only ``_run_switches`` calls
-    this, for the stages of several pairs; it runs those of one pair itself.
-    """
-    moves: Moves = {}
-    for box, nb in pairs:
-        if box in moves:
-            moves[box].append(nb)
-        else:
-            moves[box] = [nb]
-    freed = {nb for _, nb in pairs}
-    if len(pairs) > len(moves):  # some bullet is next to two label boxes
-        _check_blocks(moves, bullets)
-        _check_ribbons(moves, freed)
-    elif len(pairs) > len(freed):  # some label box is next to two bullets
-        _check_ribbons(moves, freed)
-    # else each ribbon is one bullet and one label box, which breaks no rule
-    around = _NEIGHBOURS
-    get = entries.get
-    for x in freed:
-        for nb in around[x]:
-            if get(nb) == label:
-                raise InternalInvariantError(f"adjacent equal labels at {x}, {nb}")
-    for box in moves:
-        entries[box] = label
-        bullets.discard(box)
-    for x in freed:
-        del entries[x]
-    bullets.update(freed)
-    return moves
-
-
 def _run_switches(
     entries: dict[Box, int],
     bullets: set[Box],
@@ -214,20 +178,37 @@ def _run_switches(
             return bullets
         done = nearest
         label = sign * nearest
-        if len(pairs) > 1:
-            moves = _switch(entries, bullets, label, pairs)
-        else:  # one bullet, one neighbour: no block or long ribbon to check
+        # swap the bullets with the label boxes next to them; the rule is local, so order does not matter
+        if len(pairs) == 1:  # one bullet, one neighbour: no block or long ribbon to check
             (box, x), = pairs
+            freed = (x,)
+            if on_switch is not None:
+                moves = {box: [x]}
+        else:
+            moves = {}
+            freed = set()
+            for box, x in pairs:
+                if box in moves:
+                    moves[box].append(x)
+                else:
+                    moves[box] = [x]
+                freed.add(x)
+            if len(pairs) > len(moves):  # some bullet is next to two label boxes
+                _check_blocks(moves, bullets)
+                _check_ribbons(moves, freed)
+            elif len(pairs) > len(freed):  # some label box is next to two bullets
+                _check_ribbons(moves, freed)
+            # else each ribbon is one bullet and one label box, which breaks no rule
+        for x in freed:
             for nb in around[x]:
                 if get(nb) == label:
                     raise InternalInvariantError(f"adjacent equal labels at {x}, {nb}")
-            entries[box] = label
+        for x in freed:
             del entries[x]
-            bullets.discard(box)
             bullets.add(x)
-            if on_switch is None:
-                continue
-            moves = {box: [x]}
+        for box, _ in pairs:  # a bullet next to two label boxes is filled twice, to the same end
+            entries[box] = label
+            bullets.discard(box)
         if on_switch is not None:
             on_switch(label, moves, bullets)
 

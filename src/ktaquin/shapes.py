@@ -11,8 +11,8 @@ Public functions normalise their shape arguments through ``partition``, which
 returns a ``Partition`` as it is; the private ones (``_star``, ``_dagger``,
 ``_region_rows``) take them in normal form.  Code whose shapes are normal by
 construction (``partitions_in_rectangle``, ``partitions_of``, ``_star``,
-``_dagger`` and the rectification count of ``coefficients``) makes them with
-``_normal``, which skips the check.
+``_dagger``, ``omega_dual`` and the rectification count of ``coefficients``)
+makes them with ``_normal``, which skips the check.
 
 ``_region_rows`` is the one walk of a skew region, row by row.  ``SkewShape``
 gives the region's normal form, its containment check and its box list (built
@@ -78,22 +78,12 @@ _normal = partial(tuple.__new__, Partition)
 def partition(parts: Iterable[int]) -> Partition:
     """Normalize an iterable of row lengths into its ``Partition``.
 
-    A ``Partition`` is returned as it is.  Otherwise the result is memoized
-    under the converted int tuple, and a tuple of ints seen before is served
-    by that one lookup; everything else (lists, generators, other tuple
-    subclasses, non-int rows, new shapes) is converted with ``int()`` first.
-    A rejected shape is never stored.
+    A ``Partition`` is returned as it is.  Anything else is converted with
+    ``int()`` first, and the result is memoized under the converted int
+    tuple; a rejected shape is never stored.
     """
     if type(parts) is Partition:
         return parts
-    if type(parts) is tuple:
-        try:
-            hit = _memo.get(("partition", parts))
-            # rows equal to ints but of another type (1.0, 1+0j) go on to int()
-            if hit is not None and type(sum(parts)) is int:
-                return hit
-        except TypeError:  # an unhashable row: int() raises the cold message
-            pass
     t = tuple(map(int, parts))
     return _memoized(("partition", t), Partition, t)
 
@@ -352,7 +342,7 @@ def omega(frame: DirectSumFrame) -> Part:
 
 def omega_dual(frame: DirectSumFrame) -> Part:
     """Dual of omega in the ambient rectangle: the k2 x (n1-k1) rectangle."""
-    return partition(((frame.n1 - frame.k1),) * frame.k2)
+    return _normal((frame.n1 - frame.k1,) * frame.k2)  # n1 - k1 >= 1, so normal by construction
 
 
 def dagger(lam: Part, mu: Part, frame: DirectSumFrame) -> Part:

@@ -436,6 +436,16 @@ class TestOtherCommands:
         assert code == EXIT_INTERNAL and out == ""
         assert err == "internal invariant violation: no divergent instance found over (2, 1)\n"
 
+    def test_an_unexpected_exception_exits_3(self, capsys, monkeypatch):
+        # no traceback leaves the CLI: a fault of a type main does not name is an engine fault too
+        def broken(lam, mu, nu):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(coefficients.KINDS, "C", broken)
+        code, out, err = run(capsys, "coeff", "C", "--lambda", "[1]", "--mu", "[1]", "--nu", "[2]")
+        assert code == EXIT_INTERNAL and out == ""
+        assert err == "internal error: TypeError: unsupported operand\n"
+
     def test_faulty_sharpness_search_exits_3(self, capsys, monkeypatch):
         # the fault hits one inner shape of the sweep, not the golden instances after it
         real = equivalence.krect

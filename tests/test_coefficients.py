@@ -403,6 +403,27 @@ class TestZeroBySize:
         assert checked == 2 * 360
         assert c_keys == []
 
+    def test_a_zero_by_size_identity_builds_no_frame(self, monkeypatch):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return DirectSumFrame(*args)
+
+        monkeypatch.setattr(coefficients, "DirectSumFrame", counting)
+        coefficients._memo.clear()
+        try:
+            zero = [t for t in self.TRIPLES if psize(t[2]) > psize(t[0]) + psize(t[1])]
+            for lam, mu, nu in zero:
+                for kind in ("D", "F"):
+                    assert compute_with_checks(kind, lam, mu, nu).agreed
+            assert len(zero) == 360 and built == []
+            # the spy sees the default frame of a D that is not zero by size
+            assert compute_with_checks("D", (1,), (1,), (1,)).agreed
+        finally:
+            coefficients._memo.clear()
+        assert built == [(1, 3, 1, 2)]
+
 
 class TestClassical:
     def test_values(self):

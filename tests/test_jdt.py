@@ -562,6 +562,9 @@ class TestKernelInvariants:
     def test_adjacent_equal_labels(self, reverse):
         with pytest.raises(InternalInvariantError, match="adjacent equal labels"):
             _run_switches({(1, 2): 1, (1, 3): 1}, {(1, 1)}, reverse)
+        # a stage of two pairs, with no block or ribbon, whose freed (1, 2) is next to a 1
+        with pytest.raises(InternalInvariantError, match=r"adjacent equal labels at \(1, 2\), \(1, 3\)"):
+            _run_switches({(1, 2): 1, (3, 2): 1, (1, 3): 1}, {(1, 1), (3, 1)}, reverse)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_two_by_two_block(self, reverse):
@@ -786,15 +789,13 @@ def _all_stages(rows, cols):
 def _stage_errors(stages):
     """The first InternalInvariantError message of each stage of label 1, or None.
 
-    The pairs are every (bullet, label box) adjacency, in the order in which
-    ``_run_switches`` lists them.
+    Every label is 1, so the slide runs that one stage and no other.
     """
     errors = []
     for labels, bullets in stages:
         entries = dict.fromkeys(labels, 1)
-        pairs = [(b, nb) for b in bullets for nb in jdt._NEIGHBOURS[b] if nb in entries]
         try:
-            jdt._switch(entries, set(bullets), 1, pairs)
+            jdt._run_switches(entries, set(bullets), False)
         except InternalInvariantError as exc:
             errors.append(str(exc))
         else:
