@@ -1,10 +1,11 @@
 """Named verification suites: golden examples, exhaustive sweeps, seeded property runs.
 
 Each suite returns a SuiteResult; the CLI renders them and the acceptance tests
-assert on them.  Scales are fixed; only seeds and the scales tests shrink are parameters.
+assert on them.  Scales are fixed; only seeds are parameters.
 ``@_suite(name)`` registers a suite in ``SUITES`` in definition order, which is
 the order ``verify all`` runs, and stamps its result with the name and run time.
-Every sweep takes its verdict from ``_sweep``, which fails an empty sweep.
+Every sweep takes its verdict from ``_sweep`` with the size of its universe, and
+fails unless it checked exactly that many items.
 """
 
 from __future__ import annotations
@@ -110,11 +111,13 @@ def _suite(name: str):
 
 
 def _sweep(
-    checked: int, failures: list[str], passed: str, shown: int = 5, seed: int | None = None
+    checked: int, expected: int, failures: list[str], passed: str, shown: int = 5, seed: int | None = None
 ) -> SuiteResult:
-    """A sweep's verdict: ok only if it checked something and nothing failed."""
+    """A sweep's verdict: ok only if it checked exactly ``expected`` items and none failed."""
     summary = f"{len(failures)} failures" if failures else f"{checked} {passed}"
-    return SuiteResult(not failures and checked > 0, summary, failures[:shown], seed)
+    if checked != expected:
+        summary = f"{checked} checked, expected {expected}"
+    return SuiteResult(checked == expected and not failures, summary, failures[:shown], seed)
 
 
 def _rectangles(max_rows: int, max_cols: int, max_area: int) -> Iterator[tuple[int, int]]:
@@ -209,7 +212,7 @@ def rect_order_independence_suite() -> SuiteResult:
                     checked += 1
                     if len(results) != 1:
                         failures.append(f"{t} gives {len(results)} results")
-    return _sweep(checked, failures, "fillings, every order agrees")
+    return _sweep(checked, 1451, failures, "fillings, every order agrees")
 
 
 @_suite("strong-equivalence")
@@ -235,23 +238,25 @@ def strong_equivalence_suite() -> SuiteResult:
                 if verdict is not None:
                     failures.append(f"{a.rows()} vs {b.rows()} diverged")
     passed = f"rectangular pairs equivalent on all single-corner sequences of depth <= {depth}"
-    return _sweep(pairs, failures, passed)
+    return _sweep(pairs, 153, failures, passed)
 
 
 @_suite("random-equivalence")
-def random_equivalence_suite(runs: int = 100, seed: int = 11) -> SuiteResult:
+def random_equivalence_suite(seed: int = 11) -> SuiteResult:
     """Random mixed slide sequences of 4 steps keep 2x2 pairs configuration-equal."""
     rng = random.Random(seed)
     shape = SkewShape.straight((2, 2))
     ambient = AmbientRectangle(4, 8)
     tableaux = list(enumerate_increasing(shape, range(1, 5)))
+    checked = 0
     failures: list[str] = []
-    for _ in range(runs):
+    for _ in range(100):
         a, b = rng.sample(tableaux, 2)  # two distinct tableaux: a pair with itself checks nothing
         verdict = random_equivalence_run(a, b, ambient, 4, rng)
+        checked += 1
         if not verdict.equivalent:
             failures.append(f"{a.rows()} vs {b.rows()} diverged at stage {verdict.divergence_stage}")
-    return _sweep(runs, failures, "random mixed runs equivalent", seed=seed)
+    return _sweep(checked, 100, failures, "random mixed runs equivalent", seed=seed)
 
 
 @_suite("sharpness")
@@ -286,10 +291,10 @@ def sharpness_suite() -> SuiteResult:
     ):
         failures.append("(6, 6, 3, 1): not the golden seed instance")
     passed = "non-rectangular shapes produce verified divergences; seed instances exact"
-    return _sweep(count, failures, passed)
+    return _sweep(count, 15, failures, passed)
 
 
-def _random_skew_instance(rng: random.Random, max_boxes: int) -> IncreasingTableau:
+def _random_skew_instance(rng: random.Random) -> IncreasingTableau:
     while True:
         outer = []
         width = rng.randint(1, 4)
@@ -298,7 +303,7 @@ def _random_skew_instance(rng: random.Random, max_boxes: int) -> IncreasingTable
             if width > 1 and rng.random() < 0.5:
                 width = rng.randint(1, width)
         outer = partition(sorted(outer, reverse=True))
-        if not (0 < psize(outer) <= max_boxes):
+        if not (0 < psize(outer) <= 9):
             continue
         inner_rows = [rng.randint(0, w) for w in outer]
         inner_rows = partition(sorted(inner_rows, reverse=True))
@@ -319,7 +324,7 @@ def reversibility_suite(seed: int = 2024) -> SuiteResult:
     checked = 0
     failures: list[str] = []
     while checked < 1000:
-        t = _random_skew_instance(rng, 9)
+        t = _random_skew_instance(rng)
         corners = removable_corners(t.inner)
         if not corners:
             continue
@@ -330,7 +335,7 @@ def reversibility_suite(seed: int = 2024) -> SuiteResult:
         if rev_kjdt_slide(slid, vacated, ambient) != t:
             failures.append(f"{t} slid at {sorted(chosen)} is not undone")
         checked += 1
-    return _sweep(checked, failures, "random slides undone exactly", seed=seed)
+    return _sweep(checked, 1000, failures, "random slides undone exactly", seed=seed)
 
 
 @_suite("infusion-involution")
@@ -340,7 +345,7 @@ def infusion_involution_suite(seed: int = 4096) -> SuiteResult:
     checked = 0
     failures: list[str] = []
     while checked < 1000:
-        t = _random_skew_instance(rng, 9)
+        t = _random_skew_instance(rng)
         if not (0 < psize(t.inner) <= 6):
             continue
         orders = list(rectification_orders(t.inner))
@@ -349,7 +354,7 @@ def infusion_involution_suite(seed: int = 4096) -> SuiteResult:
         if kinfusion(c, w) != (a, t):
             failures.append(f"{t} with order {a.rows()} does not return")
         checked += 1
-    return _sweep(checked, failures, "nested pairs return exactly", seed=seed)
+    return _sweep(checked, 1000, failures, "nested pairs return exactly", seed=seed)
 
 
 @_suite("rev-rect-anchor")
@@ -368,12 +373,13 @@ def rev_rect_anchor_suite() -> SuiteResult:
                     checked += 1
                     if anchor != (k - c + 1, cols - d + 1):
                         failures.append(f"{t.rows()} in {k}x{cols} at {anchor}")
-    return _sweep(checked, failures, "reverse rectifications anchored southeast")
+    return _sweep(checked, 3525, failures, "reverse rectifications anchored southeast")
 
 
 @_suite("origin-invariants")
-def origin_invariants_suite(max_area: int = 6, depth: int = 3) -> SuiteResult:
-    """Reverse-slide traces from rectangles keep origins clean and ordered."""
+def origin_invariants_suite() -> SuiteResult:
+    """Reverse-slide traces from rectangles of at most 6 boxes keep origins clean and ordered."""
+    depth = 3
     checked = 0
     failures: list[str] = []
 
@@ -394,12 +400,12 @@ def origin_invariants_suite(max_area: int = 6, depth: int = 3) -> SuiteResult:
             step = SlideStep("reverse", subset)
             check(extend_trace(trace, [step], ambient), len(trace.states), ambient, left - 1)
 
-    for c, d in _rectangles(3, 3, max_area):
+    for c, d in _rectangles(3, 3, 6):
         ambient = AmbientRectangle(c + 2, c + 2 + d + 2)
         shape = SkewShape.straight((d,) * c)
         for t in enumerate_increasing(shape, range(1, 5)):
             check(switch_trace(t, [], ambient), 0, ambient, depth)
-    return _sweep(checked, failures, "reverse traces clean")
+    return _sweep(checked, 3896, failures, "reverse traces clean")
 
 
 @_suite("count-independence")
@@ -421,7 +427,7 @@ def count_independence_suite() -> SuiteResult:
 
 
 @_suite("superstandard-independence")
-def superstandard_independence_suite(max_extra: int = 3) -> SuiteResult:
+def superstandard_independence_suite() -> SuiteResult:
     """A superstandard rectification under one order forces it under all (inner shapes of 2 to 4 boxes)."""
     checked = 0
     failures: list[str] = []
@@ -429,7 +435,7 @@ def superstandard_independence_suite(max_extra: int = 3) -> SuiteResult:
         for lam in partitions_of(n):
             if is_rectangle(lam):
                 continue
-            for extra in range(1, max_extra + 1):
+            for extra in range(1, 4):
                 for nu in partitions_of(n + extra):
                     if not contains(nu, lam):
                         continue
@@ -438,7 +444,7 @@ def superstandard_independence_suite(max_extra: int = 3) -> SuiteResult:
                         checked += 1
                         if not report.consistent:
                             failures.append(f"{t}")
-    return _sweep(checked, failures, "skew fillings consistent")
+    return _sweep(checked, 884, failures, "skew fillings consistent")
 
 
 @_suite("products")
@@ -478,11 +484,11 @@ def degeneration_suite() -> SuiteResult:
                         if not (c_val == d_val == expected):
                             failures.append(f"{lam},{mu}->{nu}: C={c_val} D={d_val} schur={expected}")
     passed = "classical triples agree on the C rule, the D rule and the Schur oracle"
-    return _sweep(checked, failures, passed, 8)
+    return _sweep(checked, 6830, failures, passed, 8)
 
 
-def _frames(k_max: int, n_max: int) -> Iterator[DirectSumFrame]:
-    sides = [(k, n) for k in range(1, k_max + 1) for n in range(k + 1, n_max + 1)]
+def _frames() -> Iterator[DirectSumFrame]:
+    sides = [(k, n) for k in range(1, 3) for n in range(k + 1, 5)]
     for k1, n1 in sides:
         for k2, n2 in sides:
             yield DirectSumFrame(k1, n1, k2, n2)
@@ -499,7 +505,7 @@ def triple_agreement_suite() -> SuiteResult:
     checked = widened = 0
     distinct: set[tuple] = set()
     failures: list[str] = []
-    for frame in _frames(2, 4):
+    for frame in _frames():
         lams = list(partitions_in_rectangle(frame.k1, frame.n1 - frame.k1))
         mus = list(partitions_in_rectangle(frame.k2, frame.n2 - frame.k2))
         nus = list(partitions_in_rectangle(frame.k, frame.n - frame.k))
@@ -519,18 +525,15 @@ def triple_agreement_suite() -> SuiteResult:
         f"frame triples ({len(distinct)} distinct) agree on all three routes; "
         f"{widened} identities read in a frame one column wider"
     )
-    return _sweep(checked, failures, passed, 8)
-
-
-SIGN_FLOOR = 100  # the sweep below has 210 nonzero values; fewer means it checked too little
+    return _sweep(checked, 11134, failures, passed, 8)
 
 
 @_suite("sign-invariant")
 def sign_invariant_suite() -> SuiteResult:
     """Every nonzero C, D and E of a fixed sweep carries the parity-predicted sign.
 
-    The sweep takes lambda and mu in a 2x2 box and nu in a 2x3 box.  Seeing
-    fewer than SIGN_FLOOR nonzero values is a failure, never a vacuous pass.
+    The sweep takes lambda and mu in a 2x2 box and nu in a 2x3 box, and checks
+    each of its nonzero values: seeing more or fewer of them fails the sweep.
     """
     bad = []
     seen = 0
@@ -545,9 +548,7 @@ def sign_invariant_suite() -> SuiteResult:
                     seen += 1
                     if (value > 0) != (_sign(psize(nu) - psize(lam) - psize(mu)) > 0):
                         bad.append(f"{kind} {lam},{mu}->{nu} = {value}")
-    if seen < SIGN_FLOOR:
-        bad.insert(0, f"only {seen} nonzero coefficients checked, need {SIGN_FLOOR}")
-    return _sweep(seen, bad, "nonzero coefficients match the parity sign", 8)
+    return _sweep(seen, 210, bad, "nonzero coefficients match the parity sign", 8)
 
 
 # the suites that take a ``seed``; ``ktaquin verify --seed`` passes it to these

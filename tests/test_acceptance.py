@@ -75,7 +75,7 @@ def test_criterion_10_classical_degeneration():
 
 
 def test_criterion_11_sign_invariant():
-    # the suite computes its own fixed sweep and fails below its floor of 100
-    # nonzero coefficients, so the criterion holds on its own in any test order
+    # the suite computes its own fixed sweep and fails unless it sees exactly its
+    # 210 nonzero coefficients, so the criterion holds on its own in any test order
     result = suites.sign_invariant_suite()
     _report(11, "sign pattern", result.ok, result.summary)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -597,3 +598,42 @@ class TestOtherCommands:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+ENTRY_POINT_PINS = [
+    # S classes of more than one box switch through the switch memo
+    ("coeff D --lambda [2,1] --mu [2,1] --nu [3,2] --check", EXIT_OK,
+     ["D[2,1],[2,1]->[3,2] = -3  [buch:ok identity:ok]"], []),
+    ("coeff C --lambda [2,1] --mu [2,1] --nu [3,3,2] --check", EXIT_OK,
+     ["C[2,1],[2,1]->[3,3,2] = 1  [buch:ok]"], []),
+    # |lambda| + |mu| < |nu|, and the reverse: every route ends at its size test
+    ("coeff D --lambda [1] --mu [1] --nu [2,1] --check", EXIT_OK,
+     ["D[1],[1]->[2,1] = 0  [buch:ok identity:ok]"], []),
+    ("coeff F --lambda [1] --mu [1] --nu [2,1] --check --frame 1,3,1,3", EXIT_OK,
+     ["F[1],[1]->[2,1] = 0  [buch:ok identity:ok]"], []),
+    ("coeff C --lambda [1] --mu [2] --nu [2] --check", EXIT_OK,
+     ["C[1],[2]->[2] = 0  [symmetry:ok buch:ok]"], []),
+    ("coeff E --lambda [1] --mu [2] --nu [2] --check", EXIT_OK,
+     ["E[1],[2]->[2] = 0  [rook-strip:ok]"], []),
+    ("coeff c --lambda [2,1] --mu [2,1] --nu [3,2,1] --check", EXIT_OK,
+     ["c[2,1],[2,1]->[3,2,1] = 2  [schur-oracle:ok]"], []),
+    ("--json enumerate --outer [3,1] --kind set-valued --content 2,2,1", EXIT_OK, ['{"count": 4}'], []),
+    ("--json enumerate --outer [4,3,2] --inner [2,1] --max-entry 5 --surjective", EXIT_OK,
+     ['{"count": 122}'], []),
+    ("--json enumerate --outer [4,3,2] --inner [2,1] --max-entry 5", EXIT_OK, ['{"count": 707}'], []),
+    # the first filling of the stream pins its order
+    ("enumerate --outer [4,3,2] --inner [2,1] --max-entry 5 --surjective --limit 1", EXIT_OK,
+     ["122 tableaux", ". . 1 2", ". 1 3", "4 5"], []),
+    # a misfit frame is refused before the identity's size test, which would settle this triple
+    ("coeff D --lambda [3] --mu [1] --nu [3,2] --check --frame 1,3,1,3", EXIT_USAGE,
+     [], ["error: (3,) does not fit the 1x2 rectangle"]),
+    ("product --op odot --left '1 X' --right 1", EXIT_USAGE,
+     [], ["error: --left must be an increasing tableau"]),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ENTRY_POINT_PINS, ids=[pin[0] for pin in ENTRY_POINT_PINS])
+def test_entry_point_pins(capsys, argv, code, out, err):
+    # the exact lines that CI checks through the installed entry point, run in process
+    got_code, got_out, got_err = run(capsys, *shlex.split(argv))
+    assert (got_code, got_out.splitlines(), got_err.splitlines()) == (code, out, err)

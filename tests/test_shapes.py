@@ -139,7 +139,7 @@ class TestPartitionBasics:
         assert [outcome(make) for make, _ in cases] == cold
         assert shapes._memo == memo
 
-    def test_fast_path_serves_only_int_tuples(self):
+    def test_non_int_inputs_get_their_cold_outcome_and_a_hit_returns_the_memo_tuple(self):
         """A warm int tuple is one lookup; other inputs equal to it get their cold outcome."""
 
         class Rows(NamedTuple):

@@ -1,16 +1,18 @@
 """The verification suites not already exercised by the acceptance module."""
 
+import pytest
+
 from ktaquin import suites
 from ktaquin.tableaux import IncreasingTableau
 
 
 def test_origin_invariants_suite():
-    result = suites.origin_invariants_suite(max_area=4, depth=2)
+    result = suites.origin_invariants_suite()
     assert result.ok
 
 
 def test_superstandard_independence_suite():
-    result = suites.superstandard_independence_suite(max_extra=2)
+    result = suites.superstandard_independence_suite()
     assert result.ok
 
 
@@ -20,7 +22,7 @@ def test_count_independence_suite():
 
 
 def test_random_equivalence_suite():
-    result = suites.random_equivalence_suite(runs=30, seed=5)
+    result = suites.random_equivalence_suite(seed=5)
     assert result.ok and result.seed == 5
 
 
@@ -41,7 +43,26 @@ def test_sign_invariant_fails_below_floor(monkeypatch):
     # a sweep that sees almost nothing must fail rather than pass vacuously
     monkeypatch.setattr(suites, "partitions_in_rectangle", lambda rows, cols: iter([()]))
     result = suites.sign_invariant_suite()
-    assert not result.ok and "need 100" in result.details[0]
+    assert not result.ok and result.summary.endswith(" checked, expected 210")
+
+
+@pytest.mark.parametrize("change", ["drop", "add"])
+def test_a_sweep_of_another_size_fails_naming_both_counts(monkeypatch, change):
+    # one partition of 8 fewer, or one repeated: every triple checked still agrees,
+    # so only the size of the universe can fail the sweep
+    real = suites.partitions_of
+
+    def changed(n):
+        parts = list(real(n))
+        if n == 8:
+            parts = parts[1:] if change == "drop" else parts + parts[:1]
+        return iter(parts)
+
+    monkeypatch.setattr(suites, "partitions_of", changed)
+    result = suites.degeneration_suite()
+    checked, expected = result.summary.split(" checked, expected ")
+    assert not result.ok and not result.details and expected == "6830"
+    assert (int(checked) < 6830) if change == "drop" else (int(checked) > 6830)
 
 
 def test_triple_agreement_reads_no_d_row_back(triple_agreement):
@@ -90,11 +111,11 @@ def test_registry_order_is_the_verify_all_order():
 
 def test_every_result_carries_its_registered_name(monkeypatch):
     # the sweeps run on emptied universes and the seeded ones on one small
-    # tableau: the stamp is under test, and an emptied sweep must fail
+    # tableau: the stamp is under test, and an emptied sweep must fail on its count
     for source in ("partitions_of", "_rectangles", "_frames"):
         monkeypatch.setattr(suites, source, lambda *args: iter(()))
     tiny = IncreasingTableau.from_rows([[1], [2]], inner=(1,))
-    monkeypatch.setattr(suites, "_random_skew_instance", lambda rng, max_boxes: tiny)
+    monkeypatch.setattr(suites, "_random_skew_instance", lambda rng: tiny)
     failed = set()
     for name, fn in suites.SUITES.items():
         result = fn()
@@ -110,9 +131,10 @@ def test_seeded_suites_are_read_from_the_signatures():
 
 
 def test_an_empty_sweep_fails():
-    assert not suites._sweep(0, [], "x").ok
-    assert suites._sweep(1, [], "x").summary == "1 x"
-    result = suites._sweep(3, ["a", "b"], "x", shown=1)
+    empty = suites._sweep(0, 1, [], "x")
+    assert not empty.ok and empty.summary == "0 checked, expected 1"
+    assert suites._sweep(1, 1, [], "x").summary == "1 x"
+    result = suites._sweep(3, 3, ["a", "b"], "x", shown=1)
     assert not result.ok and result.summary == "2 failures" and result.details == ["a"]
 
 
