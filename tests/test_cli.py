@@ -1,8 +1,13 @@
-"""CLI subcommands, exit codes, and output determinism."""
+"""CLI subcommands, exit codes, and output determinism.
+
+The exact output of the calls that CI also runs through the installed entry
+points is kept in tests/cli_pins.txt, one entry per call; test_entry_point_pins
+runs each entry here in process, and tests/cli_pins.py loads the file.
+"""
 
 import json
 import os
-import shlex
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +22,7 @@ from ktaquin.coefficients import DisagreementError, expand_product
 from ktaquin.jdt import InternalInvariantError
 from ktaquin.shapes import AmbientRectangle, format_partition, parse_partition, partitions_in_rectangle, star
 
+import cli_pins
 from helpers import drop_the_all_corners_strip
 
 
@@ -600,40 +606,36 @@ class TestOtherCommands:
         assert first == second
 
 
-ENTRY_POINT_PINS = [
-    # S classes of more than one box switch through the switch memo
-    ("coeff D --lambda [2,1] --mu [2,1] --nu [3,2] --check", EXIT_OK,
-     ["D[2,1],[2,1]->[3,2] = -3  [buch:ok identity:ok]"], []),
-    ("coeff C --lambda [2,1] --mu [2,1] --nu [3,3,2] --check", EXIT_OK,
-     ["C[2,1],[2,1]->[3,3,2] = 1  [buch:ok]"], []),
-    # |lambda| + |mu| < |nu|, and the reverse: every route ends at its size test
-    ("coeff D --lambda [1] --mu [1] --nu [2,1] --check", EXIT_OK,
-     ["D[1],[1]->[2,1] = 0  [buch:ok identity:ok]"], []),
-    ("coeff F --lambda [1] --mu [1] --nu [2,1] --check --frame 1,3,1,3", EXIT_OK,
-     ["F[1],[1]->[2,1] = 0  [buch:ok identity:ok]"], []),
-    ("coeff C --lambda [1] --mu [2] --nu [2] --check", EXIT_OK,
-     ["C[1],[2]->[2] = 0  [symmetry:ok buch:ok]"], []),
-    ("coeff E --lambda [1] --mu [2] --nu [2] --check", EXIT_OK,
-     ["E[1],[2]->[2] = 0  [rook-strip:ok]"], []),
-    ("coeff c --lambda [2,1] --mu [2,1] --nu [3,2,1] --check", EXIT_OK,
-     ["c[2,1],[2,1]->[3,2,1] = 2  [schur-oracle:ok]"], []),
-    ("--json enumerate --outer [3,1] --kind set-valued --content 2,2,1", EXIT_OK, ['{"count": 4}'], []),
-    ("--json enumerate --outer [4,3,2] --inner [2,1] --max-entry 5 --surjective", EXIT_OK,
-     ['{"count": 122}'], []),
-    ("--json enumerate --outer [4,3,2] --inner [2,1] --max-entry 5", EXIT_OK, ['{"count": 707}'], []),
-    # the first filling of the stream pins its order
-    ("enumerate --outer [4,3,2] --inner [2,1] --max-entry 5 --surjective --limit 1", EXIT_OK,
-     ["122 tableaux", ". . 1 2", ". 1 3", "4 5"], []),
-    # a misfit frame is refused before the identity's size test, which would settle this triple
-    ("coeff D --lambda [3] --mu [1] --nu [3,2] --check --frame 1,3,1,3", EXIT_USAGE,
-     [], ["error: (3,) does not fit the 1x2 rectangle"]),
-    ("product --op odot --left '1 X' --right 1", EXIT_USAGE,
-     [], ["error: --left must be an increasing tableau"]),
-]
+@pytest.mark.parametrize("pin", cli_pins.load(), ids=lambda pin: pin.args)
+def test_entry_point_pins(capsys, monkeypatch, tmp_path, pin):
+    # each entry of tests/cli_pins.txt, which CI runs through the installed entry points
+    monkeypatch.delenv(cli.CACHE_ENV, raising=False)
+    cache = pin.cache_at(tmp_path / "cache.jsonl")
+    code, out, err = run(capsys, *pin.argv(cache))
+    assert (code, out.splitlines(), err.splitlines()) == pin.expected(cache)
 
 
-@pytest.mark.parametrize("argv, code, out, err", ENTRY_POINT_PINS, ids=[pin[0] for pin in ENTRY_POINT_PINS])
-def test_entry_point_pins(capsys, argv, code, out, err):
-    # the exact lines that CI checks through the installed entry point, run in process
-    got_code, got_out, got_err = run(capsys, *shlex.split(argv))
-    assert (got_code, got_out.splitlines(), got_err.splitlines()) == (code, out, err)
+@pytest.mark.parametrize(
+    "text, fault",
+    [
+        ("", ": no pins"),
+        ("# a comment only\n", ": no pins"),
+        ("$ --help\n= 0\n", ":2: a pin line starts with"),
+        ("$ --help\n>no space\n", ":2: a pin line starts with"),
+        ("> a line\n$ --help\n", ":1: > line before the first $ line"),
+        ("! a line\n$ --help\n", ":1: ! line before the first $ line"),
+        ("? 1\n$ --help\n", ":1: ? line before the first $ line"),
+        ("< a line\n$ --help\n", ":1: < line before the first $ line"),
+        ("$ --help\n? x\n", ":2: one exit code per entry"),
+        ("$ --help\n? 1\n? 1\n", ":3: one exit code per entry"),
+        ("$ product --left '1\n", ":1: No closing quotation"),
+    ],
+    ids=["empty", "comment-only", "unknown-prefix", "no-space", "out-first", "err-first", "code-first",
+         "cache-first", "non-integer-code", "second-code", "open-quote"],
+)
+def test_a_bad_pin_file_is_refused_naming_the_line(tmp_path, text, fault):
+    # a typo must never drop a pin, and an empty file would leave the test above with no cases
+    path = tmp_path / "pins.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}{fault}")):
+        cli_pins.load(path)
